@@ -2,8 +2,10 @@
 //!
 //! [`Engine::run`] executes an [`AppSpec`] under a [`MemoryConfig`] on a
 //! [`ClusterSpec`] and returns a [`RunResult`] plus the [`Profile`] a
-//! monitoring stack would have collected. The simulation is deterministic
-//! given the seed.
+//! monitoring stack would have collected. [`Engine::run_stats`] runs the
+//! same simulation but returns only the profile's Table-6 statistics, so
+//! it never records the timelines that only plots read. The simulation is
+//! deterministic given the seed.
 //!
 //! ## Model
 //!
@@ -29,7 +31,7 @@ use relm_common::{Mem, MemoryConfig, Millis, Rng};
 use relm_faults::{AbortCause, FaultPlan, ProfileNoise};
 use relm_jvm::{GcCostModel, GcSettings, JvmSim, WavePressure};
 use relm_obs::Obs;
-use relm_profile::{ContainerTrace, Profile};
+use relm_profile::{derive_stats, ContainerTrace, DerivedStats, Profile};
 use serde::{Deserialize, Serialize};
 
 /// Tunable constants of the execution model.
@@ -100,8 +102,15 @@ struct ContainerState {
 }
 
 impl ContainerState {
-    fn new(heap: Mem, settings: GcSettings, gc: GcCostModel, m_i: Mem, rng: Rng) -> Self {
-        let mut jvm = JvmSim::new(heap, settings, gc);
+    fn new(
+        heap: Mem,
+        settings: GcSettings,
+        gc: GcCostModel,
+        m_i: Mem,
+        rng: Rng,
+        timeline: bool,
+    ) -> Self {
+        let mut jvm = JvmSim::new(heap, settings, gc).with_timeline(timeline);
         jvm.set_code_overhead(m_i);
         let trace = ContainerTrace {
             code_overhead: m_i,
@@ -181,8 +190,36 @@ impl Engine {
     /// Runs the application under `config`, returning the run metrics and
     /// the collected profile. Deterministic given `seed`.
     pub fn run(&self, app: &AppSpec, config: &MemoryConfig, seed: u64) -> (RunResult, Profile) {
+        self.simulate(app, config, seed, true)
+    }
+
+    /// Runs the application like [`Engine::run`] but returns only the
+    /// profile's Table-6 statistics: exactly
+    /// `derive_stats(&engine.run(app, config, seed).1)`, and the same
+    /// `RunResult`, span and counters. The run records no RSS samples and
+    /// keeps no young-GC events, which the statistics never read.
+    pub fn run_stats(
+        &self,
+        app: &AppSpec,
+        config: &MemoryConfig,
+        seed: u64,
+    ) -> (RunResult, DerivedStats) {
+        let (result, profile) = self.simulate(app, config, seed, false);
+        (result, derive_stats(&profile))
+    }
+
+    /// One run under the `engine.run` span. Without the `timeline` the
+    /// profile holds only what [`derive_stats`] reads: no RSS samples and
+    /// only the full-GC events.
+    fn simulate(
+        &self,
+        app: &AppSpec,
+        config: &MemoryConfig,
+        seed: u64,
+        timeline: bool,
+    ) -> (RunResult, Profile) {
         let mut span = self.obs.span("engine.run");
-        let mut sim = RunSim::new(self, app, config, seed);
+        let mut sim = RunSim::new(self, app, config, seed, timeline);
         let (result, profile) = sim.execute();
         if span.is_recording() {
             span.set("app", app.name.as_str());
@@ -281,6 +318,8 @@ struct RunSim<'a> {
     cache_target_per_container: Mem,
     hit_ratio: f64,
     seed: u64,
+    /// Record the profiler timeline (RSS samples, young-GC events).
+    timeline: bool,
 }
 
 /// FNV-1a over the skew coordinates: deterministic across platforms and
@@ -307,7 +346,13 @@ fn skew_hash(seed: u64, stage: &str, wave: u32, container: usize) -> u64 {
 }
 
 impl<'a> RunSim<'a> {
-    fn new(engine: &'a Engine, app: &'a AppSpec, config: &MemoryConfig, seed: u64) -> Self {
+    fn new(
+        engine: &'a Engine,
+        app: &'a AppSpec,
+        config: &MemoryConfig,
+        seed: u64,
+        timeline: bool,
+    ) -> Self {
         let cluster = &engine.cluster;
         let container_spec = cluster.container(config.containers_per_node);
         let n_containers = cluster.total_containers(config.containers_per_node);
@@ -321,6 +366,7 @@ impl<'a> RunSim<'a> {
                     engine.cost.gc,
                     app.code_overhead,
                     root.fork(i as u64 + 1),
+                    timeline,
                 )
             })
             .collect();
@@ -372,6 +418,7 @@ impl<'a> RunSim<'a> {
             cache_target_per_container,
             hit_ratio,
             seed,
+            timeline,
         }
     }
 
@@ -740,14 +787,16 @@ impl<'a> RunSim<'a> {
         // Flush the dying JVM's RSS samples into the trace now — the fresh
         // process starts a new sample log. The final sample is the peak that
         // triggered the failure.
-        let mut last_t = self.now;
-        for &(t, rss) in self.containers[idx].jvm.rss_samples() {
-            old_trace.rss.push_clamped(t, rss);
-            last_t = last_t.max(t);
+        if self.timeline {
+            let mut last_t = self.now;
+            for &(t, rss) in self.containers[idx].jvm.rss_samples() {
+                old_trace.rss.push_clamped(t, rss);
+                last_t = last_t.max(t);
+            }
+            old_trace
+                .rss
+                .push_clamped(last_t, self.containers[idx].jvm.peak_rss());
         }
-        old_trace
-            .rss
-            .push_clamped(last_t, self.containers[idx].jvm.peak_rss());
         let rng = self.containers[idx].rng.fork(0xDEAD_BEEF);
         let mut fresh = ContainerState::new(
             self.config.heap,
@@ -755,6 +804,7 @@ impl<'a> RunSim<'a> {
             self.engine.cost.gc,
             self.app.code_overhead,
             rng,
+            self.timeline,
         );
         fresh.trace = old_trace;
         fresh.cache_used = lost_cache;
@@ -853,7 +903,7 @@ impl<'a> RunSim<'a> {
         };
 
         if let Some(mut noise) = corruption {
-            corrupt_profile(&mut profile, &mut noise);
+            corrupt_profile(&mut profile, &self.containers, &mut noise);
         }
 
         (result, profile)
@@ -866,17 +916,28 @@ impl<'a> RunSim<'a> {
 /// perturbation is multiplicative and clamped into each statistic's valid
 /// range, so downstream consumers get a *plausible* but wrong profile —
 /// exactly the failure mode white-box tuning must survive.
-fn corrupt_profile(profile: &mut Profile, noise: &mut ProfileNoise) {
+///
+/// One coin is drawn per collection each container's JVM ran, young ones
+/// included, even when the profile kept only the full-GC events: a run
+/// without a timeline drops exactly the full-GC events a timeline run
+/// drops.
+fn corrupt_profile(profile: &mut Profile, containers: &[ContainerState], noise: &mut ProfileNoise) {
     profile.cpu_avg = (profile.cpu_avg * noise.factor()).clamp(0.0, 100.0);
     profile.disk_avg = (profile.disk_avg * noise.factor()).clamp(0.0, 100.0);
     profile.cache_hit_ratio = (profile.cache_hit_ratio * noise.factor()).clamp(0.0, 1.0);
     profile.spill_fraction = (profile.spill_fraction * noise.factor()).clamp(0.0, 1.0);
     profile.gc_overhead = (profile.gc_overhead * noise.factor()).clamp(0.0, 1.0);
-    for trace in &mut profile.containers {
+    for (trace, ContainerState { jvm, .. }) in profile.containers.iter_mut().zip(containers) {
         let f = noise.factor();
         trace.peak_heap_used = trace.peak_heap_used * f;
         trace.peak_old_used = (trace.peak_old_used * f).min(trace.peak_heap_used);
-        trace.gc_events.retain(|_| !noise.chance(0.3));
+        let collections = jvm.young_gc_count() + jvm.full_gc_count();
+        let dropped: Vec<bool> = (0..collections).map(|_| noise.chance(0.3)).collect();
+        let mut k = 0;
+        trace.gc_events.retain(|_| {
+            k += 1;
+            !dropped[jvm.event_position(k - 1) as usize]
+        });
     }
 }
 

@@ -2,7 +2,6 @@
 
 use relm_common::{MemoryConfig, Result, Rng};
 use relm_core::QModel;
-use relm_profile::derive_stats;
 use relm_surrogate::{
     maximize_ei, Forest, ForestParams, GpFitStats, GpFitter, SparsePolicy, Surrogate,
 };
@@ -235,7 +234,7 @@ impl Tuner for BayesOpt {
 
         for x in lhs {
             let config = space.decode(&x);
-            let (obs, profile) = env.evaluate_profiled(&config);
+            let (obs, stats) = env.evaluate_with_stats(&config);
             // GBO's guiding model comes from "a prior execution, not
             // necessarily using the same configuration" (§5.2). Prefer the
             // first *clean* bootstrap run — a censored run's truncated
@@ -243,10 +242,7 @@ impl Tuner for BayesOpt {
             // guidance — falling back to whatever profile exists if every
             // bootstrap run failed.
             if self.guided && !self.q_locked {
-                qmodel = Some(QModel::new(
-                    derive_stats(&profile),
-                    relm_core::DEFAULT_SAFETY,
-                ));
+                qmodel = Some(QModel::new(stats, relm_core::DEFAULT_SAFETY));
                 self.q_locked = !obs.result.aborted && obs.result.injected_faults == 0;
             }
             self.trace.push(BoStep {

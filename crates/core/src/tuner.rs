@@ -166,14 +166,8 @@ impl Tuner for RelmTuner {
         // Profile once under the vendor defaults (Thoth collects the profile
         // with minimal overhead, §6.1).
         let default = max_resource_allocation(env.engine().cluster(), env.app());
-        let (obs0, profile) = env.evaluate_profiled(&default);
+        let (obs0, mut stats) = env.evaluate_with_stats(&default);
         let censored0 = obs0.result.aborted;
-        let stats_started = std::time::Instant::now();
-        let mut stats = {
-            let _stats_span = telemetry.span("relm.derive_stats");
-            derive_stats(&profile)
-        };
-        telemetry.record("relm.stats_ms", stats_started.elapsed().as_secs_f64() * 1e3);
 
         // §4.1: a profile without full-GC events cannot yield an accurate
         // M_u; make one additional profiling run with GC pressure raised.
@@ -182,8 +176,7 @@ impl Tuner for RelmTuner {
         // model.
         if !stats.m_u_from_full_gc || censored0 {
             let pressure_cfg = Self::reprofile_config(env, &default);
-            let (obs2, profile2) = env.evaluate_profiled(&pressure_cfg);
-            let stats2 = derive_stats(&profile2);
+            let (obs2, stats2) = env.evaluate_with_stats(&pressure_cfg);
             if stats2.m_u_from_full_gc || (censored0 && !obs2.result.aborted) {
                 stats = stats2;
             }

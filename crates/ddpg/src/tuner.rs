@@ -124,10 +124,10 @@ impl Tuner for DdpgTuner {
         // Initial observation: the vendor default, which also seeds the
         // reward baseline.
         let default = max_resource_allocation(env.engine().cluster(), env.app());
-        let (obs0, profile0) = env.evaluate_profiled(&default);
+        let (obs0, stats0) = env.evaluate_with_stats(&default);
         let initial_score = obs0.score_mins;
         let mut prev_score = initial_score;
-        let mut state = state_vector(&profile0);
+        let mut state = state_vector_from_stats(&stats0, &default);
 
         for iter in 0..self.budget {
             let act_started = std::time::Instant::now();
@@ -137,9 +137,9 @@ impl Tuner for DdpgTuner {
             };
             telemetry.record("ddpg.act_ms", act_started.elapsed().as_secs_f64() * 1e3);
             let config = env.space().decode(&action);
-            let (obs, profile) = env.evaluate_profiled(&config);
+            let (obs, stats) = env.evaluate_with_stats(&config);
             let reward = cdbtune_reward(initial_score, prev_score, obs.score_mins);
-            let next_state = state_vector(&profile);
+            let next_state = state_vector_from_stats(&stats, &config);
             self.agent.observe(Transition {
                 state: state.clone(),
                 action,

@@ -50,10 +50,10 @@
 //!
 //! What this crate deliberately does **not** know: what a cached value
 //! means. [`EvalCache`] is generic over the payload; `relm-tune` stores
-//! its `CachedEval` (run result, profile, retry accounting, and the
-//! observability counter deltas a live evaluation would have emitted) so
-//! a replay is indistinguishable from a live run — byte-identical
-//! histories and reconciling counters.
+//! its `CachedEval` (run result, the profile's Table-6 statistics, retry
+//! accounting, and the observability counter deltas a live evaluation
+//! would have emitted) so a replay is indistinguishable from a live run —
+//! byte-identical histories and reconciling counters.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@
 //! independent of insertion order, shard layout, or worker count:
 //!
 //! ```text
-//! {"kind":"relm-evalcache","version":1}
+//! {"kind":"relm-evalcache","version":2}
 //! {"key":"<32-hex>","check":<fnv64>,"value":{...}}
 //! ```
 //!
@@ -25,8 +25,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Store format version; bumped whenever the line layout changes.
-pub const STORE_VERSION: u32 = 1;
+/// Store format version; bumped whenever the line layout or the cached
+/// value layout changes. Version 2: `relm-tune`'s cached evaluations hold
+/// Table-6 statistics instead of full profiles.
+pub const STORE_VERSION: u32 = 2;
 /// The `kind` tag every store file starts with.
 pub const STORE_KIND: &str = "relm-evalcache";
 
@@ -213,12 +215,16 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let header = text.lines().next().unwrap();
         assert!(header.contains("\"relm-evalcache\""));
-        assert!(header.contains("\"version\":1"));
+        assert!(header.contains("\"version\":2"));
 
-        let bumped = text.replacen("\"version\":1", "\"version\":99", 1);
-        std::fs::write(&path, bumped).unwrap();
-        let err = read::<Vec<f64>>(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A file from an older or newer layout is rejected, never replayed.
+        for stale in ["1", "99"] {
+            let other = text.replacen("\"version\":2", &format!("\"version\":{stale}"), 1);
+            std::fs::write(&path, other).unwrap();
+            let err = read::<Vec<f64>>(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("version"), "{err}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

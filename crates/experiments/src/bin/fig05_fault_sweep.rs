@@ -17,8 +17,9 @@
 //! at `results/.evalcache/fig05_fault_sweep.jsonl` (override with
 //! `--cache-file PATH`, disable with `--no-cache`): a warm rerun replays
 //! every evaluation from the cache and must produce the identical output
-//! file — `scripts/check.sh` asserts that too, along with a ≥3× speedup
-//! on the `sweep_ms=` line this binary prints.
+//! file — `scripts/check.sh` asserts that too. A cache file that does not
+//! load (corrupt, or written by another store version) is reported and
+//! ignored; the run starts cold and its save replaces the file.
 //!
 //! The output contains only simulated quantities — no wall-clock values —
 //! so two invocations produce byte-identical files. The binary also
@@ -161,12 +162,16 @@ fn main() {
     let cache = use_cache.then(EvalStore::new);
     if let Some(cache) = &cache {
         if cache_file.exists() {
-            let loaded = relm_evalcache::store::load(cache, &cache_file)
-                .expect("evaluation cache file is readable and verified");
-            println!(
-                "evalcache: loaded {loaded} entries from {}",
-                cache_file.display()
-            );
+            match relm_evalcache::store::load(cache, &cache_file) {
+                Ok(loaded) => println!(
+                    "evalcache: loaded {loaded} entries from {}",
+                    cache_file.display()
+                ),
+                Err(e) => println!(
+                    "evalcache: ignoring {} ({e}); starting cold",
+                    cache_file.display()
+                ),
+            }
         }
     }
 

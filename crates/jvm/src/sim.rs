@@ -195,7 +195,13 @@ pub struct JvmSim {
     young_gcs: u64,
     full_gcs: u64,
     total_pause: Millis,
+    /// Whether the profiler timeline is kept: every GC event and RSS
+    /// sample. Without it only full-GC events are logged.
+    timeline: bool,
     events: Vec<GcEvent>,
+    /// Without a timeline: each logged event's position among all the
+    /// collections so far, young and full.
+    positions: Vec<u64>,
     rss_samples: Vec<(Millis, Mem)>,
     peak_rss: Mem,
     peak_heap_used: Mem,
@@ -227,7 +233,9 @@ impl JvmSim {
             young_gcs: 0,
             full_gcs: 0,
             total_pause: Millis::ZERO,
+            timeline: true,
             events: Vec::new(),
+            positions: Vec::new(),
             rss_samples: Vec::new(),
             peak_rss: Mem::ZERO,
             peak_heap_used: Mem::ZERO,
@@ -235,6 +243,15 @@ impl JvmSim {
             wave_slowdown: 1.0,
             active_slowdown: 1.0,
         }
+    }
+
+    /// Keeps (`true`, the default) or drops the profiler timeline. Without
+    /// it the JVM logs only full-GC events and no RSS samples, which is
+    /// all the Table-6 statistics read; counters, pauses and peaks are
+    /// unaffected.
+    pub fn with_timeline(mut self, timeline: bool) -> Self {
+        self.timeline = timeline;
+        self
     }
 
     /// Applies a straggler slowdown to the next simulated wave: every GC
@@ -294,12 +311,24 @@ impl JvmSim {
         self.total_pause
     }
 
-    /// All GC events logged so far (the JMX timeline of the profiler).
+    /// GC events logged so far (the JMX timeline of the profiler): every
+    /// collection, or only the full ones when the timeline is dropped.
     pub fn events(&self) -> &[GcEvent] {
         &self.events
     }
 
-    /// RSS samples logged at GC events and wave boundaries.
+    /// The position of `events()[k]` among all collections so far, young
+    /// and full: `k` itself unless the timeline is dropped.
+    pub fn event_position(&self, k: usize) -> u64 {
+        if self.timeline {
+            k as u64
+        } else {
+            self.positions[k]
+        }
+    }
+
+    /// RSS samples logged at GC events and wave boundaries (none when the
+    /// timeline is dropped).
     pub fn rss_samples(&self) -> &[(Millis, Mem)] {
         &self.rss_samples
     }
@@ -322,7 +351,9 @@ impl JvmSim {
     fn note_rss(&mut self, time: Millis) {
         let rss = self.rss();
         self.peak_rss = self.peak_rss.max(rss);
-        self.rss_samples.push((time, rss));
+        if self.timeline {
+            self.rss_samples.push((time, rss));
+        }
     }
 
     fn note_heap(&mut self, young_live: Mem) {
@@ -352,7 +383,13 @@ impl JvmSim {
             old_used_after: self.old_used().min(self.layout.old),
             rss: self.rss(),
         };
-        self.events.push(event);
+        if self.timeline {
+            self.events.push(event);
+        } else if kind == GcKind::Full {
+            // Every collection bumps its counter before logging its event.
+            self.positions.push(self.young_gcs + self.full_gcs - 1);
+            self.events.push(event);
+        }
         self.note_rss(time);
         self.note_heap(young_live);
     }
@@ -782,6 +819,33 @@ mod tests {
         for pair in events.windows(2) {
             assert!(pair[0].time <= pair[1].time);
         }
+    }
+
+    #[test]
+    fn dropping_the_timeline_keeps_full_events_at_their_positions() {
+        let mut full = sim(2202.0, 1);
+        let mut lean = sim(2202.0, 1).with_timeline(false);
+        for jvm in [&mut full, &mut lean] {
+            jvm.set_code_overhead(Mem::mb(100.0));
+            for i in 0..6 {
+                jvm.simulate_wave(Millis::secs(i as f64 * 10.0), &wave(10.0, 2000.0, 400.0));
+            }
+        }
+        assert!(full.young_gc_count() > 0 && full.full_gc_count() > 0);
+        assert_eq!(lean.young_gc_count(), full.young_gc_count());
+        assert_eq!(lean.full_gc_count(), full.full_gc_count());
+        assert_eq!(lean.total_pause(), full.total_pause());
+        assert_eq!(lean.peak_rss(), full.peak_rss());
+        assert_eq!(lean.peak_old_used(), full.peak_old_used());
+        assert!(lean.rss_samples().is_empty());
+        let kept: Vec<(u64, GcEvent)> = (0..lean.events().len())
+            .map(|k| (lean.event_position(k), lean.events()[k]))
+            .collect();
+        let want: Vec<(u64, GcEvent)> = (0..full.events().len())
+            .filter(|&k| full.events()[k].kind == GcKind::Full)
+            .map(|k| (full.event_position(k), full.events()[k]))
+            .collect();
+        assert_eq!(kept, want);
     }
 
     #[test]

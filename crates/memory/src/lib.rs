@@ -38,7 +38,5 @@ pub mod store;
 
 pub use digest::{normalize_label, DigestObs, SessionDigest, DIGEST_VERSION};
 pub use fingerprint::{Fingerprint, FP_DIMS};
-pub use prior::{
-    build_prior, build_prior_budgeted, PriorBundle, DEFAULT_PRIOR_BUDGET, DEFAULT_PRIOR_CAP,
-};
+pub use prior::{build_prior, PriorBundle, DEFAULT_PRIOR_CAP};
 pub use store::{MemoryStore, Retrieved, STORE_KIND, STORE_VERSION};

@@ -22,18 +22,11 @@ use crate::digest::SessionDigest;
 use crate::store::Retrieved;
 use relm_common::Mem;
 use relm_profile::DerivedStats;
-use relm_surrogate::select_inducing;
 use relm_tune::ConfigSpace;
 use serde::{Deserialize, Serialize};
 
 /// Default per-session observation allocation cap for the GP prior.
 pub const DEFAULT_PRIOR_CAP: usize = 8;
-
-/// Default total budget on GP prior observations. Retrieval today caps out
-/// at `MEMORY_RETRIEVE_K · DEFAULT_PRIOR_CAP = 24` observations, so the
-/// default budget never truncates — it exists as the backstop for larger
-/// stores or raised caps, keeping warm-started fits off the O(n³) cliff.
-pub const DEFAULT_PRIOR_BUDGET: usize = 32;
 
 /// A warm-start prior built from retrieved past sessions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,10 +41,6 @@ pub struct PriorBundle {
     /// The retrieved sessions themselves, `(similarity, digest)`, in
     /// retrieval order — the raw material for replay-buffer seeding.
     pub sessions: Vec<(f64, SessionDigest)>,
-    /// How many allocated observations the total budget dropped (0 when
-    /// the prior fit within budget — always the case at today's defaults).
-    #[serde(default)]
-    pub truncated: usize,
 }
 
 impl PriorBundle {
@@ -61,7 +50,6 @@ impl PriorBundle {
             gp_obs: Vec::new(),
             stats: None,
             sessions: Vec::new(),
-            truncated: 0,
         }
     }
 
@@ -101,23 +89,6 @@ impl PriorBundle {
 /// history position)` and duplicate configurations (identical encoded
 /// points) keep only their first, highest-rank occurrence.
 pub fn build_prior(retrieved: &[Retrieved], space: &ConfigSpace, cap: usize) -> PriorBundle {
-    build_prior_budgeted(retrieved, space, cap, DEFAULT_PRIOR_BUDGET)
-}
-
-/// [`build_prior`] with an explicit total budget on `gp_obs`. When the
-/// per-session allocation exceeds `budget`, the kept subset is chosen by
-/// the surrogate's deterministic greedy max–min selection
-/// ([`relm_surrogate::select_inducing`]) seeded at the best-scoring
-/// observation — space-filling coverage of the allocated points with the
-/// incumbent always retained — and re-emitted in the original allocation
-/// order (retrieval rank, then ascending score). [`PriorBundle::truncated`]
-/// records how many observations the budget dropped.
-pub fn build_prior_budgeted(
-    retrieved: &[Retrieved],
-    space: &ConfigSpace,
-    cap: usize,
-    budget: usize,
-) -> PriorBundle {
     let mut gp_obs: Vec<(Vec<f64>, f64)> = Vec::new();
     let mut seen: Vec<Vec<f64>> = Vec::new();
     for hit in retrieved {
@@ -135,21 +106,6 @@ pub fn build_prior_budgeted(
             gp_obs.push((x, obs.score_mins));
         }
     }
-    let mut truncated = 0;
-    if budget > 0 && gp_obs.len() > budget {
-        truncated = gp_obs.len() - budget;
-        let points: Vec<Vec<f64>> = gp_obs.iter().map(|(x, _)| x.clone()).collect();
-        let best = gp_obs
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        // `select_inducing` returns sorted indices, so the kept subset
-        // preserves the original rank-then-score ordering.
-        let keep = select_inducing(&points, budget, best);
-        gp_obs = keep.into_iter().map(|i| gp_obs[i].clone()).collect();
-    }
     PriorBundle {
         gp_obs,
         stats: weighted_mean_stats(retrieved),
@@ -157,7 +113,6 @@ pub fn build_prior_budgeted(
             .iter()
             .map(|hit| (hit.similarity, hit.digest.clone()))
             .collect(),
-        truncated,
     }
 }
 
@@ -264,51 +219,22 @@ mod tests {
     }
 
     #[test]
-    fn default_budget_never_truncates_todays_retrieval() {
-        // MEMORY_RETRIEVE_K sessions at full similarity and the default cap
-        // allocate at most 3 * 8 = 24 observations < DEFAULT_PRIOR_BUDGET,
-        // so the default-path prior must be unaffected by the budget.
-        let hits = vec![hit(1, 1.0, 40), hit(2, 1.0, 40), hit(3, 1.0, 40)];
+    fn each_session_contributes_its_similarity_quota() {
+        // Quota max(1, round(s · cap)): 8 at full similarity, 4 at half,
+        // and the incumbent alone for a distant session.
+        let hits = vec![hit(1, 1.0, 40), hit(2, 0.5, 40), hit(3, 0.01, 40)];
         let prior = build_prior(&hits, &space(), DEFAULT_PRIOR_CAP);
-        assert_eq!(prior.truncated, 0);
-        assert!(prior.gp_obs.len() <= DEFAULT_PRIOR_BUDGET);
-        let unbudgeted = build_prior_budgeted(&hits, &space(), DEFAULT_PRIOR_CAP, usize::MAX);
-        assert_eq!(prior, unbudgeted);
-    }
-
-    #[test]
-    fn budget_truncates_deterministically_and_keeps_the_incumbent() {
-        let hits = vec![hit(10, 1.0, 30), hit(11, 1.0, 30), hit(12, 1.0, 30)];
-        let full = build_prior_budgeted(&hits, &space(), 20, usize::MAX);
-        let budget = 12;
-        assert!(
-            full.gp_obs.len() > budget,
-            "test needs an over-budget prior"
-        );
-
-        let capped = build_prior_budgeted(&hits, &space(), 20, budget);
-        assert_eq!(capped.gp_obs.len(), budget);
-        assert_eq!(capped.truncated, full.gp_obs.len() - budget);
-        // The incumbent survives truncation…
-        assert_eq!(capped.best_y(), full.best_y());
-        // …the kept set is an ordered subsequence of the full allocation…
-        let mut cursor = full.gp_obs.iter();
-        for obs in &capped.gp_obs {
-            assert!(
-                cursor.any(|o| o == obs),
-                "budgeted prior must preserve allocation order"
-            );
-        }
-        // …and the choice is deterministic.
-        assert_eq!(capped, build_prior_budgeted(&hits, &space(), 20, budget));
-    }
-
-    #[test]
-    fn zero_budget_means_unbounded() {
-        let hits = vec![hit(7, 1.0, 30)];
-        let capped = build_prior_budgeted(&hits, &space(), 20, 0);
-        let full = build_prior_budgeted(&hits, &space(), 20, usize::MAX);
-        assert_eq!(capped, full);
-        assert_eq!(capped.truncated, 0);
+        assert_eq!(prior.gp_obs.len(), 8 + 4 + 1);
+        // Retrieval rank first, then ascending score within a session.
+        let first: Vec<f64> = prior.gp_obs[..8].iter().map(|(_, y)| *y).collect();
+        assert!(first.windows(2).all(|w| w[0] <= w[1]));
+        let best_of_first = hits[0]
+            .digest
+            .observations
+            .iter()
+            .map(|o| o.score_mins)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(first[0], best_of_first);
+        assert_eq!(prior, build_prior(&hits, &space(), DEFAULT_PRIOR_CAP));
     }
 }

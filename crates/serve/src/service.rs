@@ -863,11 +863,6 @@ impl Service {
                         self.shared
                             .obs
                             .add("memory.prior_obs", prior.gp_obs.len() as f64);
-                        if prior.truncated > 0 {
-                            self.shared
-                                .obs
-                                .add("memory.prior_truncated", prior.truncated as f64);
-                        }
                         prior
                     }
                     None => {

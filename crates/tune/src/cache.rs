@@ -4,10 +4,11 @@
 //! application spec, cluster, cost model, memory configuration, the
 //! environment's seed-chain position, the engine's fault plan, and the
 //! retry policy. [`CachedEval`] captures everything an evaluation changes
-//! about the world — the settled run result, the collected profile, the
-//! retry accounting, and the observability counter deltas the live run
-//! emitted — so a cache hit can be *replayed* instead of re-simulated,
-//! leaving byte-identical histories and reconciling counters behind.
+//! about the world — the settled run result, its profile's Table-6
+//! statistics, the retry accounting, and the observability counter deltas
+//! the live run emitted — so a cache hit can be *replayed* instead of
+//! re-simulated, leaving byte-identical histories and reconciling counters
+//! behind. The profile's timelines are never stored: no tuner reads them.
 //!
 //! What is deliberately **not** cached: the score. `score_mins` depends on
 //! the session's worst-observed-runtime baseline (the ×2 abort penalty of
@@ -18,7 +19,7 @@
 use relm_app::RunResult;
 use relm_common::Millis;
 use relm_evalcache::EvalCache;
-use relm_profile::Profile;
+use relm_profile::DerivedStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -27,8 +28,8 @@ use std::collections::BTreeMap;
 pub struct CachedEval {
     /// Metrics of the attempt that settled.
     pub result: RunResult,
-    /// The profile collected alongside it.
-    pub profile: Profile,
+    /// The Table-6 statistics of the profile collected alongside it.
+    pub stats: DerivedStats,
     /// Extra attempts the retry policy spent.
     pub retries: u32,
     /// Simulated time burned on failed attempts and backoff.

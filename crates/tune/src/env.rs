@@ -8,7 +8,7 @@ use relm_common::{Mem, MemoryConfig, Millis};
 use relm_evalcache::{EvalKey, KeyBuilder};
 use relm_faults::{AbortCause, AbortClass};
 use relm_obs::Obs;
-use relm_profile::{derive_stats, Profile, StatsAccumulator};
+use relm_profile::{DerivedStats, StatsAccumulator};
 use serde::{Deserialize, Serialize};
 
 /// Multiplier applied to the worst observed runtime when scoring an
@@ -131,11 +131,9 @@ pub struct TuningEnv {
     /// Evaluations answered from the cache instead of run live — cost
     /// attribution for the serving layer's per-session status.
     cache_hits: u64,
-    /// Running aggregate of each clean evaluation's Table-6 statistics.
-    /// Profiles themselves are dropped once scored; this compact remainder
-    /// is what `relm-memory` fingerprints a session from, so checkpoint
-    /// and drain never need a live profile. Fed identically by the live
-    /// and cache-replay paths.
+    /// Running aggregate of each clean evaluation's Table-6 statistics:
+    /// the compact remainder `relm-memory` fingerprints a session from.
+    /// Fed identically by the live and cache-replay paths.
     stats_acc: StatsAccumulator,
 }
 
@@ -292,7 +290,7 @@ impl TuningEnv {
     /// Runs a stress test: executes the application under `config`, scores
     /// it, and appends to the history. Returns the observation.
     pub fn evaluate(&mut self, config: &MemoryConfig) -> Observation {
-        let (obs, _) = self.evaluate_profiled(config);
+        let (obs, _) = self.evaluate_with_stats(config);
         obs
     }
 
@@ -310,11 +308,11 @@ impl TuningEnv {
     }
 
     /// Runs one attempt and classifies the outcome.
-    fn run_attempt(&mut self, config: &MemoryConfig) -> (RunResult, Profile) {
+    fn run_attempt(&mut self, config: &MemoryConfig) -> (RunResult, DerivedStats) {
         let seed = self.next_seed;
         self.next_seed = self.next_seed.wrapping_add(0x9E37).wrapping_mul(3) | 1;
         let mut span = self.obs.span("env.evaluate");
-        let (mut result, profile) = self.engine.run(&self.app, config, seed);
+        let (mut result, stats) = self.engine.run_stats(&self.app, config, seed);
         self.apply_timeout(&mut result);
         if let Some(cause) = result.abort_cause.filter(|_| result.aborted) {
             // Per-cause abort histogram; summed over causes this equals
@@ -330,11 +328,13 @@ impl TuningEnv {
             self.obs.inc("env.stress_tests");
             self.obs.add("env.stress_time_ms", result.runtime.as_ms());
         }
-        (result, profile)
+        (result, stats)
     }
 
-    /// Like [`TuningEnv::evaluate`] but also returns the collected profile
-    /// (used by RelM and GBO).
+    /// Like [`TuningEnv::evaluate`] but also returns the Table-6
+    /// statistics of the settled run's profile (used by RelM, GBO and
+    /// DDPG). They come with every settled evaluation, censored ones
+    /// included.
     ///
     /// Failed attempts whose abort cause is transient or infrastructural
     /// are retried (with backoff) up to the policy's bound; each retry runs
@@ -349,7 +349,7 @@ impl TuningEnv {
     /// charging retry time, replaying the counter deltas, and re-scoring
     /// against the current penalty baseline — producing the exact history
     /// a live run would have.
-    pub fn evaluate_profiled(&mut self, config: &MemoryConfig) -> (Observation, Profile) {
+    pub fn evaluate_with_stats(&mut self, config: &MemoryConfig) -> (Observation, DerivedStats) {
         let Some(cache) = self.cache.clone() else {
             return self.evaluate_live(config);
         };
@@ -359,19 +359,19 @@ impl TuningEnv {
         }
         let counters_before = self.obs.counters();
         let retry_time_before = self.retry_time;
-        let (obs, profile) = self.evaluate_live(config);
+        let (obs, stats) = self.evaluate_live(config);
         let counters_after = self.obs.counters();
         cache.insert(
             key,
             CachedEval {
                 result: obs.result.clone(),
-                profile: profile.clone(),
+                stats,
                 retries: obs.retries,
                 retry_time: Millis::ms(self.retry_time.as_ms() - retry_time_before.as_ms()),
                 counters: counter_deltas(&counters_before, &counters_after),
             },
         );
-        (obs, profile)
+        (obs, stats)
     }
 
     /// The content-addressed identity of the *next* evaluation of
@@ -410,16 +410,16 @@ impl TuningEnv {
     }
 
     /// Runs the retry loop live against the engine.
-    fn evaluate_live(&mut self, config: &MemoryConfig) -> (Observation, Profile) {
+    fn evaluate_live(&mut self, config: &MemoryConfig) -> (Observation, DerivedStats) {
         let mut retries = 0u32;
-        let (result, profile) = loop {
-            let (result, profile) = self.run_attempt(config);
+        let (result, stats) = loop {
+            let (result, stats) = self.run_attempt(config);
             let retryable = result
                 .abort_cause
                 .filter(|_| result.aborted)
                 .is_some_and(|cause| self.retry.should_retry(cause, retries));
             if !retryable {
-                break (result, profile);
+                break (result, stats);
             }
             retries += 1;
             let backoff = self.retry.backoff_for(retries);
@@ -430,7 +430,7 @@ impl TuningEnv {
         let score = self.score(&result);
         self.obs.record("env.score_mins", score);
         if !result.aborted {
-            self.stats_acc.add(&derive_stats(&profile));
+            self.stats_acc.add(&stats);
         }
         let obs = Observation {
             config: *config,
@@ -439,7 +439,7 @@ impl TuningEnv {
             retries,
         };
         self.history.push(obs.clone());
-        (obs, profile)
+        (obs, stats)
     }
 
     /// Replays a memoized evaluation: identical session state transitions
@@ -449,7 +449,7 @@ impl TuningEnv {
         &mut self,
         config: &MemoryConfig,
         cached: &CachedEval,
-    ) -> (Observation, Profile) {
+    ) -> (Observation, DerivedStats) {
         self.cache_hits += 1;
         // One seed-chain step per attempt, exactly as `run_attempt` would
         // have advanced it.
@@ -466,10 +466,10 @@ impl TuningEnv {
         // right one here.
         let score = self.score_value(&cached.result);
         self.obs.record("env.score_mins", score);
-        // The replayed profile feeds the stats aggregate exactly as the
-        // live run would have — a warm session fingerprints identically.
+        // The replayed statistics feed the aggregate exactly as the live
+        // run would have — a warm session fingerprints identically.
         if !cached.result.aborted {
-            self.stats_acc.add(&derive_stats(&cached.profile));
+            self.stats_acc.add(&cached.stats);
         }
         let obs = Observation {
             config: *config,
@@ -478,7 +478,7 @@ impl TuningEnv {
             retries: cached.retries,
         };
         self.history.push(obs.clone());
-        (obs, cached.profile.clone())
+        (obs, cached.stats)
     }
 
     /// All evaluations so far, in order.
@@ -535,7 +535,7 @@ impl TuningEnv {
 
     /// Mean Table-6 statistics over the session's clean evaluations, or
     /// `None` while every run aborted (or none ran).
-    pub fn mean_stats(&self) -> Option<relm_profile::DerivedStats> {
+    pub fn mean_stats(&self) -> Option<DerivedStats> {
         self.stats_acc.mean()
     }
 

@@ -25,24 +25,33 @@ echo "== deterministic replay smoke test =="
 # counts, since the sharded runner merges results in cell-index order. A
 # diff here means something non-deterministic (wall clock, hash order,
 # global RNG, merge order) leaked into the tuning pipeline.
+# The first run must also reproduce the committed file: this pins RelM,
+# GBO and DDPG under profile corruption across versions, which no other
+# cross-version check covers.
 replay_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir"' EXIT
+cp results/fig05_fault_sweep.jsonl "$replay_dir/committed.jsonl"
 cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --no-cache --workers 1 >/dev/null
+diff "$replay_dir/committed.jsonl" results/fig05_fault_sweep.jsonl \
+  || { echo "replay smoke test FAILED: sweep output differs from the committed results/fig05_fault_sweep.jsonl" >&2; exit 1; }
 cp results/fig05_fault_sweep.jsonl "$replay_dir/first.jsonl"
 cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --no-cache --workers 8 >/dev/null
 diff "$replay_dir/first.jsonl" results/fig05_fault_sweep.jsonl \
   || { echo "replay smoke test FAILED: sweep output depends on worker count" >&2; exit 1; }
-echo "replay OK: results/fig05_fault_sweep.jsonl is byte-identical across 1/8 workers"
+echo "replay OK: results/fig05_fault_sweep.jsonl matches the committed file and is byte-identical across 1/8 workers"
 
 echo "== evalcache smoke test =="
 # A cold run populates a fresh persistent cache; a warm rerun must replay
 # from it (nonzero hits, zero misses) and still produce the byte-identical
 # output file. This is the cache's end-to-end contract: memoization is
-# invisible in the results.
+# invisible in the results. The cold run starts from a stale version-1
+# store file, which it must ignore and replace: the warm run's zero
+# misses prove the replacement.
 cache_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir" "$cache_dir"' EXIT
+echo '{"kind":"relm-evalcache","version":1}' > "$cache_dir/cache.jsonl"
 cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --cache-file "$cache_dir/cache.jsonl" --workers 8 >/dev/null
 cp results/fig05_fault_sweep.jsonl "$cache_dir/cold.jsonl"

@@ -33,8 +33,13 @@ fn derived_stats_match_ground_truth_footprints() {
     let engine = Engine::new(ClusterSpec::cluster_a());
     let app = pagerank();
     let cfg = max_resource_allocation(engine.cluster(), &app);
-    let (_, profile) = engine.run(&app, &cfg, 42);
+    let (result, profile) = engine.run(&app, &cfg, 42);
     let stats = derive_stats(&profile);
+
+    // The tuning path's statistics-only run sees exactly the same row.
+    let (stats_result, direct) = engine.run_stats(&app, &cfg, 42);
+    assert_eq!(stats_result, result);
+    assert_eq!(direct, stats);
 
     // The PageRank spec plants M_i = 115MB and a coalesce-stage unmanaged
     // footprint of 770MB/task; the profiler should recover both within
