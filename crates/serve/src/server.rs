@@ -12,13 +12,18 @@
 
 use crate::protocol::{encode, read_frame, FrameError, Request, Response};
 use crate::service::Service;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
 /// A running TCP frontend over a [`Service`].
+///
+/// A connection holds the service only while it answers a frame, so the
+/// service lives exactly as long as its owners (this frontend and any
+/// other [`Arc`] holder): the last owner's drop tears it down on that
+/// owner's thread, and open connections close at their next frame.
 pub struct TcpServer {
     service: Arc<Service>,
     addr: SocketAddr,
@@ -85,7 +90,7 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>, stop: &Arc<Atomic
             return;
         }
         let Ok(stream) = conn else { continue };
-        let service = Arc::clone(service);
+        let service = Arc::downgrade(service);
         let spawned = std::thread::Builder::new()
             .name("relm-serve-conn".into())
             .spawn(move || {
@@ -99,29 +104,44 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>, stop: &Arc<Atomic
 }
 
 /// Decrements `serve.connections.open` however the connection loop exits.
-struct ConnGauge<'a>(&'a Service);
+struct ConnGauge(Weak<Service>);
 
-impl Drop for ConnGauge<'_> {
+impl Drop for ConnGauge {
     fn drop(&mut self) {
-        self.0.obs().add("serve.connections.open", -1.0);
+        if let Some(service) = self.0.upgrade() {
+            service.obs().add("serve.connections.open", -1.0);
+        }
     }
 }
 
 /// Runs the request/response loop for one connection until EOF, an
-/// unrecoverable frame, or an I/O error.
-fn serve_connection(stream: &TcpStream, service: &Service) -> io::Result<()> {
-    service.obs().inc("serve.connections.accepted");
-    service.obs().add("serve.connections.open", 1.0);
-    let _gauge = ConnGauge(service);
-    let limit = service.config().max_frame_bytes;
+/// unrecoverable frame, an I/O error, or the service's owners dropping
+/// it (see [`TcpServer`]).
+fn serve_connection(stream: &TcpStream, service: &Weak<Service>) -> io::Result<()> {
+    let (limit, idle_timeout) = {
+        let Some(service) = service.upgrade() else {
+            return Ok(());
+        };
+        service.obs().inc("serve.connections.accepted");
+        service.obs().add("serve.connections.open", 1.0);
+        let config = service.config();
+        (config.max_frame_bytes, config.conn_idle_timeout)
+    };
+    let _gauge = ConnGauge(Weak::clone(service));
     // Read/idle bound: a client that stops sending complete frames (hung
     // process, half-open socket after a silent peer death) trips the
     // timeout instead of pinning this thread forever.
-    stream.set_read_timeout(service.config().conn_idle_timeout)?;
+    stream.set_read_timeout(idle_timeout)?;
+    // Every write is a whole frame: send it now, not after the peer's ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     loop {
-        let line = match read_frame(&mut reader, limit) {
+        let frame = read_frame(&mut reader, limit);
+        let Some(service) = service.upgrade() else {
+            return Ok(());
+        };
+        let line = match frame {
             Err(e)
                 if matches!(
                     e.kind(),
@@ -133,8 +153,7 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> io::Result<()> {
                     message: "connection idle timeout".into(),
                 };
                 // Best effort: the peer may be gone entirely.
-                let _ = writeln!(writer, "{}", encode(&reply));
-                let _ = writer.flush();
+                let _ = write_frame(&mut writer, encode(&reply));
                 return Ok(());
             }
             other => other?,
@@ -147,8 +166,7 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> io::Result<()> {
                 let reply = Response::Error {
                     message: err.to_string(),
                 };
-                writeln!(writer, "{}", encode(&reply))?;
-                writer.flush()?;
+                write_frame(&mut writer, encode(&reply))?;
                 // The stream is mid-frame; no way back to a line boundary.
                 return Ok(());
             }
@@ -157,8 +175,7 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> io::Result<()> {
                 let reply = Response::Error {
                     message: err.to_string(),
                 };
-                writeln!(writer, "{}", encode(&reply))?;
-                writer.flush()?;
+                write_frame(&mut writer, encode(&reply))?;
                 continue;
             }
         };
@@ -171,16 +188,29 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> io::Result<()> {
                 }
             }
         };
-        writeln!(writer, "{}", encode(&response))?;
-        writer.flush()?;
+        // Let go before replying: a client holding its answer knows this
+        // connection no longer holds the service.
+        drop(service);
+        write_frame(&mut writer, encode(&response))?;
     }
+}
+
+/// Writes one encoded frame plus its terminating newline in a single
+/// `write_all`, then flushes. Writing the newline on its own (as
+/// `writeln!` through a buffer smaller than the frame does) sends it as a
+/// separate 1-byte segment, which Nagle's algorithm holds back until the
+/// peer's delayed ACK arrives.
+fn write_frame(writer: &mut impl Write, mut frame: String) -> io::Result<()> {
+    frame.push('\n');
+    writer.write_all(frame.as_bytes())?;
+    writer.flush()
 }
 
 /// A blocking client for the TCP frontend: one request, one response, in
 /// order, over a single connection.
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     max_frame_bytes: usize,
 }
 
@@ -193,25 +223,24 @@ impl TcpClient {
     /// [`TcpClient::connect`] with a custom response-frame bound.
     pub fn connect_with_limit(addr: impl ToSocketAddrs, limit: usize) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(TcpClient {
             reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            writer: stream,
             max_frame_bytes: limit,
         })
     }
 
     /// Sends one request and blocks for its response.
     pub fn request(&mut self, request: &Request) -> io::Result<Response> {
-        writeln!(self.writer, "{}", encode(request))?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, encode(request))?;
         self.read_response()
     }
 
     /// Sends a raw line (not necessarily a valid frame) and blocks for the
     /// server's reply. Test hook for protocol-robustness checks.
     pub fn request_raw(&mut self, line: &str) -> io::Result<Response> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, line.to_string())?;
         self.read_response()
     }
 
@@ -310,6 +339,55 @@ mod tests {
             serde_json::to_string(&over_tcp).unwrap(),
             serde_json::to_string(&in_process).unwrap()
         );
+    }
+
+    /// Accepts every byte, counting the `write` calls that carried them.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_frame_and_its_newline_leave_in_one_write() {
+        let frame = "x".repeat(20 * 1024);
+        let mut writer = CountingWriter::default();
+        write_frame(&mut writer, frame.clone()).unwrap();
+        assert_eq!(writer.writes, 1);
+        assert_eq!(writer.bytes, format!("{frame}\n").into_bytes());
+    }
+
+    #[test]
+    fn dropping_the_frontend_tears_the_service_down_in_place() {
+        let service = Arc::new(Service::start(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            Obs::enabled(),
+        ));
+        let alive = Arc::downgrade(&service);
+        let server = TcpServer::start(service, "127.0.0.1:0").unwrap();
+        let mut client = TcpClient::connect(server.addr()).unwrap();
+        assert_eq!(client.request(&Request::Ping).unwrap(), Response::Pong);
+        // The open connection does not keep the service alive: it is gone
+        // when the drop returns, and the connection closes at its next
+        // frame.
+        drop(server);
+        assert!(alive.upgrade().is_none());
+        assert!(client.request(&Request::Ping).is_err());
     }
 
     #[test]

@@ -956,9 +956,12 @@ impl Service {
     }
 
     /// The admission path on an already-held state lock, shared by
-    /// [`Service::admit`] and the guided step (which must propose and admit
-    /// under one lock acquisition so the history it fitted on cannot move).
-    /// The caller notifies `work` after releasing the lock on acceptance.
+    /// [`Service::admit`], the auto step (which draws, admits and commits
+    /// its sampler under one acquisition, so concurrent requests never
+    /// draw from the same sampler state) and the guided step (which checks
+    /// under the same acquisition that the history it fitted on has not
+    /// moved). The caller notifies `work` after releasing the lock on
+    /// acceptance.
     fn admit_locked(
         shared: &Arc<Shared>,
         state: &mut State,
@@ -1080,37 +1083,38 @@ impl Service {
                 message: "step carries no configurations".into(),
             };
         }
-        // Draw the batch under the lock, then go through the common
-        // admission path. Draws must not be lost on rejection, so sample
-        // from a *copy* of the sampler and only commit it on admission.
-        let configs = {
-            let mut state = self.shared.state.lock().expect("service state poisoned");
-            let Some(sess) = state.sessions.get_mut(session) else {
-                return Response::Error {
-                    message: format!("unknown session `{session}`"),
-                };
+        // Draw, admit and commit under one lock acquisition, so two
+        // requests on one session never draw from the same sampler state.
+        // Draws must not be lost on rejection, so sample from a *copy* of
+        // the sampler and only commit it on admission.
+        let shared = &self.shared;
+        let mut state = shared.state.lock().expect("service state poisoned");
+        let Some(sess) = state.sessions.get(session) else {
+            return Response::Error {
+                message: format!("unknown session `{session}`"),
             };
-            let mut sampler = sess.sampler.clone();
-            let configs: Vec<MemoryConfig> = (0..evals)
-                .map(|_| {
-                    let x = [
-                        sampler.uniform(),
-                        sampler.uniform(),
-                        sampler.uniform(),
-                        sampler.uniform(),
-                    ];
-                    sess.space.decode(&x)
-                })
-                .collect();
-            (configs, sampler)
         };
-        let (configs, sampler) = configs;
-        let response = self.admit(session, configs);
+        let mut sampler = sess.sampler.clone();
+        let configs: Vec<MemoryConfig> = (0..evals)
+            .map(|_| {
+                let x = [
+                    sampler.uniform(),
+                    sampler.uniform(),
+                    sampler.uniform(),
+                    sampler.uniform(),
+                ];
+                sess.space.decode(&x)
+            })
+            .collect();
+        let response = Self::admit_locked(shared, &mut state, session, configs);
         if matches!(response, Response::Accepted { .. }) {
-            let mut state = self.shared.state.lock().expect("service state poisoned");
-            if let Some(sess) = state.sessions.get_mut(session) {
-                sess.sampler = sampler;
-            }
+            let sess = state
+                .sessions
+                .get_mut(session)
+                .expect("admitted session is registered");
+            sess.sampler = sampler;
+            drop(state);
+            shared.work.notify_all();
         }
         response
     }
@@ -1121,10 +1125,13 @@ impl Service {
     /// surrogate is fitted on the settled history, so the proposals are a
     /// pure function of the session spec and that history — byte-identical
     /// whether the pool has 1 worker or 8, and however the request
-    /// interleaves with other sessions. Proposing and admitting happen
-    /// under one lock acquisition so the history cannot move in between;
-    /// the proposal state commits only on admission, so a rejected batch
-    /// leaves the stream untouched.
+    /// interleaves with other sessions. The GP fit and EI run without the
+    /// state lock, between two acquisitions: the first checks the session
+    /// and feeds a copy of its proposal state the settled history; the
+    /// second admits the batch only if the session is still idle on the
+    /// same history and fit count, and otherwise refuses it as not idle.
+    /// The proposal state commits only on admission, so a rejected or
+    /// discarded batch leaves the stream untouched.
     fn step_guided(&self, session: &str, evals: u32) -> Response {
         if evals == 0 {
             return Response::Error {
@@ -1132,21 +1139,11 @@ impl Service {
             };
         }
         let shared = &self.shared;
-        let mut state = shared.state.lock().expect("service state poisoned");
-        if state.draining || state.stopped {
-            return Response::Error {
-                message: "service is draining".into(),
-            };
-        }
-        // An evicted session must come home before the fitter can see its
-        // history. Cheap no-op for live sessions; the idle/cancelled
-        // checks below still run against the resumed state.
-        if state.sessions.get(session).is_some_and(|s| s.evicted) {
-            if let Err(message) = resume_session(shared, &mut state, session) {
+        let (mut guided, space, tau, guided_seed, incumbent) = {
+            let mut state = shared.state.lock().expect("service state poisoned");
+            if let Err(message) = guided_home_locked(shared, &mut state, session) {
                 return Response::Error { message };
             }
-        }
-        let (mut guided, space, tau, guided_seed, incumbent) = {
             let Some(sess) = state.sessions.get_mut(session) else {
                 return Response::Error {
                     message: format!("unknown session `{session}`"),
@@ -1158,11 +1155,7 @@ impl Service {
                 };
             }
             if sess.running || !sess.pending.is_empty() {
-                return Response::Error {
-                    message: format!(
-                        "session `{session}` must be idle for guided steps (join first)"
-                    ),
-                };
+                return not_idle(session);
             }
             let env = sess.env.as_ref().expect("idle session owns its env");
             let history = env.history();
@@ -1234,13 +1227,14 @@ impl Service {
             };
             (guided, sess.space.clone(), tau, sess.guided_seed, incumbent)
         };
+        // What the proposal is computed from; the batch is admitted only
+        // if the session still stands here.
+        let (fed, fits) = (guided.fed, guided.fits);
         let before = guided.fitter.stats();
         let fit_started = Instant::now();
-        let full = !guided.fitter.has_fit() || guided.fits.is_multiple_of(GUIDED_REFIT_PERIOD);
+        let full = !guided.fitter.has_fit() || fits.is_multiple_of(GUIDED_REFIT_PERIOD);
         let fitted = if full {
-            guided
-                .fitter
-                .fit_full(guided_seed ^ ((guided.fits as u64) << 8))
+            guided.fitter.fit_full(guided_seed ^ ((fits as u64) << 8))
         } else {
             guided.fitter.refit()
         };
@@ -1253,7 +1247,7 @@ impl Service {
             }
         };
         guided.fits += 1;
-        guided.feeds.push(guided.fed);
+        guided.feeds.push(fed);
         shared.obs.record(
             "surrogate.fit_ms",
             fit_started.elapsed().as_secs_f64() * 1e3,
@@ -1281,6 +1275,21 @@ impl Service {
                 }
             })
             .collect();
+        let mut state = shared.state.lock().expect("service state poisoned");
+        if let Err(message) = guided_home_locked(shared, &mut state, session) {
+            return Response::Error { message };
+        }
+        // Another request may have stepped the session while the lock was
+        // released; a proposal fitted on a superseded history is dropped.
+        let moved = state.sessions.get(session).is_some_and(|sess| {
+            sess.running
+                || !sess.pending.is_empty()
+                || sess.env.as_ref().map(|env| env.history().len()) != Some(fed)
+                || sess.guided.as_ref().map_or(0, |g| g.fits) != fits
+        });
+        if moved {
+            return not_idle(session);
+        }
         let response = Self::admit_locked(shared, &mut state, session, configs);
         if matches!(response, Response::Accepted { .. }) {
             let sess = state
@@ -2054,6 +2063,26 @@ fn maybe_evict_locked(shared: &Shared, state: &mut State) {
         // Failures (checkpoint unwritable) leave the session live and
         // are counted under `serve.evict_errors`.
         let _ = evict_one_locked(shared, state, &name);
+    }
+}
+
+/// The guided step's entry gate, run at both of its lock acquisitions: the
+/// service must still admit work, and an evicted session comes home so
+/// its history can be read.
+fn guided_home_locked(shared: &Shared, state: &mut State, session: &str) -> Result<(), String> {
+    if state.draining || state.stopped {
+        return Err("service is draining".into());
+    }
+    if state.sessions.get(session).is_some_and(|s| s.evicted) {
+        resume_session(shared, state, session)?;
+    }
+    Ok(())
+}
+
+/// The refusal of a guided step on a session that has (or gained) work.
+fn not_idle(session: &str) -> Response {
+    Response::Error {
+        message: format!("session `{session}` must be idle for guided steps (join first)"),
     }
 }
 
@@ -2929,6 +2958,128 @@ mod tests {
         // batch must propose exactly what it would have without the
         // rejection (histories must not depend on rejected requests).
         assert_eq!(run(true), run(false));
+    }
+
+    /// The configurations queued on a session, in FIFO order.
+    fn pending_configs(service: &Service, session: &str) -> Vec<MemoryConfig> {
+        let state = service.shared.state.lock().unwrap();
+        state.sessions[session]
+            .pending
+            .iter()
+            .map(|q| q.config)
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_auto_steps_queue_the_serial_draws() {
+        const ROUNDS: usize = 200;
+        const CLIENTS: usize = 4;
+        let service = Service::start(
+            ServeConfig {
+                workers: 1,
+                max_sessions: ROUNDS + 1,
+                ..ServeConfig::default()
+            },
+            Obs::enabled(),
+        );
+        // Nothing runs: every admitted configuration stays queued.
+        service.shared.state.lock().unwrap().paused = true;
+        let spec = SessionSpec::named("WordCount", 5);
+        let serial = create(&service, spec.clone());
+        for _ in 0..CLIENTS {
+            service.handle(&Request::StepAuto {
+                session: serial.clone(),
+                evals: 1,
+            });
+        }
+        let want = pending_configs(&service, &serial);
+        service.handle(&Request::Cancel { session: serial });
+        for _ in 0..ROUNDS {
+            let session = create(&service, spec.clone());
+            let barrier = std::sync::Barrier::new(CLIENTS);
+            std::thread::scope(|s| {
+                for _ in 0..CLIENTS {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let reply = service.handle(&Request::StepAuto {
+                            session: session.clone(),
+                            evals: 1,
+                        });
+                        assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+                    });
+                }
+            });
+            // Each request drew after the previous one committed: the
+            // queue holds exactly the serial sequence, no draw twice.
+            assert_eq!(pending_configs(&service, &session), want);
+            service.handle(&Request::Cancel { session });
+        }
+    }
+
+    #[test]
+    fn concurrent_guided_steps_admit_one_batch_and_keep_the_history() {
+        let run = |concurrent: bool| -> String {
+            let service = svc(1);
+            let session = create(&service, SessionSpec::named("SortByKey", 42));
+            service.handle(&Request::StepAuto {
+                session: session.clone(),
+                evals: 5,
+            });
+            service.handle(&Request::Join {
+                session: session.clone(),
+            });
+            // Hold the worker so the admitted batch stays queued: the
+            // other request then finds the session busy, however the two
+            // interleave.
+            service.shared.state.lock().unwrap().paused = true;
+            let step = || {
+                service.handle(&Request::StepGuided {
+                    session: session.clone(),
+                    evals: 1,
+                })
+            };
+            let replies: Vec<Response> = if concurrent {
+                let barrier = std::sync::Barrier::new(2);
+                std::thread::scope(|s| {
+                    let clients: Vec<_> = (0..2)
+                        .map(|_| {
+                            s.spawn(|| {
+                                barrier.wait();
+                                step()
+                            })
+                        })
+                        .collect();
+                    clients.into_iter().map(|c| c.join().unwrap()).collect()
+                })
+            } else {
+                vec![step(), step()]
+            };
+            let accepted = replies
+                .iter()
+                .filter(|r| matches!(r, Response::Accepted { .. }))
+                .count();
+            assert_eq!(accepted, 1, "{replies:?}");
+            assert!(
+                replies.iter().any(|r| matches!(
+                    r,
+                    Response::Error { message } if message.contains("must be idle")
+                )),
+                "{replies:?}"
+            );
+            service.shared.state.lock().unwrap().paused = false;
+            service.shared.work.notify_all();
+            service.handle(&Request::Join {
+                session: session.clone(),
+            });
+            match service.handle(&Request::Result { session }) {
+                Response::ResultReady { history, .. } => crate::protocol::encode(&history),
+                other => panic!("result failed: {other:?}"),
+            }
+        };
+        let serial = run(false);
+        for _ in 0..8 {
+            assert_eq!(run(true), serial);
+        }
     }
 
     #[test]

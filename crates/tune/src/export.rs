@@ -113,8 +113,7 @@ impl SessionMetrics {
             .collect();
         let decision_latency = env
             .obs()
-            .snapshot()
-            .histograms
+            .histogram_summaries()
             .into_iter()
             .filter(|h| {
                 !h.name.starts_with("engine.")

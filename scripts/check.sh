@@ -206,8 +206,12 @@ echo "== history pin test =="
 # links the workspace crates by path) must pass its own output checks and
 # print the recorded fingerprint of its fixed session prefix. It also
 # fails when a workspace API change breaks the ledger's build.
+# Building the ledger makes cargo rewrite bench_ledger/Cargo.lock; the
+# committed lock is saved first and put back on exit, so the gate leaves
+# the tree as it found it.
 pin_dir="$(mktemp -d)"
-trap 'rm -rf "$replay_dir" "$cache_dir" "$serve_dir" "$surrogate_dir" "$warm_dir" "$pin_dir"' EXIT
+cp bench_ledger/Cargo.lock "$pin_dir/Cargo.lock"
+trap 'cp "$pin_dir/Cargo.lock" bench_ledger/Cargo.lock; rm -rf "$replay_dir" "$cache_dir" "$serve_dir" "$surrogate_dir" "$warm_dir" "$pin_dir"' EXIT
 cargo build --release -q --offline --manifest-path bench_ledger/Cargo.toml
 for pin in tune_direct=d48b7c65df8b42a2 serve_cold=9a8aa65ce4c301e9 serve_replay=9a8aa65ce4c301e9; do
   workload="${pin%%=*}"
