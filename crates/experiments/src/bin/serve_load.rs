@@ -8,8 +8,7 @@
 //!            [--scrape] [--flightrec-dir PATH]
 //!            [--fleet N] [--fleet-kill K]
 //!            [--soak] [--evict-after N] [--evict-dir PATH]
-//!            [--min-workers N] [--max-workers N] [--slo-p99-ms F]
-//!            [--metrics-out PATH]
+//!            [--slo-p99-ms F] [--metrics-out PATH]
 //! ```
 //!
 //! `--soak` switches to an overload-and-recover schedule that exercises
@@ -21,18 +20,14 @@
 //! `Result` for *every* session, transparently resuming the evicted
 //! ones. Sessions cycle priority classes (normal/high/low by index), so
 //! graduated admission pushes the low class back first while the
-//! deficit-weighted scheduler keeps high-priority work moving. With
-//! `--min-workers`/`--max-workers` the pool autoscales: it grows under
-//! the phase backlogs and retires back to the floor once the queue runs
-//! dry, which the binary waits for before draining. The run then
-//! reconciles exactly: zero lost sessions, `evictions == resumes >=
+//! deficit-weighted scheduler keeps high-priority work moving. The run
+//! then reconciles exactly: zero lost sessions, `evictions == resumes >=
 //! sessions/2`, drain tallies equal to the `serve.evictions` /
-//! `serve.resumes` / `serve.autoscale.*` counters, per-class rejection
-//! counters summing to `serve.rejected.overloaded`, and (with
-//! `--slo-p99-ms`) the `serve.slo.latency_p99_ms` gauge within bound.
-//! The JSONL stays byte-identical to a plain run of the same
-//! `--sessions`/`--steps`: eviction, resume, and autoscaling never touch
-//! simulated history.
+//! `serve.resumes` counters, per-class rejection counters summing to
+//! `serve.rejected.overloaded`, and (with `--slo-p99-ms`) the
+//! `serve.slo.latency_p99_ms` gauge within bound. The JSONL stays
+//! byte-identical to a plain run of the same `--sessions`/`--steps`:
+//! eviction and resume never touch simulated history.
 //!
 //! `--fleet N` switches the service into fleet mode
 //! ([`relm_serve::Execution::External`]): no in-process evaluation pool;
@@ -141,8 +136,6 @@ struct Args {
     soak: bool,
     evict_after: usize,
     evict_dir: Option<PathBuf>,
-    min_workers: usize,
-    max_workers: usize,
     slo_p99_ms: f64,
     metrics_out: Option<PathBuf>,
 }
@@ -163,8 +156,6 @@ fn parse_args() -> Args {
         soak: false,
         evict_after: 0,
         evict_dir: None,
-        min_workers: 0,
-        max_workers: 0,
         slo_p99_ms: 0.0,
         metrics_out: None,
     };
@@ -189,8 +180,6 @@ fn parse_args() -> Args {
             "--soak" => args.soak = true,
             "--evict-after" => args.evict_after = value().parse().expect("--evict-after"),
             "--evict-dir" => args.evict_dir = Some(PathBuf::from(value())),
-            "--min-workers" => args.min_workers = value().parse().expect("--min-workers"),
-            "--max-workers" => args.max_workers = value().parse().expect("--max-workers"),
             "--slo-p99-ms" => args.slo_p99_ms = value().parse().expect("--slo-p99-ms"),
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(value())),
             other => panic!("unknown flag {other}"),
@@ -225,13 +214,6 @@ fn parse_args() -> Args {
             "--evict-after {} exceeds the phase-B epoch budget {phase_b_evals}",
             args.evict_after
         );
-        if args.max_workers > 0 {
-            assert!(
-                args.steps as usize > relm_serve::AUTOSCALE_BACKLOG_FACTOR,
-                "--soak autoscaling needs --steps > {} so one batch triggers growth",
-                relm_serve::AUTOSCALE_BACKLOG_FACTOR
-            );
-        }
     }
     args
 }
@@ -556,8 +538,6 @@ fn main() {
     let service = Arc::new(Service::start(
         ServeConfig {
             workers: args.workers,
-            min_workers: args.min_workers,
-            max_workers: args.max_workers,
             execution: if args.fleet > 0 {
                 Execution::External
             } else {
@@ -683,25 +663,6 @@ fn main() {
         .map(|t| t.join().expect("fleet worker thread panicked"))
         .collect();
 
-    // With autoscaling on, the pool must retire itself back to the floor
-    // now that the queue is dry — completion-edge driven, so it needs no
-    // further traffic, only time for the cascade.
-    let autoscale_floor = (args.max_workers > 0).then(|| args.min_workers.max(1));
-    if let Some(floor) = autoscale_floor {
-        let deadline = Instant::now() + std::time::Duration::from_secs(30);
-        loop {
-            let alive = gauge_of(&obs.metrics_snapshot(), "serve.workers.alive").unwrap_or(0.0);
-            if alive as usize == floor {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "pool never retired to the floor: alive={alive}, floor={floor}"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-    }
-
     // Graceful shutdown: every session checkpointed, nothing in flight.
     let mut admin = TcpClient::connect(addr).expect("connect admin client");
     let drained = match admin.request(&Request::Drain).expect("drain request") {
@@ -713,8 +674,6 @@ fn main() {
             reassignments,
             evictions,
             resumes,
-            workers_grown,
-            workers_shrunk,
         } => (
             sessions,
             evaluations,
@@ -723,8 +682,6 @@ fn main() {
             reassignments,
             evictions,
             resumes,
-            workers_grown,
-            workers_shrunk,
         ),
         other => panic!("drain rejected: {other:?}"),
     };
@@ -736,8 +693,6 @@ fn main() {
         drained_reassignments,
         drained_evictions,
         drained_resumes,
-        workers_grown,
-        workers_shrunk,
     ) = drained;
     scrape_stop.store(true, Ordering::Relaxed);
     let scrapes = scraper.map(|t| t.join().expect("scraper panicked"));
@@ -760,9 +715,9 @@ fn main() {
         assert_eq!(checkpointed, args.sessions as usize, "missing checkpoints");
     }
 
-    // Eviction/autoscale reconciliation: the drain tallies must equal the
+    // Eviction reconciliation: the drain tallies must equal the
     // observability counters exactly, in every mode (both are zero when
-    // the features are off).
+    // eviction is off).
     assert_eq!(
         drained_evictions as f64,
         obs.counter_value("serve.evictions"),
@@ -772,16 +727,6 @@ fn main() {
         drained_resumes as f64,
         obs.counter_value("serve.resumes"),
         "drain tally and resume counter disagree"
-    );
-    assert_eq!(
-        workers_grown as f64,
-        obs.counter_value("serve.autoscale.grow"),
-        "drain tally and grow counter disagree"
-    );
-    assert_eq!(
-        workers_shrunk as f64,
-        obs.counter_value("serve.autoscale.shrink"),
-        "drain tally and shrink counter disagree"
     );
     assert_eq!(obs.counter_value("serve.evict_errors"), 0.0);
     assert_eq!(obs.counter_value("serve.resume_errors"), 0.0);
@@ -812,22 +757,6 @@ fn main() {
             drained_evictions, drained_resumes,
             "evictions and resumes must pair up"
         );
-        if let Some(floor) = autoscale_floor {
-            let ceiling = args.max_workers.max(floor);
-            let initial = args.workers.clamp(floor, ceiling);
-            assert!(workers_grown >= 1, "the pool never grew under backlog");
-            assert!(
-                workers_grown + initial <= ceiling + workers_shrunk,
-                "pool accounting exceeded the ceiling"
-            );
-            // The pre-drain poll saw the pool back at the floor, so the
-            // books must balance exactly: initial + grown - shrunk = floor.
-            assert_eq!(
-                initial + workers_grown - workers_shrunk,
-                floor,
-                "pool did not retire cleanly to the floor"
-            );
-        }
     } else if args.evict_after == 0 {
         assert_eq!(drained_evictions, 0, "evictions without an eviction window");
         assert_eq!(drained_resumes, 0, "resumes without an eviction window");
@@ -1010,7 +939,6 @@ fn main() {
     if args.soak {
         println!(
             "soak: evictions={drained_evictions} resumes={drained_resumes} \
-             grown={workers_grown} shrunk={workers_shrunk} \
              pushback: low={} normal={} high={} slo_p99_ms={:.3}",
             obs.counter_value("serve.rejected.overloaded.class.low"),
             obs.counter_value("serve.rejected.overloaded.class.normal"),

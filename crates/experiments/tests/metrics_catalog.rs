@@ -2,7 +2,7 @@
 //! `OPERATIONS.md` must stay in lockstep with what the code actually
 //! emits. The test collects the union of metrics from reference runs —
 //! three `serve_load` smokes (plain+guided, fleet with a kill, soak with
-//! eviction and autoscaling), every tuner policy driven in-process, a
+//! eviction), every tuner policy driven in-process, a
 //! memory-store build/warm-start cycle, and an in-process overload +
 //! session-lifecycle pass (admission pushback, cancel, cache probes) —
 //! then fails on any mismatch in either direction:
@@ -363,10 +363,6 @@ fn catalog_matches_emitted_metrics_exactly() {
                 "3",
                 "--workers",
                 "1",
-                "--min-workers",
-                "1",
-                "--max-workers",
-                "3",
                 "--evict-after",
                 "4",
                 "--slo-p99-ms",

@@ -2,7 +2,7 @@
 //!
 //! The paper's tuner is a single-session program: one application, one
 //! seed chain, one history. This crate turns it into a *service*: a
-//! registry of concurrent tuning sessions multiplexed onto a bounded
+//! registry of concurrent tuning sessions multiplexed onto a fixed
 //! `std::thread` worker pool, driven through a JSON-lines protocol that
 //! works identically in-process ([`Service::handle`]) and over TCP
 //! ([`TcpServer`]/[`TcpClient`]).
@@ -13,8 +13,7 @@
 //!    [`relm_tune::TuningEnv`]; per-session FIFO ordering with at most one
 //!    in-flight evaluation per session makes every session's history a
 //!    pure function of its spec — byte-identical whether the pool runs 1
-//!    worker or 8, fixed or autoscaled, alone or beside 31 other
-//!    sessions, evicted to checkpoint mid-run or resident throughout.
+//!    worker or 8, alone or beside 31 other sessions, evicted to checkpoint mid-run or resident throughout.
 //!    Priorities, scheduling weights, and residency decide *when* an
 //!    evaluation runs, never what it computes.
 //! 2. **Graduated backpressure, not buffering.** Sessions carry a
@@ -26,14 +25,12 @@
 //!    over the configured bound are rejected without being read.
 //! 3. **Elastic residency, graceful shutdown.** Idle sessions are
 //!    evicted to checkpoint on an evaluation-count epoch clock
-//!    ([`ServeConfig::evict_after_evals`]) and resumed transparently;
-//!    the worker pool autoscales between [`ServeConfig::min_workers`]
-//!    and [`ServeConfig::max_workers`] on queue depth. [`Request::Drain`]
-//!    stops admission, runs the accepted backlog dry, resumes anything
-//!    evicted, checkpoints every session via
+//!    ([`ServeConfig::evict_after_evals`]) and resumed transparently.
+//!    [`Request::Drain`] stops admission, runs the accepted backlog dry,
+//!    resumes anything evicted, checkpoints every session via
 //!    [`relm_tune::SessionCheckpoint`], and stops the workers — zero
-//!    lost or duplicated evaluations, with the eviction/autoscale
-//!    tallies reconciled exactly in the drain report.
+//!    lost or duplicated evaluations, with the eviction tallies
+//!    reconciled exactly in the drain report.
 //!
 //! Everything is instrumented through [`relm_obs`]: per-endpoint latency
 //! histograms (`serve.endpoint.*_ms`), queue-depth gauges
@@ -70,8 +67,5 @@ pub use protocol::{
     SessionSpec, SessionStatus, DEFAULT_MAX_FRAME_BYTES,
 };
 pub use server::{TcpClient, TcpServer};
-pub use service::{
-    resolve_workload, EvalLease, Execution, FleetRouter, ServeConfig, Service,
-    AUTOSCALE_BACKLOG_FACTOR,
-};
+pub use service::{resolve_workload, EvalLease, Execution, FleetRouter, ServeConfig, Service};
 pub use slo::SLO_EPOCH_EVALS;

@@ -442,12 +442,6 @@ pub enum Response {
         evictions: usize,
         /// Evicted-session resumes over the service's lifetime.
         resumes: usize,
-        /// Worker threads the autoscaler added over the service's
-        /// lifetime (0 with a fixed pool).
-        workers_grown: usize,
-        /// Worker threads the autoscaler retired over the service's
-        /// lifetime (0 with a fixed pool).
-        workers_shrunk: usize,
     },
     /// Reply to [`Request::Metrics`]: the snapshot and its Prometheus
     /// text rendering, produced from the *same* capture so the two can

@@ -10,7 +10,9 @@
 //! connection. Both are counted (`serve.rejected.malformed`,
 //! `serve.rejected.oversized`).
 
-use crate::protocol::{encode, read_frame, FrameError, Request, Response};
+use crate::protocol::{
+    decode, encode, read_frame, FrameError, Request, Response, DEFAULT_MAX_FRAME_BYTES,
+};
 use crate::service::Service;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -179,7 +181,7 @@ fn serve_connection(stream: &TcpStream, service: &Weak<Service>) -> io::Result<(
                 continue;
             }
         };
-        let response = match crate::protocol::decode::<Request>(&line, limit) {
+        let response = match decode::<Request>(&line, limit) {
             Ok(request) => service.handle(&request),
             Err(err) => {
                 service.obs().inc("serve.rejected.malformed");
@@ -211,23 +213,17 @@ fn write_frame(writer: &mut impl Write, mut frame: String) -> io::Result<()> {
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    max_frame_bytes: usize,
 }
 
 impl TcpClient {
-    /// Connects to a server started with [`TcpServer::start`].
+    /// Connects to a server started with [`TcpServer::start`]. Replies
+    /// are decoded under [`DEFAULT_MAX_FRAME_BYTES`].
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_with_limit(addr, crate::protocol::DEFAULT_MAX_FRAME_BYTES)
-    }
-
-    /// [`TcpClient::connect`] with a custom response-frame bound.
-    pub fn connect_with_limit(addr: impl ToSocketAddrs, limit: usize) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(TcpClient {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
-            max_frame_bytes: limit,
         })
     }
 
@@ -260,7 +256,7 @@ impl TcpClient {
                 "server closed the connection",
             ));
         }
-        crate::protocol::decode(&line, self.max_frame_bytes)
+        decode(&line, DEFAULT_MAX_FRAME_BYTES)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 }

@@ -1,5 +1,5 @@
 //! The tuning service: a registry of concurrent sessions multiplexed onto
-//! a bounded `std::thread` worker pool.
+//! a fixed `std::thread` worker pool, sized once at start.
 //!
 //! ## Scheduling model
 //!
@@ -57,17 +57,6 @@
 //! proposal state is rebuilt by replaying the exact fit schedule, so
 //! histories and proposals stay byte-identical across any number of
 //! evict/resume cycles (`serve.evictions` / `serve.resumes` count them).
-//!
-//! ## Autoscaling
-//!
-//! With [`ServeConfig::min_workers`]/[`ServeConfig::max_workers`] set,
-//! the in-process pool resizes itself from the same queue-depth signal
-//! the gauges export: admission grows the pool while the backlog exceeds
-//! [`AUTOSCALE_BACKLOG_FACTOR`] pending evaluations per live worker, and
-//! an idle worker retires itself once the queue is empty, down to
-//! `min_workers`. Scaling is event-driven (admission and completion
-//! edges), so the deterministic path stays wall-clock free — worker count
-//! never affects histories, only wall-clock latency.
 
 use crate::protocol::{
     Priority, Request, Response, SessionSpec, SessionStatus, DEFAULT_MAX_FRAME_BYTES,
@@ -87,7 +76,6 @@ use relm_tune::{
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -110,25 +98,10 @@ pub enum Execution {
 /// Service limits and pool sizing.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads evaluating configurations. At least 1 (ignored in
-    /// [`Execution::External`] mode, which spawns none). With autoscaling
-    /// enabled this is the *initial* pool size, clamped into
-    /// [`min_workers`, `max_workers`].
-    ///
-    /// [`min_workers`]: ServeConfig::min_workers
-    /// [`max_workers`]: ServeConfig::max_workers
+    /// Worker threads evaluating configurations, spawned once by
+    /// [`Service::start`]. At least 1 (ignored in [`Execution::External`]
+    /// mode, which spawns none).
     pub workers: usize,
-    /// Autoscale floor: idle workers retire themselves down to this many
-    /// once the queue drains (effective floor is at least 1). Only
-    /// meaningful when [`max_workers`](ServeConfig::max_workers) enables
-    /// autoscaling.
-    pub min_workers: usize,
-    /// Autoscale ceiling: `0` (the default) disables autoscaling and
-    /// keeps the fixed pool of [`workers`](ServeConfig::workers). When
-    /// set, admission grows the pool toward this bound while the backlog
-    /// exceeds [`AUTOSCALE_BACKLOG_FACTOR`] pending evaluations per live
-    /// worker. Ignored in [`Execution::External`] mode.
-    pub max_workers: usize,
     /// Maximum registered sessions.
     pub max_sessions: usize,
     /// Pending-evaluation bound per session.
@@ -177,8 +150,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
-            min_workers: 0,
-            max_workers: 0,
             max_sessions: 64,
             session_queue_limit: 32,
             global_queue_limit: 256,
@@ -195,17 +166,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The effective autoscale range `(floor, ceiling)`, or `None` when
-    /// autoscaling is off (`max_workers == 0`, or fleet mode — an
-    /// external fleet scales by registering workers, not threads).
-    pub fn autoscale(&self) -> Option<(usize, usize)> {
-        if self.max_workers == 0 || self.execution == Execution::External {
-            return None;
-        }
-        let floor = self.min_workers.max(1);
-        Some((floor, self.max_workers.max(floor)))
-    }
-
     /// Where eviction checkpoints live: `evict_dir`, falling back to
     /// `checkpoint_dir`. `None` disables eviction entirely.
     fn evict_dir(&self) -> Option<&PathBuf> {
@@ -287,10 +247,6 @@ const GUIDED_REFIT_PERIOD: usize = 4;
 /// Nearest past sessions a warm-started session retrieves from the
 /// memory store.
 const MEMORY_RETRIEVE_K: usize = 3;
-/// Autoscale growth trigger: admission spawns another worker while the
-/// global backlog exceeds this many pending evaluations per live worker
-/// (and the pool is below [`ServeConfig::max_workers`]).
-pub const AUTOSCALE_BACKLOG_FACTOR: usize = 2;
 
 /// Deterministic GP proposal state behind `StepGuided`.
 ///
@@ -451,19 +407,14 @@ struct State {
     pending_by_class: [usize; 3],
     /// Evaluations currently on workers.
     running: usize,
-    /// Live in-process worker threads (`serve.workers.alive`). Moves only
-    /// under autoscaling; otherwise fixed at the configured pool size.
-    alive_workers: usize,
     /// Total evaluations completed across all sessions (lifetime) — also
     /// the eviction epoch clock.
     evaluations: usize,
-    /// Lifetime eviction/resume/autoscale tallies, mirrored by the
-    /// `serve.evictions` / `serve.resumes` / `serve.autoscale.*` counters
-    /// and reported by `Drain` so scrapes reconcile exactly.
+    /// Lifetime eviction/resume tallies, mirrored by the
+    /// `serve.evictions` / `serve.resumes` counters and reported by
+    /// `Drain` so scrapes reconcile exactly.
     evictions: usize,
     resumes: usize,
-    grown: usize,
-    shrunk: usize,
     draining: bool,
     stopped: bool,
     /// Test hook: workers leave the ready queue untouched while paused,
@@ -535,14 +486,6 @@ struct Shared {
     /// held together with the state lock — retrieval happens before
     /// session registration, ingest after the drain tally settles.
     memory: Mutex<Option<MemoryStore>>,
-    /// Join handles of every worker thread ever spawned (autoscaling
-    /// spawns more after startup), drained on shutdown. Lock-ordering
-    /// rule: only ever acquired while holding — or after releasing — the
-    /// state lock, never the other way around.
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Monotone worker-name sequence, so autoscaled threads get distinct
-    /// `relm-serve-worker-<n>` names.
-    next_worker: AtomicUsize,
 }
 
 impl Shared {
@@ -552,8 +495,6 @@ impl Shared {
         self.obs
             .gauge("serve.sessions.active", state.sessions.len() as f64);
         self.obs.gauge("serve.workers.busy", state.running as f64);
-        self.obs
-            .gauge("serve.workers.alive", state.alive_workers as f64);
         for p in Priority::ALL {
             self.obs.gauge(
                 &format!("serve.queue.class.{}", p.as_str()),
@@ -567,6 +508,9 @@ impl Shared {
 /// dropping the last handle stops and joins the worker pool.
 pub struct Service {
     shared: Arc<Shared>,
+    /// The worker pool, spawned once in [`Service::start`] and joined on
+    /// shutdown.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Service {
@@ -599,12 +543,9 @@ impl Service {
                 global_pending: 0,
                 pending_by_class: [0; 3],
                 running: 0,
-                alive_workers: 0,
                 evaluations: 0,
                 evictions: 0,
                 resumes: 0,
-                grown: 0,
-                shrunk: 0,
                 draining: false,
                 stopped: false,
                 paused: false,
@@ -616,27 +557,24 @@ impl Service {
             done: Condvar::new(),
             router: Mutex::new(None),
             memory: Mutex::new(memory),
-            handles: Mutex::new(Vec::new()),
-            next_worker: AtomicUsize::new(0),
         });
-        let initial = match shared.config.execution {
+        shared.refresh_gauges(&shared.state.lock().expect("service state poisoned"));
+        let pool = match shared.config.execution {
             // Fleet mode: evaluations leave through `lease_next`, not an
             // in-process pool.
             Execution::External => 0,
-            Execution::InProcess => match shared.config.autoscale() {
-                Some((floor, ceiling)) => shared.config.workers.clamp(floor, ceiling),
-                None => shared.config.workers,
-            },
+            Execution::InProcess => shared.config.workers,
         };
-        {
-            let mut state = shared.state.lock().expect("service state poisoned");
-            state.alive_workers = initial;
-            shared.refresh_gauges(&state);
-        }
-        for _ in 0..initial {
-            spawn_worker(&shared);
-        }
-        Service { shared }
+        let workers = (0..pool)
+            .map(|idx| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("relm-serve-worker-{idx}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        Service { shared, workers }
     }
 
     /// Attaches the fleet center. Fleet-protocol requests route to it;
@@ -1040,19 +978,6 @@ impl Service {
         }
         state.global_pending += enqueued;
         state.pending_by_class[cls] += enqueued;
-        // Autoscale growth rides on admission (the only edge where the
-        // backlog rises): spawn while the queue holds more than
-        // AUTOSCALE_BACKLOG_FACTOR pending evaluations per live worker.
-        if let Some((_floor, ceiling)) = shared.config.autoscale() {
-            while state.alive_workers < ceiling
-                && state.global_pending > state.alive_workers * AUTOSCALE_BACKLOG_FACTOR
-            {
-                spawn_worker(shared);
-                state.alive_workers += 1;
-                state.grown += 1;
-                shared.obs.inc("serve.autoscale.grow");
-            }
-        }
         shared.obs.add("serve.enqueued", enqueued as f64);
         shared.refresh_gauges(state);
         Response::Accepted {
@@ -1532,8 +1457,6 @@ impl Service {
         let evaluations = state.evaluations;
         let evictions = state.evictions;
         let resumes = state.resumes;
-        let workers_grown = state.grown;
-        let workers_shrunk = state.shrunk;
         let already_stopped = state.stopped;
         state.stopped = true;
         shared.refresh_gauges(&state);
@@ -1565,8 +1488,6 @@ impl Service {
             reassignments,
             evictions,
             resumes,
-            workers_grown,
-            workers_shrunk,
         }
     }
 
@@ -1709,36 +1630,10 @@ impl Service {
         }
         self.shared.work.notify_all();
         self.shared.done.notify_all();
-        // Admission spawns workers only under the state lock with
-        // `stopped` false, so after the store above the handle vector is
-        // final (retired autoscale workers join instantly).
-        let handles: Vec<JoinHandle<()>> = self
-            .shared
-            .handles
-            .lock()
-            .expect("worker handles poisoned")
-            .drain(..)
-            .collect();
-        for worker in handles {
+        for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
-}
-
-/// Spawns one worker thread and registers its join handle. The caller
-/// accounts for it in `State::alive_workers`.
-fn spawn_worker(shared: &Arc<Shared>) {
-    let idx = shared.next_worker.fetch_add(1, Ordering::Relaxed);
-    let cloned = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("relm-serve-worker-{idx}"))
-        .spawn(move || worker_loop(&cloned))
-        .expect("spawn worker thread");
-    shared
-        .handles
-        .lock()
-        .expect("worker handles poisoned")
-        .push(handle);
 }
 
 impl Drop for Service {
@@ -1766,26 +1661,6 @@ fn worker_loop(shared: &Shared) {
                 if state.paused {
                     state = shared.work.wait(state).expect("service state poisoned");
                     continue;
-                }
-                // Autoscale shrink: an idle worker above the floor
-                // retires itself once the whole queue has drained —
-                // completion edges, not timers, scale the pool back down.
-                if let Some((floor, _ceiling)) = shared.config.autoscale() {
-                    if state.alive_workers > floor
-                        && state.global_pending == 0
-                        && state.running == 0
-                    {
-                        state.alive_workers -= 1;
-                        state.shrunk += 1;
-                        shared.obs.inc("serve.autoscale.shrink");
-                        shared.refresh_gauges(&state);
-                        drop(state);
-                        // Wake the other idle workers so retirement
-                        // cascades down to the floor without waiting for
-                        // the next admission.
-                        shared.work.notify_all();
-                        return;
-                    }
                 }
                 if let Some(name) = state.pop_ready() {
                     // An evicted session readied by a post-eviction step:
@@ -2484,8 +2359,6 @@ mod tests {
                 reassignments,
                 evictions,
                 resumes,
-                workers_grown,
-                workers_shrunk,
             } => {
                 assert_eq!(n, 3);
                 assert_eq!(evaluations, 6, "drain must run the whole backlog");
@@ -2494,11 +2367,9 @@ mod tests {
                 assert_eq!(flight_dumped, 0);
                 // No fleet attached: nothing to reassign.
                 assert_eq!(reassignments, 0);
-                // Eviction and autoscaling are off by default.
+                // Eviction is off by default.
                 assert_eq!(evictions, 0);
                 assert_eq!(resumes, 0);
-                assert_eq!(workers_grown, 0);
-                assert_eq!(workers_shrunk, 0);
             }
             other => panic!("drain failed: {other:?}"),
         }
@@ -2758,57 +2629,6 @@ mod tests {
             other => panic!("result failed: {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// With autoscaling on, admission grows the pool under backlog and
-    /// idle workers retire back to the floor once the queue drains.
-    #[test]
-    fn autoscaling_grows_under_backlog_and_shrinks_when_idle() {
-        let service = Service::start(
-            ServeConfig {
-                workers: 1,
-                min_workers: 1,
-                max_workers: 4,
-                ..ServeConfig::default()
-            },
-            Obs::enabled(),
-        );
-        let session = create(&service, SessionSpec::named("WordCount", 8));
-        service.handle(&Request::StepAuto {
-            session: session.clone(),
-            evals: 12,
-        });
-        {
-            let state = service.shared.state.lock().unwrap();
-            assert!(
-                state.grown >= 1,
-                "a 12-deep backlog on one worker must grow the pool"
-            );
-            assert!(state.alive_workers <= 4, "ceiling respected");
-        }
-        service.handle(&Request::Join {
-            session: session.clone(),
-        });
-        // Workers retire on completion edges; the last completion sees
-        // the empty queue, so by the time Join returns and we re-lock,
-        // retirement has either happened or needs one more wakeup.
-        service.shared.work.notify_all();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            {
-                let state = service.shared.state.lock().unwrap();
-                if state.alive_workers == 1 {
-                    assert_eq!(state.grown, state.shrunk, "scale-ups all retired");
-                    break;
-                }
-            }
-            assert!(Instant::now() < deadline, "pool failed to shrink to floor");
-            std::thread::yield_now();
-        }
-        match service.handle(&Request::Result { session }) {
-            Response::ResultReady { history, .. } => assert_eq!(history.len(), 12),
-            other => panic!("result failed: {other:?}"),
-        }
     }
 
     #[test]

@@ -238,8 +238,6 @@ proptest! {
                 reassignments: discarded,
                 evictions: censored,
                 resumes: censored,
-                workers_grown: pending % 4,
-                workers_shrunk: pending % 4,
             },
             Response::Evicted {
                 session: session.clone(),
@@ -319,6 +317,91 @@ fn malformed_frames_never_panic() {
             Ok(other) => panic!("garbage {line:?} decoded to {other:?}"),
             Err(FrameError::Malformed { .. }) => {}
             Err(other) => panic!("garbage {line:?} gave {other:?}"),
+        }
+    }
+}
+
+/// Characters a corrupted frame is most likely to trip a parser on: JSON
+/// structure, escape and number syntax, and multi-byte chars that shift
+/// char boundaries.
+const STRUCTURAL: [&str; 17] = [
+    "\"", "\\", "u", "{", "}", "[", "]", ",", ":", "0", "-", "e", ".", "é", "€", "𝄞", "\u{0}",
+];
+
+/// Decodes `line` both as a request and as a response; a panic in either
+/// fails the test and names the input that caused it.
+fn assert_decode_never_panics(line: &str) {
+    let decoded = std::panic::catch_unwind(|| {
+        let _ = decode::<Request>(line, DEFAULT_MAX_FRAME_BYTES);
+        let _ = decode::<Response>(line, DEFAULT_MAX_FRAME_BYTES);
+    });
+    assert!(decoded.is_ok(), "decoder panicked on {line:?}");
+}
+
+/// Real frames cut at every char boundary, then a seeded sample of
+/// single-character substitutions and insertions of [`STRUCTURAL`]
+/// characters: whatever arrives, the decoder answers `Ok` or `Err`.
+#[test]
+fn truncated_and_mutated_real_frames_never_panic() {
+    const MUTATIONS_PER_FRAME: usize = 1500;
+    let mut spec = SessionSpec::named("K-means", 11)
+        .with_priority(Priority::High)
+        .with_faults(7, FaultConfig::uniform(0.2));
+    spec.retry = Some(RetryPolicy::standard());
+    let (_, outcome) = real_task_and_outcome(
+        3,
+        29,
+        config(2, 4, 0.2, 0.3),
+        Some(FaultPlan::new(7, FaultConfig::uniform(0.2))),
+        12.5,
+    );
+    let (task, _) = real_task_and_outcome(4, 31, config(4, 2, 0.1, 0.2), None, 3.0);
+    let (export, history) = real_export();
+    let session = "s-0042".to_string();
+    let frames = [
+        encode(&Request::CreateSession { spec }),
+        encode(&Request::Step {
+            session: session.clone(),
+            configs: vec![config(2, 4, 0.2, 0.3), config(3, 1, 0.35, 0.05)],
+        }),
+        encode(&Request::StepAuto {
+            session: session.clone(),
+            evals: 4,
+        }),
+        encode(&Request::Drain),
+        encode(&Request::Complete {
+            worker: "w-1".into(),
+            task: 3,
+            outcome,
+        }),
+        encode(&Response::ResultReady {
+            session,
+            export,
+            history,
+        }),
+        encode(&Response::Assign {
+            task: Box::new(task),
+        }),
+    ];
+    let mut rng = relm_common::Rng::new(0x5eed);
+    for frame in &frames {
+        let boundaries: Vec<usize> = frame
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([frame.len()])
+            .collect();
+        for &cut in &boundaries {
+            assert_decode_never_panics(&frame[..cut]);
+        }
+        for _ in 0..MUTATIONS_PER_FRAME {
+            let at = boundaries[rng.below(boundaries.len())];
+            let with = STRUCTURAL[rng.below(STRUCTURAL.len())];
+            let rest = match frame[at..].chars().next() {
+                // Substitute the char at `at`, or insert before it.
+                Some(c) if rng.chance(0.5) => &frame[at + c.len_utf8()..],
+                _ => &frame[at..],
+            };
+            assert_decode_never_panics(&format!("{}{with}{rest}", &frame[..at]));
         }
     }
 }
