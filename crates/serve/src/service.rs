@@ -68,7 +68,7 @@ use relm_common::{MemoryConfig, Rng};
 use relm_faults::FaultPlan;
 use relm_memory::{build_prior, normalize_label, MemoryStore, PriorBundle, SessionDigest};
 use relm_obs::{trace, FlightEvent, FlightRecorder, Obs, DEFAULT_FLIGHT_CAPACITY};
-use relm_surrogate::{maximize_ei, GpFitter, SparsePolicy};
+use relm_surrogate::{maximize_ei, Gp, GpFitter, SparsePolicy};
 use relm_tune::space::DIMS;
 use relm_tune::{
     recommendation, session_export, CachedEval, ConfigSpace, EvalKey, Observation, RetryPolicy,
@@ -237,54 +237,9 @@ pub struct EvalLease {
     enqueued_at: Instant,
 }
 
-/// Completed evaluations a session needs before `StepGuided` can fit its
-/// surrogate.
-const GUIDED_MIN_HISTORY: usize = 4;
-/// Every K-th guided fit re-tunes the GP hyperparameters from scratch; the
-/// fits in between extend the stored Cholesky factor incrementally
-/// (bit-identical to a from-scratch fit at the retained hyperparameters).
-const GUIDED_REFIT_PERIOD: usize = 4;
 /// Nearest past sessions a warm-started session retrieves from the
 /// memory store.
 const MEMORY_RETRIEVE_K: usize = 3;
-
-/// Deterministic GP proposal state behind `StepGuided`.
-///
-/// A pure function of the session spec and the *settled* history: the
-/// fitter ingests encoded observations in history order, and the RNG
-/// advances only when a batch is admitted (clone-compute-commit, exactly
-/// like the auto sampler) — so rejected requests never shift the stream.
-#[derive(Clone)]
-struct GuidedState {
-    fitter: GpFitter,
-    rng: Rng,
-    /// Guided fits performed so far — drives the full-vs-incremental
-    /// refit schedule.
-    fits: usize,
-    /// How many *history* observations the fitter has ingested. Tracked
-    /// separately from `fitter.len()` because a warm-started fitter also
-    /// holds prior observations that are not part of this session's
-    /// history.
-    fed: usize,
-    /// The fit schedule: `feeds[i]` is how much history the fitter had
-    /// ingested when fit `i` ran. An evicted session's fitter is rebuilt
-    /// by replaying exactly this schedule ([`rebuild_guided`]), which
-    /// reproduces the full-vs-incremental refit sequence — and therefore
-    /// the proposal stream — bit for bit.
-    feeds: Vec<usize>,
-}
-
-/// What survives of a [`GuidedState`] across eviction: the fitter (the
-/// memory-heavy part — Gram matrices and Cholesky factors) is dropped and
-/// rebuilt at resume by replaying the recorded fit schedule against the
-/// resumed history; the RNG and schedule carry over verbatim, so the
-/// proposal stream continues bit-identically.
-#[derive(Clone)]
-struct FrozenGuided {
-    rng: Rng,
-    fits: usize,
-    feeds: Vec<usize>,
-}
 
 /// One admitted evaluation waiting in a session's FIFO, carrying the
 /// trace context of the request that enqueued it so the worker that
@@ -395,18 +350,8 @@ impl Session {
 /// Mutable service state behind the lock.
 struct State {
     sessions: BTreeMap<String, Session>,
-    /// Ready sessions (pending work, idle environment), one FIFO queue
-    /// per priority class, indexed by [`Priority::index`]. Workers pull
-    /// through the deficit-weighted round-robin in [`State::pop_ready`].
-    ready: [VecDeque<String>; 3],
-    /// Remaining scheduling credit per class in the current DWRR round.
-    credit: [u64; 3],
-    global_pending: usize,
-    /// Pending evaluations per priority class, indexed by
-    /// [`Priority::index`] — the `serve.queue.class.*` gauges.
-    pending_by_class: [usize; 3],
-    /// Evaluations currently on workers.
-    running: usize,
+    /// Ready queues, queue and running counts, and the admission gate.
+    sched: Scheduler,
     /// Total evaluations completed across all sessions (lifetime) — also
     /// the eviction epoch clock.
     evaluations: usize,
@@ -424,44 +369,6 @@ struct State {
     /// Sequence for requests that address no session (ping, drain,
     /// metrics, create); their trace ids derive from `"service"` + this.
     next_trace: u64,
-}
-
-impl State {
-    /// Picks the next session to run by deficit-weighted round-robin.
-    ///
-    /// Each round grants every backlogged class its
-    /// [`Priority::weight`] in pulls; higher classes spend their credit
-    /// first, a class that runs dry forfeits the rest of its round, and
-    /// the round replenishes once no backlogged class has credit left.
-    /// Within a class, sessions rotate FIFO — with a single class in
-    /// play this degenerates to exactly the old fair round-robin.
-    fn pop_ready(&mut self) -> Option<String> {
-        if self.ready.iter().all(|q| q.is_empty()) {
-            return None;
-        }
-        loop {
-            for cls in (0..self.ready.len()).rev() {
-                if self.credit[cls] == 0 {
-                    continue;
-                }
-                if let Some(name) = self.ready[cls].pop_front() {
-                    self.credit[cls] -= 1;
-                    return Some(name);
-                }
-                // Ran dry mid-round: forfeit, don't bank credit.
-                self.credit[cls] = 0;
-            }
-            // No creditable class has work: start a new round.
-            for p in Priority::ALL {
-                let cls = p.index();
-                self.credit[cls] = if self.ready[cls].is_empty() {
-                    0
-                } else {
-                    p.weight()
-                };
-            }
-        }
-    }
 }
 
 struct Shared {
@@ -491,14 +398,174 @@ struct Shared {
 impl Shared {
     fn refresh_gauges(&self, state: &State) {
         self.obs
-            .gauge("serve.queue.global", state.global_pending as f64);
-        self.obs
             .gauge("serve.sessions.active", state.sessions.len() as f64);
-        self.obs.gauge("serve.workers.busy", state.running as f64);
+        state.sched.publish(&self.obs);
+    }
+}
+
+/// Who runs next, and whether a batch may queue at all: the ready
+/// sessions of each priority class under deficit-weighted round-robin,
+/// the pending and running counts, and the graduated admission gate.
+/// Plain data with no locks or threads; the service drives it under its
+/// state lock.
+pub(super) struct Scheduler {
+    /// Pending-evaluation bound per session.
+    session_limit: usize,
+    /// Pending-evaluation bound across all sessions.
+    global_limit: usize,
+    /// Ready sessions (pending work, idle environment), one FIFO queue
+    /// per priority class, indexed by [`Priority::index`]. Workers pull
+    /// through the deficit-weighted round-robin in
+    /// [`Scheduler::pop_ready`].
+    ready: [VecDeque<String>; 3],
+    /// Remaining scheduling credit per class in the current DWRR round.
+    credit: [u64; 3],
+    global_pending: usize,
+    /// Pending evaluations per priority class, indexed by
+    /// [`Priority::index`] — the `serve.queue.class.*` gauges.
+    pending_by_class: [usize; 3],
+    /// Evaluations currently on workers.
+    running: usize,
+}
+
+impl Scheduler {
+    pub(super) fn new(session_limit: usize, global_limit: usize) -> Self {
+        Scheduler {
+            session_limit,
+            global_limit,
+            ready: Default::default(),
+            credit: [0; 3],
+            global_pending: 0,
+            pending_by_class: [0; 3],
+            running: 0,
+        }
+    }
+
+    /// Pending evaluations across all sessions.
+    pub(super) fn pending(&self) -> usize {
+        self.global_pending
+    }
+
+    /// True when no evaluation is pending or running.
+    pub(super) fn idle(&self) -> bool {
+        self.global_pending == 0 && self.running == 0
+    }
+
+    /// The admission gate for `batch` more evaluations on a session of
+    /// class `priority` that already holds `session_pending`. `Err`
+    /// carries the reason: the session's own bound, or its class's share
+    /// of the global bound ([`Priority::admission_share`]), under which
+    /// low-priority traffic sees pushback first and high-priority steps
+    /// still land until the queue is truly full. A batch is admitted or
+    /// rejected whole.
+    pub(super) fn gate(
+        &self,
+        obs: &Obs,
+        priority: Priority,
+        session_pending: usize,
+        batch: usize,
+    ) -> Result<(), String> {
+        if session_pending + batch > self.session_limit {
+            return Err(format!(
+                "session queue limit ({}) exceeded",
+                self.session_limit
+            ));
+        }
+        let class_limit =
+            ((self.global_limit as f64) * priority.admission_share()).floor() as usize;
+        let class_limit = class_limit.max(1);
+        if self.global_pending + batch > class_limit {
+            obs.inc(&format!(
+                "serve.rejected.overloaded.class.{}",
+                priority.as_str()
+            ));
+            return Err(format!(
+                "global queue limit for {}-priority steps \
+                 ({class_limit} of {}) exceeded",
+                priority.as_str(),
+                self.global_limit
+            ));
+        }
+        Ok(())
+    }
+
+    /// Books `batch` admitted evaluations of class `priority`.
+    pub(super) fn enqueue(&mut self, priority: Priority, batch: usize) {
+        self.global_pending += batch;
+        self.pending_by_class[priority.index()] += batch;
+    }
+
+    /// Appends a session that has pending work and an idle environment
+    /// to the back of its class's ready queue.
+    pub(super) fn push_ready(&mut self, priority: Priority, name: String) {
+        self.ready[priority.index()].push_back(name);
+    }
+
+    /// Picks the next session to run by deficit-weighted round-robin.
+    ///
+    /// Each round grants every backlogged class its
+    /// [`Priority::weight`] in pulls; higher classes spend their credit
+    /// first, a class that runs dry forfeits the rest of its round, and
+    /// the round replenishes once no backlogged class has credit left.
+    /// Within a class, sessions rotate FIFO — with a single class in
+    /// play this degenerates to exactly the old fair round-robin.
+    pub(super) fn pop_ready(&mut self) -> Option<String> {
+        if self.ready.iter().all(|q| q.is_empty()) {
+            return None;
+        }
+        loop {
+            for cls in (0..self.ready.len()).rev() {
+                if self.credit[cls] == 0 {
+                    continue;
+                }
+                if let Some(name) = self.ready[cls].pop_front() {
+                    self.credit[cls] -= 1;
+                    return Some(name);
+                }
+                // Ran dry mid-round: forfeit, don't bank credit.
+                self.credit[cls] = 0;
+            }
+            // No creditable class has work: start a new round.
+            for p in Priority::ALL {
+                let cls = p.index();
+                self.credit[cls] = if self.ready[cls].is_empty() {
+                    0
+                } else {
+                    p.weight()
+                };
+            }
+        }
+    }
+
+    /// One pending evaluation of class `priority` moves onto a worker.
+    pub(super) fn start(&mut self, priority: Priority) {
+        self.global_pending -= 1;
+        self.pending_by_class[priority.index()] -= 1;
+        self.running += 1;
+    }
+
+    /// One running evaluation completed.
+    pub(super) fn finish(&mut self) {
+        self.running -= 1;
+    }
+
+    /// Drops a cancelled session's `discarded` pending evaluations and
+    /// takes it out of the ready queue.
+    pub(super) fn discard(&mut self, priority: Priority, name: &str, discarded: usize) {
+        let cls = priority.index();
+        self.ready[cls].retain(|s| s != name);
+        self.global_pending -= discarded;
+        self.pending_by_class[cls] -= discarded;
+    }
+
+    /// Publishes the queue-depth and busy-worker gauges.
+    pub(super) fn publish(&self, obs: &Obs) {
+        obs.gauge("serve.queue.global", self.global_pending as f64);
+        obs.gauge("serve.workers.busy", self.running as f64);
         for p in Priority::ALL {
-            self.obs.gauge(
+            obs.gauge(
                 &format!("serve.queue.class.{}", p.as_str()),
-                state.pending_by_class[p.index()] as f64,
+                self.pending_by_class[p.index()] as f64,
             );
         }
     }
@@ -538,11 +605,7 @@ impl Service {
             cache,
             state: Mutex::new(State {
                 sessions: BTreeMap::new(),
-                ready: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                credit: [0; 3],
-                global_pending: 0,
-                pending_by_class: [0; 3],
-                running: 0,
+                sched: Scheduler::new(config.session_queue_limit, config.global_queue_limit),
                 evaluations: 0,
                 evictions: 0,
                 resumes: 0,
@@ -829,7 +892,7 @@ impl Service {
                     self.shared.config.max_sessions
                 ),
                 session_pending: 0,
-                global_pending: state.global_pending,
+                global_pending: state.sched.pending(),
             };
         }
         let name = format!("s-{:04}", state.next_session);
@@ -911,9 +974,6 @@ impl Service {
                 message: "service is draining".into(),
             };
         }
-        let global_pending = state.global_pending;
-        let global_limit = shared.config.global_queue_limit;
-        let session_limit = shared.config.session_queue_limit;
         let Some(sess) = state.sessions.get_mut(session) else {
             return Response::Error {
                 message: format!("unknown session `{session}`"),
@@ -924,33 +984,15 @@ impl Service {
                 message: format!("session `{session}` is cancelled"),
             };
         }
-        if sess.pending.len() + configs.len() > session_limit {
+        let (priority, session_pending) = (sess.priority, sess.pending.len());
+        if let Err(reason) = state
+            .sched
+            .gate(&shared.obs, priority, session_pending, configs.len())
+        {
             return Response::Overloaded {
-                reason: format!("session queue limit ({session_limit}) exceeded"),
-                session_pending: sess.pending.len(),
-                global_pending,
-            };
-        }
-        // Graduated global gate: each class may fill only its share of
-        // the global bound, so under sustained overload low-priority
-        // traffic sees pushback first and high-priority steps still land
-        // until the queue is truly full.
-        let priority = sess.priority;
-        let class_limit = ((global_limit as f64) * priority.admission_share()).floor() as usize;
-        let class_limit = class_limit.max(1);
-        if global_pending + configs.len() > class_limit {
-            shared.obs.inc(&format!(
-                "serve.rejected.overloaded.class.{}",
-                priority.as_str()
-            ));
-            return Response::Overloaded {
-                reason: format!(
-                    "global queue limit for {}-priority steps \
-                     ({class_limit} of {global_limit}) exceeded",
-                    priority.as_str()
-                ),
-                session_pending: sess.pending.len(),
-                global_pending,
+                reason,
+                session_pending,
+                global_pending: state.sched.pending(),
             };
         }
         let enqueued = configs.len();
@@ -967,17 +1009,11 @@ impl Service {
                 enqueued_us,
                 enqueued_at,
             }));
-        let became_ready = !sess.queued && !sess.running && !sess.pending.is_empty();
-        if became_ready {
+        if !sess.queued && !sess.running && !sess.pending.is_empty() {
             sess.queued = true;
+            state.sched.push_ready(priority, sess.name.clone());
         }
-        let name = sess.name.clone();
-        let cls = priority.index();
-        if became_ready {
-            state.ready[cls].push_back(name);
-        }
-        state.global_pending += enqueued;
-        state.pending_by_class[cls] += enqueued;
+        state.sched.enqueue(priority, enqueued);
         shared.obs.add("serve.enqueued", enqueued as f64);
         shared.refresh_gauges(state);
         Response::Accepted {
@@ -1064,12 +1100,12 @@ impl Service {
             };
         }
         let shared = &self.shared;
-        let (mut guided, space, tau, guided_seed, incumbent) = {
+        let mut proposal = {
             let mut state = shared.state.lock().expect("service state poisoned");
             if let Err(message) = guided_home_locked(shared, &mut state, session) {
                 return Response::Error { message };
             }
-            let Some(sess) = state.sessions.get_mut(session) else {
+            let Some(sess) = state.sessions.get(session) else {
                 return Response::Error {
                     message: format!("unknown session `{session}`"),
                 };
@@ -1082,124 +1118,18 @@ impl Service {
             if sess.running || !sess.pending.is_empty() {
                 return not_idle(session);
             }
-            let env = sess.env.as_ref().expect("idle session owns its env");
-            let history = env.history();
-            // A warm-started session's prior observations count toward
-            // the fit minimum: with a usable prior, guided steps can run
-            // from evaluation zero.
-            if history.len() + sess.prior.gp_obs.len() < GUIDED_MIN_HISTORY {
-                return Response::Error {
-                    message: format!(
-                        "guided steps need at least {GUIDED_MIN_HISTORY} completed \
-                         evaluations, session `{session}` has {}",
-                        history.len()
-                    ),
-                };
+            match Proposal::prepare(sess) {
+                Ok(proposal) => proposal,
+                Err(message) => return Response::Error { message },
             }
-            let mut guided = match &sess.guided {
-                Some(g) => g.clone(),
-                None => {
-                    // Long-lived sessions can accumulate histories in the
-                    // hundreds; the large-n policy keeps per-step fit cost
-                    // flat there while leaving smaller histories (below the
-                    // sparse threshold) byte-identical to the exact path.
-                    let mut fitter = GpFitter::default().with_policy(SparsePolicy::large_n());
-                    // Seed the surrogate with the retrieved prior before
-                    // any history: prior points are part of the fitter
-                    // but never of `fed`, which indexes history alone.
-                    for (x, y) in &sess.prior.gp_obs {
-                        if let Err(e) = fitter.observe(x.clone(), *y) {
-                            return Response::Error {
-                                message: format!("guided fit failed: {e}"),
-                            };
-                        }
-                    }
-                    GuidedState {
-                        fitter,
-                        rng: Rng::new(sess.guided_seed),
-                        fits: 0,
-                        fed: 0,
-                        feeds: Vec::new(),
-                    }
-                }
-            };
-            // Feed the settled observations the fitter has not seen yet, in
-            // history order, encoded into the space's unit hypercube.
-            for obs in &history[guided.fed..] {
-                let x = sess.space.encode(&obs.config).to_vec();
-                if let Err(e) = guided.fitter.observe(x, obs.score_mins) {
-                    return Response::Error {
-                        message: format!("guided fit failed: {e}"),
-                    };
-                }
-            }
-            guided.fed = history.len();
-            // The EI threshold folds in the prior's best score, so the
-            // first warm proposals already aim below what similar past
-            // sessions achieved.
-            let tau = history
-                .iter()
-                .fold(sess.prior.best_y().unwrap_or(f64::INFINITY), |t, obs| {
-                    t.min(obs.score_mins)
-                });
-            // Incumbent transfer: before any evaluation has settled, the
-            // first warm proposal re-evaluates the prior's best-known
-            // point rather than trusting the surrogate to re-discover it.
-            let incumbent = if history.is_empty() {
-                sess.prior.best_x().map(|x| x.to_vec())
-            } else {
-                None
-            };
-            (guided, sess.space.clone(), tau, sess.guided_seed, incumbent)
         };
         // What the proposal is computed from; the batch is admitted only
         // if the session still stands here.
-        let (fed, fits) = (guided.fed, guided.fits);
-        let before = guided.fitter.stats();
-        let fit_started = Instant::now();
-        let full = !guided.fitter.has_fit() || fits.is_multiple_of(GUIDED_REFIT_PERIOD);
-        let fitted = if full {
-            guided.fitter.fit_full(guided_seed ^ ((fits as u64) << 8))
-        } else {
-            guided.fitter.refit()
+        let (fed, fits) = (proposal.guided.fed, proposal.guided.feeds.len());
+        let configs = match proposal.run(&shared.obs, evals) {
+            Ok(configs) => configs,
+            Err(message) => return Response::Error { message },
         };
-        let gp = match fitted {
-            Ok(gp) => gp,
-            Err(e) => {
-                return Response::Error {
-                    message: format!("guided fit failed: {e}"),
-                }
-            }
-        };
-        guided.fits += 1;
-        guided.feeds.push(fed);
-        shared.obs.record(
-            "surrogate.fit_ms",
-            fit_started.elapsed().as_secs_f64() * 1e3,
-        );
-        let stats = guided.fitter.stats();
-        shared.obs.add(
-            "surrogate.gram_reuse",
-            (stats.gram_reused_dims - before.gram_reused_dims) as f64,
-        );
-        shared.obs.add(
-            "surrogate.incremental_fits",
-            (stats.incremental_fits - before.incremental_fits) as f64,
-        );
-        shared.obs.add(
-            "surrogate.chol_jitter_retries",
-            (stats.chol_jitter_retries - before.chol_jitter_retries) as f64,
-        );
-        shared.obs.inc("serve.guided.batches");
-        let configs: Vec<MemoryConfig> = (0..evals)
-            .map(|i| match (i, &incumbent) {
-                (0, Some(x)) => space.decode(x),
-                _ => {
-                    let (x, _ei) = maximize_ei(&gp, DIMS, tau, &mut guided.rng);
-                    space.decode(&x)
-                }
-            })
-            .collect();
         let mut state = shared.state.lock().expect("service state poisoned");
         if let Err(message) = guided_home_locked(shared, &mut state, session) {
             return Response::Error { message };
@@ -1210,7 +1140,7 @@ impl Service {
             sess.running
                 || !sess.pending.is_empty()
                 || sess.env.as_ref().map(|env| env.history().len()) != Some(fed)
-                || sess.guided.as_ref().map_or(0, |g| g.fits) != fits
+                || sess.guided.as_ref().map_or(0, |g| g.feeds.len()) != fits
         });
         if moved {
             return not_idle(session);
@@ -1221,7 +1151,7 @@ impl Service {
                 .sessions
                 .get_mut(session)
                 .expect("admitted session is registered");
-            sess.guided = Some(guided);
+            sess.guided = Some(proposal.guided);
             drop(state);
             shared.work.notify_all();
         }
@@ -1314,23 +1244,11 @@ impl Service {
     fn cancel(&self, session: &str) -> Response {
         let shared = &self.shared;
         let mut state = shared.state.lock().expect("service state poisoned");
-        let Some(sess) = state.sessions.get_mut(session) else {
+        let Some(discarded) = discard_locked(shared, &mut state, session) else {
             return Response::Error {
                 message: format!("unknown session `{session}`"),
             };
         };
-        let discarded = sess.pending.len();
-        sess.pending.clear();
-        sess.cancelled = true;
-        sess.queued = false;
-        let name = sess.name.clone();
-        let cls = sess.priority.index();
-        state.ready[cls].retain(|s| *s != name);
-        state.global_pending -= discarded;
-        state.pending_by_class[cls] -= discarded;
-        shared.obs.inc("serve.sessions.cancelled");
-        shared.obs.add("serve.discarded", discarded as f64);
-        shared.refresh_gauges(&state);
         drop(state);
         shared.done.notify_all();
         Response::Cancelled {
@@ -1359,6 +1277,776 @@ impl Service {
         }
     }
 
+    /// Leases the next ready evaluation for external execution (fleet
+    /// mode). Pops the front ready session's next queued configuration,
+    /// marks the session running (its environment stays home, so status
+    /// and guided-step gating behave exactly as with an in-process
+    /// worker), and snapshots everything a remote worker needs. Returns
+    /// `None` when nothing is ready or the service has stopped. Every
+    /// lease must come back through [`Service::commit_lease`].
+    pub fn lease_next(&self) -> Option<EvalLease> {
+        let shared = &self.shared;
+        let mut state = shared.state.lock().expect("service state poisoned");
+        if state.stopped {
+            return None;
+        }
+        let (name, item) = dequeue_locked(shared, &mut state)?;
+        let sess = state
+            .sessions
+            .get_mut(&name)
+            .expect("dequeued session is registered");
+        let priority = sess.priority;
+        let env = sess.env.as_mut().expect("idle session owns its env");
+        Some(EvalLease {
+            session: name,
+            config: item.config,
+            seed: env.next_seed(),
+            key: env.eval_key(&item.config),
+            app: env.app().clone(),
+            cluster: env.engine().cluster().clone(),
+            cost: *env.engine().cost_model(),
+            retry: *env.retry_policy(),
+            faults: env.engine().faults().cloned(),
+            priority,
+            trace: item.trace,
+            enqueued_us: item.enqueued_us,
+            enqueued_at: item.enqueued_at,
+        })
+    }
+
+    /// Commits a lease: lands the evaluation in the session's history and
+    /// releases the session for its next queued evaluation.
+    ///
+    /// With `Some(outcome)` — a remote worker's result — the outcome is
+    /// first inserted into the shared cache under the lease's key; the
+    /// session's environment then *replays* it (seed chain, retry time,
+    /// counter deltas, re-scoring against the current penalty baseline),
+    /// which is byte-identical to having evaluated locally. With `None`
+    /// the environment evaluates through the cache directly: a hit
+    /// replays an outcome that already landed (cross-worker dedup, or a
+    /// reassigned task whose first assignee delivered late); a miss runs
+    /// the evaluation live in this process (the drain-assist path).
+    ///
+    /// Either way the commit is at-most-once *per lease*: the caller (the
+    /// fleet center's task table) guarantees a lease enters this method
+    /// exactly once, and the content-addressed key guarantees the same
+    /// cell is never paid for twice across workers.
+    pub fn commit_lease(&self, lease: EvalLease, outcome: Option<CachedEval>) {
+        let shared = &self.shared;
+        if let Some(eval) = outcome {
+            shared.cache.insert(lease.key, eval);
+        }
+        let (env, flight) = {
+            let mut state = shared.state.lock().expect("service state poisoned");
+            let sess = state
+                .sessions
+                .get_mut(&lease.session)
+                .expect("leased session is registered");
+            (
+                sess.env.take().expect("leased session keeps its env"),
+                Arc::clone(&sess.flight),
+            )
+        };
+        let item = QueuedEval {
+            config: lease.config,
+            trace: lease.trace,
+            enqueued_us: lease.enqueued_us,
+            enqueued_at: lease.enqueued_at,
+        };
+        run_session_eval(shared, &lease.session, env, item, flight);
+    }
+
+    /// True when no evaluation is pending or in flight — the condition
+    /// `Drain` waits for. The fleet center's drain-assist polls this to
+    /// close the race between a worker's final commit (which may ready
+    /// another evaluation) and its own exit check.
+    pub fn quiesced(&self) -> bool {
+        let state = self.shared.state.lock().expect("service state poisoned");
+        state.sched.idle()
+    }
+
+    /// True if the lease's outcome already sits in the shared cache —
+    /// i.e. committing it needs no worker at all. Probed by the fleet
+    /// center before assigning, so two workers never pay for the same
+    /// (workload, config, seed, fault-plan) cell.
+    pub fn outcome_cached(&self, lease: &EvalLease) -> bool {
+        self.shared.cache.contains(&lease.key)
+    }
+
+    /// Inserts a late or deposed worker's outcome into the shared cache
+    /// without committing anything: the reassigned run of the same cell
+    /// will replay it instead of paying again. First write wins — a cell
+    /// already present is left untouched.
+    pub fn warm_cache(&self, key: EvalKey, eval: CachedEval) {
+        if !self.shared.cache.contains(&key) {
+            self.shared.cache.insert(key, eval);
+        }
+    }
+
+    /// Stops the pool (draining first if the caller didn't) and joins the
+    /// worker threads.
+    pub fn shutdown(mut self) {
+        self.stop_and_join();
+    }
+
+    fn stop_and_join(&mut self) {
+        {
+            let mut state = self.shared.state.lock().expect("service state poisoned");
+            state.stopped = true;
+        }
+        self.shared.work.notify_all();
+        self.shared.done.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+    }
+}
+
+impl Drop for Service {
+    fn drop(&mut self) {
+        self.stop_and_join();
+    }
+}
+
+/// The worker loop: pull the next scheduled session (deficit-weighted
+/// round-robin across priority classes), run exactly one of its pending
+/// evaluations, hand the session back to the scheduler.
+///
+/// The worker re-enters the trace scope carried with the queued item, so
+/// the queue-wait and evaluate spans it opens join the spans the handler
+/// thread recorded for the same request — one trace stitches TCP accept →
+/// admission → queue wait → evaluation across threads.
+fn worker_loop(shared: &Shared) {
+    loop {
+        let (name, env, item, flight) = {
+            let mut state = shared.state.lock().expect("service state poisoned");
+            loop {
+                if state.stopped {
+                    return;
+                }
+                if state.paused {
+                    state = shared.work.wait(state).expect("service state poisoned");
+                    continue;
+                }
+                if let Some((name, item)) = dequeue_locked(shared, &mut state) {
+                    let sess = state
+                        .sessions
+                        .get_mut(&name)
+                        .expect("dequeued session is registered");
+                    let env = sess.env.take().expect("idle session owns its env");
+                    let flight = Arc::clone(&sess.flight);
+                    break (name, env, item, flight);
+                }
+                state = shared.work.wait(state).expect("service state poisoned");
+            }
+        };
+        run_session_eval(shared, &name, env, item, flight);
+    }
+}
+
+/// Pops the next scheduled session and moves its next queued evaluation
+/// off the queue, for an in-process worker or a fleet lease alike. An
+/// evicted session comes home first (running or leasing needs its
+/// environment and seed chain); a failed resume fails the session like a
+/// cancel, so joiners wake instead of hanging on lost work. The session
+/// is marked running and the queue counts and gauges follow; the caller
+/// takes or snapshots the environment.
+fn dequeue_locked(shared: &Shared, state: &mut State) -> Option<(String, QueuedEval)> {
+    loop {
+        let name = state.sched.pop_ready()?;
+        if resume_session(shared, state, &name).is_err() {
+            discard_locked(shared, state, &name);
+            shared.done.notify_all();
+            continue;
+        }
+        let sess = state
+            .sessions
+            .get_mut(&name)
+            .expect("ready session is registered");
+        sess.queued = false;
+        let item = sess
+            .pending
+            .pop_front()
+            .expect("ready session has pending work");
+        sess.running = true;
+        state.sched.start(sess.priority);
+        shared.refresh_gauges(state);
+        return Some((name, item));
+    }
+}
+
+/// Runs one dequeued evaluation through a session's environment and
+/// publishes the completion: spans, SLO accounting, fault dumps, the
+/// session's status mirrors, and rescheduling. Shared by the in-process
+/// worker pool and the fleet commit path ([`Service::commit_lease`]) —
+/// in the latter the "evaluation" is usually a cache replay of a remote
+/// worker's outcome, which takes the identical route through
+/// `env.evaluate`, so both modes publish completions the same way.
+fn run_session_eval(
+    shared: &Shared,
+    name: &str,
+    mut env: TuningEnv,
+    item: QueuedEval,
+    flight: Arc<FlightRecorder>,
+) {
+    let _scope = trace::enter(item.trace);
+    // The queue-wait span covers enqueue (stamped on the handler
+    // thread, carried with the item) to dequeue (now).
+    let wait_ms = item.enqueued_at.elapsed().as_secs_f64() * 1e3;
+    let wait_span = shared
+        .obs
+        .span_at("serve.queue_wait", item.enqueued_us)
+        .with("session", name);
+    if let Some(record) = wait_span.finish() {
+        flight.record_span(record);
+    }
+    shared.obs.record("serve.queue_wait_ms", wait_ms);
+
+    let start = Instant::now();
+    let (observation, eval_span) = {
+        let mut span = shared.obs.span("serve.evaluate");
+        span.set("session", name);
+        let observation = env.evaluate(&item.config);
+        if observation.is_censored() {
+            span.set("aborted", true);
+            if let Some(cause) = observation.result.abort_cause {
+                span.set("abort_cause", cause.as_str());
+            }
+        }
+        (observation, span.finish())
+    };
+    let latency_ms = start.elapsed().as_secs_f64() * 1e3;
+    if let Some(record) = eval_span {
+        flight.record_span(record);
+    }
+    // Ordering matters for scrape consistency: histogram, then the
+    // SLO tracker (which bumps `serve.slo.evaluations`), then the
+    // cumulative counter — so any concurrent scrape observes
+    // `serve.slo.evaluations >= serve.evaluations`.
+    shared.obs.record("serve.evaluate_ms", latency_ms);
+    shared
+        .slo
+        .record_eval(&shared.obs, latency_ms, observation.is_censored());
+    shared.obs.inc("serve.evaluations");
+
+    // Cost attribution, read while the environment is still in hand.
+    let stress_time_ms = env.stress_time().as_ms();
+    let retries = env.total_retries();
+    let evalcache_hits = env.cache_hits();
+
+    // A censored (abort-cause) evaluation freezes the session's
+    // flight recorder — the complete trace of the failed request.
+    // Written *before* the completion is published to the session
+    // state, so any observer that sees the censored count (a joiner,
+    // the drain report, a reconciliation script) can rely on the dump
+    // already being on disk. No lock is held during the write.
+    if observation.is_censored() {
+        flight.record(FlightEvent::Protocol {
+            trace: item.trace,
+            event: "abort".to_string(),
+            at_us: shared.obs.now_us(),
+            detail: observation
+                .result
+                .abort_cause
+                .map(|c| c.as_str().to_string())
+                .unwrap_or_default(),
+        });
+        if let Some(dir) = &shared.config.flightrec_dir {
+            let dump = flight.dump(name, "fault");
+            match relm_obs::save_dump(dir, &dump) {
+                Ok(_) => shared.obs.inc("serve.flightrec.dumps"),
+                Err(_) => shared.obs.inc("serve.flightrec.errors"),
+            }
+        }
+    }
+
+    let mut state = shared.state.lock().expect("service state poisoned");
+    state.sched.finish();
+    state.evaluations += 1;
+    let epoch = state.evaluations;
+    let sess = state
+        .sessions
+        .get_mut(name)
+        .expect("running session is registered");
+    sess.completed += 1;
+    if observation.is_censored() {
+        sess.censored += 1;
+    }
+    sess.best_score_mins = Some(match sess.best_score_mins {
+        Some(best) => best.min(observation.score_mins),
+        None => observation.score_mins,
+    });
+    sess.stress_time_ms = stress_time_ms;
+    sess.retries = retries;
+    // The environment's live counter resets on an evict/resume cycle;
+    // the base keeps the mirror monotone across any number of them.
+    sess.evalcache_hits = sess.evalcache_hits_base + evalcache_hits;
+    sess.queue_wait_ms += wait_ms;
+    sess.last_active = epoch;
+    sess.env = Some(env);
+    sess.running = false;
+    if !sess.pending.is_empty() && !sess.cancelled && !sess.queued {
+        sess.queued = true;
+        let (priority, name) = (sess.priority, sess.name.clone());
+        state.sched.push_ready(priority, name);
+        shared.work.notify_all();
+    }
+    // Completions advance the eviction epoch clock: sweep for sessions
+    // gone cold while this one worked.
+    maybe_evict_locked(shared, &mut state);
+    shared.refresh_gauges(&state);
+    drop(state);
+    shared.done.notify_all();
+}
+
+/// Builds the per-session engine from a spec — the same construction for
+/// a fresh session and for a resume from an eviction checkpoint, so a
+/// resumed environment evaluates exactly as the original would have.
+fn build_engine(shared: &Shared, spec: &SessionSpec) -> Engine {
+    let mut engine = Engine::new(ClusterSpec::cluster_a()).with_obs(shared.obs.clone());
+    if let (Some(seed), Some(faults)) = (spec.fault_seed, spec.faults) {
+        engine = engine.with_faults(FaultPlan::new(seed, faults));
+    }
+    engine
+}
+
+/// Builds the per-session engine + environment from a spec.
+fn build_env(shared: &Shared, spec: &SessionSpec) -> Result<TuningEnv, String> {
+    let app = match &spec.app {
+        Some(app) => app.clone(),
+        None => resolve_workload(&spec.workload)
+            .ok_or_else(|| format!("unknown workload `{}`", spec.workload))?,
+    };
+    let engine = build_engine(shared, spec);
+    Ok(attach_spec(
+        shared,
+        spec,
+        TuningEnv::new(engine, app, spec.base_seed),
+    ))
+}
+
+/// Applies what a spec adds on top of a bare environment, in creation
+/// order: its retry policy, then the shared cache. Run at creation and
+/// again at resume, since [`TuningEnv::restore`] resets both.
+fn attach_spec(shared: &Shared, spec: &SessionSpec, mut env: TuningEnv) -> TuningEnv {
+    if let Some(retry) = spec.retry {
+        env = env.with_retry_policy(retry);
+    }
+    if spec.use_cache || shared.config.execution == Execution::External {
+        // Fleet mode rides on the cache unconditionally: remote
+        // outcomes land in the shared cache and commit by *replaying*
+        // through the session's environment — the same path a warm
+        // local run takes, proven byte-identical to a live one.
+        env = env.with_cache(shared.cache.clone());
+    }
+    env
+}
+
+/// Cancels a session: its pending work is discarded (so the global
+/// queue and joiners move on), it leaves the ready queue, and new steps
+/// are refused. Shared by `Cancel` and a permanently failed eviction
+/// resume. Returns how many evaluations were discarded, or `None` for an
+/// unknown session.
+fn discard_locked(shared: &Shared, state: &mut State, name: &str) -> Option<usize> {
+    let sess = state.sessions.get_mut(name)?;
+    let discarded = sess.pending.len();
+    sess.pending.clear();
+    sess.cancelled = true;
+    sess.queued = false;
+    state.sched.discard(sess.priority, name, discarded);
+    shared.obs.inc("serve.sessions.cancelled");
+    shared.obs.add("serve.discarded", discarded as f64);
+    shared.refresh_gauges(state);
+    Some(discarded)
+}
+
+/// Checkpoints one idle session to `<dir>/<name>.evict.json` and unloads
+/// its environment (and the memory-heavy part of its guided state). On
+/// any failure the session is left exactly as it was, environment home.
+fn evict_one_locked(shared: &Shared, state: &mut State, name: &str) -> Result<String, String> {
+    let Some(dir) = shared.config.evict_dir() else {
+        return Err("no eviction directory configured (set evict_dir or checkpoint_dir)".into());
+    };
+    let dir = dir.clone();
+    let Some(sess) = state.sessions.get_mut(name) else {
+        return Err(format!("unknown session `{name}`"));
+    };
+    if sess.evicted {
+        return Err(format!("session `{name}` is already evicted"));
+    }
+    if sess.running || !sess.pending.is_empty() {
+        return Err(format!(
+            "session `{name}` must be idle to evict (join first)"
+        ));
+    }
+    let Some(env) = sess.env.take() else {
+        return Err(format!("session `{name}` owns no environment"));
+    };
+    if std::fs::create_dir_all(&dir).is_err() {
+        sess.env = Some(env);
+        shared.obs.inc("serve.evict_errors");
+        return Err(format!(
+            "cannot create eviction directory `{}`",
+            dir.display()
+        ));
+    }
+    let path = dir.join(format!("{name}.evict.json"));
+    let ckpt = SessionCheckpoint::capture(&env);
+    match ckpt.save_tagged(&path, name) {
+        Ok(()) => {
+            // The restored environment's cache-hit counter restarts at
+            // zero; bank what's accrued so the mirror stays monotone.
+            sess.evalcache_hits_base = sess.evalcache_hits;
+            sess.frozen_guided = sess.guided.take().map(GuidedState::freeze);
+            sess.evicted = true;
+            state.evictions += 1;
+            shared.obs.inc("serve.evictions");
+            Ok(path.display().to_string())
+        }
+        Err(e) => {
+            sess.env = Some(env);
+            shared.obs.inc("serve.evict_errors");
+            Err(format!("eviction checkpoint failed: {e}"))
+        }
+    }
+}
+
+/// The automatic eviction sweep, run on every completion when
+/// [`ServeConfig::evict_after_evals`] is set: any session that completed
+/// work but has been idle for a full epoch window is checkpointed out.
+/// Purely an epoch-clock policy — no wall time touches the decision.
+fn maybe_evict_locked(shared: &Shared, state: &mut State) {
+    let window = shared.config.evict_after_evals;
+    if window == 0 || shared.config.evict_dir().is_none() {
+        return;
+    }
+    let epoch = state.evaluations;
+    let victims: Vec<String> = state
+        .sessions
+        .values()
+        .filter(|s| {
+            !s.evicted
+                && s.env.is_some()
+                && !s.running
+                && s.pending.is_empty()
+                && s.completed > 0
+                && epoch.saturating_sub(s.last_active) >= window
+        })
+        .map(|s| s.name.clone())
+        .collect();
+    for name in victims {
+        // Failures (checkpoint unwritable) leave the session live and
+        // are counted under `serve.evict_errors`.
+        let _ = evict_one_locked(shared, state, &name);
+    }
+}
+
+/// Brings an evicted session home: loads its eviction checkpoint,
+/// rebuilds the engine from the retained spec, restores the environment
+/// (byte-identical history and seed chain — the [`SessionCheckpoint`]
+/// resume guarantee), re-applies the spec's retry policy and cache
+/// attachment (which `restore` resets), replays the guided fit schedule,
+/// and deletes the checkpoint file. No-op for live sessions. On error
+/// the session stays evicted and `serve.resume_errors` counts it; the
+/// caller decides whether to fail the session.
+fn resume_session(shared: &Shared, state: &mut State, name: &str) -> Result<(), String> {
+    let Some(sess) = state.sessions.get_mut(name) else {
+        return Err(format!("unknown session `{name}`"));
+    };
+    if !sess.evicted {
+        return Ok(());
+    }
+    let result = (|| -> Result<(TuningEnv, Option<GuidedState>), String> {
+        let dir = shared
+            .config
+            .evict_dir()
+            .ok_or_else(|| "no eviction directory configured".to_string())?;
+        let path = dir.join(format!("{name}.evict.json"));
+        let ckpt = SessionCheckpoint::load(&path)
+            .map_err(|e| format!("cannot load eviction checkpoint: {e}"))?;
+        let engine = build_engine(shared, &sess.spec);
+        let env = attach_spec(shared, &sess.spec, ckpt.resume(engine));
+        let guided = match &sess.frozen_guided {
+            Some(frozen) => Some(
+                frozen
+                    .thaw(&sess.prior, &sess.space, sess.guided_seed, env.history())
+                    .map_err(|e| format!("guided rebuild failed: {e}"))?,
+            ),
+            None => None,
+        };
+        Ok((env, guided))
+    })();
+    match result {
+        Ok((env, guided)) => {
+            if guided.is_some() {
+                sess.guided = guided;
+            }
+            sess.frozen_guided = None;
+            sess.env = Some(env);
+            sess.evicted = false;
+            if let Some(dir) = shared.config.evict_dir() {
+                let _ = std::fs::remove_file(dir.join(format!("{name}.evict.json")));
+            }
+            state.resumes += 1;
+            shared.obs.inc("serve.resumes");
+            Ok(())
+        }
+        Err(message) => {
+            shared.obs.inc("serve.resume_errors");
+            Err(message)
+        }
+    }
+}
+
+/// Completed evaluations a session needs before `StepGuided` can fit its
+/// surrogate.
+const GUIDED_MIN_HISTORY: usize = 4;
+/// Every K-th guided fit re-tunes the GP hyperparameters from scratch; the
+/// fits in between extend the stored Cholesky factor incrementally
+/// (bit-identical to a from-scratch fit at the retained hyperparameters).
+const GUIDED_REFIT_PERIOD: usize = 4;
+
+/// Deterministic GP proposal state behind `StepGuided`.
+///
+/// A pure function of the session spec and the *settled* history: the
+/// fitter ingests encoded observations in history order, and the RNG
+/// advances only when a batch is admitted (clone-compute-commit, exactly
+/// like the auto sampler) — so rejected requests never shift the stream.
+#[derive(Clone)]
+pub(super) struct GuidedState {
+    fitter: GpFitter,
+    rng: Rng,
+    /// How many *history* observations the fitter has ingested. Tracked
+    /// separately from `fitter.len()` because a warm-started fitter also
+    /// holds prior observations that are not part of this session's
+    /// history.
+    pub(super) fed: usize,
+    /// The fit schedule: `feeds[i]` is how much history the fitter had
+    /// ingested when fit `i` ran, so `feeds.len()` is the number of fits
+    /// so far. An evicted session's fitter is rebuilt by replaying
+    /// exactly this schedule ([`FrozenGuided::thaw`]), which reproduces
+    /// the full-vs-incremental refit sequence — and therefore the
+    /// proposal stream — bit for bit.
+    pub(super) feeds: Vec<usize>,
+}
+
+impl GuidedState {
+    /// A fresh proposal state whose fitter holds the warm-start prior and
+    /// no history yet. Prior points are part of the fitter but never of
+    /// `fed`, which indexes history alone.
+    fn new(prior: &PriorBundle, rng: Rng) -> relm_common::Result<Self> {
+        // Long-lived sessions can accumulate histories in the hundreds;
+        // the large-n policy keeps per-step fit cost flat there while
+        // leaving smaller histories (below the sparse threshold)
+        // byte-identical to the exact path.
+        let mut fitter = GpFitter::default().with_policy(SparsePolicy::large_n());
+        for (x, y) in &prior.gp_obs {
+            fitter.observe(x.clone(), *y)?;
+        }
+        Ok(GuidedState {
+            fitter,
+            rng,
+            fed: 0,
+            feeds: Vec::new(),
+        })
+    }
+
+    /// Feeds the fitter the observations of `history` it has not seen
+    /// yet, in history order, encoded into the space's unit hypercube.
+    fn feed(&mut self, space: &ConfigSpace, history: &[Observation]) -> relm_common::Result<()> {
+        for obs in &history[self.fed..] {
+            self.fitter
+                .observe(space.encode(&obs.config).to_vec(), obs.score_mins)?;
+        }
+        self.fed = history.len();
+        Ok(())
+    }
+
+    /// Runs the next fit of the schedule and records it: every
+    /// [`GUIDED_REFIT_PERIOD`]-th fit (and the first) re-tunes from
+    /// scratch, seeded by `seed` and the fit count; the fits in between
+    /// are incremental.
+    fn fit(&mut self, seed: u64) -> relm_common::Result<Gp> {
+        let fits = self.feeds.len();
+        let gp = if !self.fitter.has_fit() || fits.is_multiple_of(GUIDED_REFIT_PERIOD) {
+            self.fitter.fit_full(seed ^ ((fits as u64) << 8))?
+        } else {
+            self.fitter.refit()?
+        };
+        self.feeds.push(self.fed);
+        Ok(gp)
+    }
+
+    /// What survives eviction: the fitter is dropped, the schedule and
+    /// the RNG are kept.
+    pub(super) fn freeze(self) -> FrozenGuided {
+        FrozenGuided {
+            rng: self.rng,
+            feeds: self.feeds,
+        }
+    }
+}
+
+/// What survives of a [`GuidedState`] across eviction: the fitter (the
+/// memory-heavy part — Gram matrices and Cholesky factors) is dropped and
+/// rebuilt at resume by replaying the recorded fit schedule against the
+/// resumed history; the RNG and schedule carry over verbatim, so the
+/// proposal stream continues bit-identically.
+pub(super) struct FrozenGuided {
+    rng: Rng,
+    feeds: Vec<usize>,
+}
+
+impl FrozenGuided {
+    /// Rebuilds the proposal state by replaying the recorded fit schedule
+    /// against the resumed history: same prior, same observation order,
+    /// same full-vs-incremental refit sequence, same seeds — so the
+    /// fitter (and with the carried-over RNG, the proposal stream) comes
+    /// back bit-identical.
+    pub(super) fn thaw(
+        &self,
+        prior: &PriorBundle,
+        space: &ConfigSpace,
+        guided_seed: u64,
+        history: &[Observation],
+    ) -> relm_common::Result<GuidedState> {
+        let mut guided = GuidedState::new(prior, self.rng.clone())?;
+        for &upto in &self.feeds {
+            guided.feed(space, &history[..upto])?;
+            guided.fit(guided_seed)?;
+        }
+        Ok(guided)
+    }
+}
+
+/// One guided batch in the making: everything it is computed from,
+/// copied out of an idle session under the state lock so that the fit
+/// and EI can run without it.
+pub(super) struct Proposal {
+    /// A copy of the session's proposal state, fed the settled history;
+    /// it replaces the session's own only if the batch is admitted.
+    pub(super) guided: GuidedState,
+    space: ConfigSpace,
+    seed: u64,
+    /// The EI threshold.
+    tau: f64,
+    /// The prior's best point, proposed first by a warm session that has
+    /// no history yet.
+    incumbent: Option<Vec<f64>>,
+}
+
+impl Proposal {
+    /// Reads an idle session: checks it has enough history (or prior) to
+    /// fit, and feeds a copy of its proposal state — built on first use —
+    /// the settled history.
+    fn prepare(sess: &Session) -> Result<Self, String> {
+        let history = sess
+            .env
+            .as_ref()
+            .expect("idle session owns its env")
+            .history();
+        // A warm-started session's prior observations count toward the
+        // fit minimum: with a usable prior, guided steps can run from
+        // evaluation zero.
+        if history.len() + sess.prior.gp_obs.len() < GUIDED_MIN_HISTORY {
+            return Err(format!(
+                "guided steps need at least {GUIDED_MIN_HISTORY} completed \
+                 evaluations, session `{}` has {}",
+                sess.name,
+                history.len()
+            ));
+        }
+        let fit_failed = |e: relm_common::Error| format!("guided fit failed: {e}");
+        let mut guided = match &sess.guided {
+            Some(g) => g.clone(),
+            None => {
+                GuidedState::new(&sess.prior, Rng::new(sess.guided_seed)).map_err(fit_failed)?
+            }
+        };
+        guided.feed(&sess.space, history).map_err(fit_failed)?;
+        Ok(Proposal {
+            guided,
+            space: sess.space.clone(),
+            seed: sess.guided_seed,
+            // The EI threshold folds in the prior's best score, so the
+            // first warm proposals already aim below what similar past
+            // sessions achieved.
+            tau: history
+                .iter()
+                .fold(sess.prior.best_y().unwrap_or(f64::INFINITY), |t, obs| {
+                    t.min(obs.score_mins)
+                }),
+            // Incumbent transfer: before any evaluation has settled, the
+            // first warm proposal re-evaluates the prior's best-known
+            // point rather than trusting the surrogate to re-discover it.
+            incumbent: if history.is_empty() {
+                sess.prior.best_x().map(|x| x.to_vec())
+            } else {
+                None
+            },
+        })
+    }
+
+    /// Runs the next fit of the schedule and proposes `evals`
+    /// configurations by maximizing EI, advancing the copy's RNG.
+    pub(super) fn run(&mut self, obs: &Obs, evals: u32) -> Result<Vec<MemoryConfig>, String> {
+        let guided = &mut self.guided;
+        let before = guided.fitter.stats();
+        let fit_started = Instant::now();
+        let gp = guided
+            .fit(self.seed)
+            .map_err(|e| format!("guided fit failed: {e}"))?;
+        obs.record(
+            "surrogate.fit_ms",
+            fit_started.elapsed().as_secs_f64() * 1e3,
+        );
+        let stats = guided.fitter.stats();
+        obs.add(
+            "surrogate.gram_reuse",
+            (stats.gram_reused_dims - before.gram_reused_dims) as f64,
+        );
+        obs.add(
+            "surrogate.incremental_fits",
+            (stats.incremental_fits - before.incremental_fits) as f64,
+        );
+        obs.add(
+            "surrogate.chol_jitter_retries",
+            (stats.chol_jitter_retries - before.chol_jitter_retries) as f64,
+        );
+        obs.inc("serve.guided.batches");
+        Ok((0..evals)
+            .map(|i| match (i, &self.incumbent) {
+                (0, Some(x)) => self.space.decode(x),
+                _ => {
+                    let (x, _ei) = maximize_ei(&gp, DIMS, self.tau, &mut guided.rng);
+                    self.space.decode(&x)
+                }
+            })
+            .collect())
+    }
+}
+
+/// The guided step's entry gate, run at both of its lock acquisitions: the
+/// service must still admit work, and an evicted session comes home so
+/// its history can be read.
+fn guided_home_locked(shared: &Shared, state: &mut State, session: &str) -> Result<(), String> {
+    if state.draining || state.stopped {
+        return Err("service is draining".into());
+    }
+    if state.sessions.get(session).is_some_and(|s| s.evicted) {
+        resume_session(shared, state, session)?;
+    }
+    Ok(())
+}
+
+/// The refusal of a guided step on a session that has (or gained) work.
+pub(super) fn not_idle(session: &str) -> Response {
+    Response::Error {
+        message: format!("session `{session}` must be idle for guided steps (join first)"),
+    }
+}
+
+impl Service {
     /// Graceful shutdown: stop admitting, run the backlog dry, checkpoint
     /// every session, then stop the workers.
     ///
@@ -1367,7 +2055,7 @@ impl Service {
     /// [`FleetRouter::drain_assist`] runs every queued or orphaned task
     /// to completion (locally if no live worker will take it) before the
     /// tally below — a draining service never drops a leased task.
-    fn drain(&self) -> Response {
+    pub(super) fn drain(&self) -> Response {
         let shared = &self.shared;
         {
             let mut state = shared.state.lock().expect("service state poisoned");
@@ -1381,7 +2069,7 @@ impl Service {
         }
         let reassignments = router.map_or(0, |r| r.reassignments());
         let mut state = shared.state.lock().expect("service state poisoned");
-        while state.global_pending > 0 || state.running > 0 {
+        while !state.sched.idle() {
             state = shared.done.wait(state).expect("service state poisoned");
         }
         // Quiescent: every environment is home or evicted to disk. Bring
@@ -1490,606 +2178,6 @@ impl Service {
             resumes,
         }
     }
-
-    /// Leases the next ready evaluation for external execution (fleet
-    /// mode). Pops the front ready session's next queued configuration,
-    /// marks the session running (its environment stays home, so status
-    /// and guided-step gating behave exactly as with an in-process
-    /// worker), and snapshots everything a remote worker needs. Returns
-    /// `None` when nothing is ready or the service has stopped. Every
-    /// lease must come back through [`Service::commit_lease`].
-    pub fn lease_next(&self) -> Option<EvalLease> {
-        let shared = &self.shared;
-        let mut state = shared.state.lock().expect("service state poisoned");
-        if state.stopped {
-            return None;
-        }
-        loop {
-            let name = state.pop_ready()?;
-            // Leasing snapshots the environment's seed chain, so an
-            // evicted session must come home first.
-            if let Err(_message) = resume_session(shared, &mut state, &name) {
-                fail_session_locked(shared, &mut state, &name);
-                shared.done.notify_all();
-                continue;
-            }
-            let sess = state
-                .sessions
-                .get_mut(&name)
-                .expect("ready session is registered");
-            sess.queued = false;
-            let item = sess
-                .pending
-                .pop_front()
-                .expect("ready session has pending work");
-            let priority = sess.priority;
-            let env = sess.env.as_mut().expect("idle session owns its env");
-            let lease = EvalLease {
-                session: name.clone(),
-                config: item.config,
-                seed: env.next_seed(),
-                key: env.eval_key(&item.config),
-                app: env.app().clone(),
-                cluster: env.engine().cluster().clone(),
-                cost: *env.engine().cost_model(),
-                retry: *env.retry_policy(),
-                faults: env.engine().faults().cloned(),
-                priority,
-                trace: item.trace,
-                enqueued_us: item.enqueued_us,
-                enqueued_at: item.enqueued_at,
-            };
-            sess.running = true;
-            state.global_pending -= 1;
-            state.pending_by_class[priority.index()] -= 1;
-            state.running += 1;
-            shared.refresh_gauges(&state);
-            return Some(lease);
-        }
-    }
-
-    /// Commits a lease: lands the evaluation in the session's history and
-    /// releases the session for its next queued evaluation.
-    ///
-    /// With `Some(outcome)` — a remote worker's result — the outcome is
-    /// first inserted into the shared cache under the lease's key; the
-    /// session's environment then *replays* it (seed chain, retry time,
-    /// counter deltas, re-scoring against the current penalty baseline),
-    /// which is byte-identical to having evaluated locally. With `None`
-    /// the environment evaluates through the cache directly: a hit
-    /// replays an outcome that already landed (cross-worker dedup, or a
-    /// reassigned task whose first assignee delivered late); a miss runs
-    /// the evaluation live in this process (the drain-assist path).
-    ///
-    /// Either way the commit is at-most-once *per lease*: the caller (the
-    /// fleet center's task table) guarantees a lease enters this method
-    /// exactly once, and the content-addressed key guarantees the same
-    /// cell is never paid for twice across workers.
-    pub fn commit_lease(&self, lease: EvalLease, outcome: Option<CachedEval>) {
-        let shared = &self.shared;
-        if let Some(eval) = outcome {
-            shared.cache.insert(lease.key, eval);
-        }
-        let (env, flight) = {
-            let mut state = shared.state.lock().expect("service state poisoned");
-            let sess = state
-                .sessions
-                .get_mut(&lease.session)
-                .expect("leased session is registered");
-            (
-                sess.env.take().expect("leased session keeps its env"),
-                Arc::clone(&sess.flight),
-            )
-        };
-        let item = QueuedEval {
-            config: lease.config,
-            trace: lease.trace,
-            enqueued_us: lease.enqueued_us,
-            enqueued_at: lease.enqueued_at,
-        };
-        run_session_eval(shared, &lease.session, env, item, flight);
-    }
-
-    /// True when no evaluation is pending or in flight — the condition
-    /// `Drain` waits for. The fleet center's drain-assist polls this to
-    /// close the race between a worker's final commit (which may ready
-    /// another evaluation) and its own exit check.
-    pub fn quiesced(&self) -> bool {
-        let state = self.shared.state.lock().expect("service state poisoned");
-        state.global_pending == 0 && state.running == 0
-    }
-
-    /// True if the lease's outcome already sits in the shared cache —
-    /// i.e. committing it needs no worker at all. Probed by the fleet
-    /// center before assigning, so two workers never pay for the same
-    /// (workload, config, seed, fault-plan) cell.
-    pub fn outcome_cached(&self, lease: &EvalLease) -> bool {
-        self.shared.cache.contains(&lease.key)
-    }
-
-    /// Inserts a late or deposed worker's outcome into the shared cache
-    /// without committing anything: the reassigned run of the same cell
-    /// will replay it instead of paying again. First write wins — a cell
-    /// already present is left untouched.
-    pub fn warm_cache(&self, key: EvalKey, eval: CachedEval) {
-        if !self.shared.cache.contains(&key) {
-            self.shared.cache.insert(key, eval);
-        }
-    }
-
-    /// Stops the pool (draining first if the caller didn't) and joins the
-    /// worker threads.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("service state poisoned");
-            state.stopped = true;
-        }
-        self.shared.work.notify_all();
-        self.shared.done.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// The worker loop: pull the next scheduled session (deficit-weighted
-/// round-robin across priority classes), run exactly one of its pending
-/// evaluations, hand the session back to the scheduler.
-///
-/// The worker re-enters the trace scope carried with the queued item, so
-/// the queue-wait and evaluate spans it opens join the spans the handler
-/// thread recorded for the same request — one trace stitches TCP accept →
-/// admission → queue wait → evaluation across threads.
-fn worker_loop(shared: &Shared) {
-    loop {
-        let (name, env, item, flight) = {
-            let mut state = shared.state.lock().expect("service state poisoned");
-            loop {
-                if state.stopped {
-                    return;
-                }
-                if state.paused {
-                    state = shared.work.wait(state).expect("service state poisoned");
-                    continue;
-                }
-                if let Some(name) = state.pop_ready() {
-                    // An evicted session readied by a post-eviction step:
-                    // bring its environment home before running. A failed
-                    // resume fails the session like a cancel so joiners
-                    // wake instead of hanging on lost work.
-                    if resume_session(shared, &mut state, &name).is_err() {
-                        fail_session_locked(shared, &mut state, &name);
-                        shared.done.notify_all();
-                        continue;
-                    }
-                    let sess = state
-                        .sessions
-                        .get_mut(&name)
-                        .expect("ready session is registered");
-                    sess.queued = false;
-                    let item = sess
-                        .pending
-                        .pop_front()
-                        .expect("ready session has pending work");
-                    let env = sess.env.take().expect("idle session owns its env");
-                    let flight = Arc::clone(&sess.flight);
-                    let cls = sess.priority.index();
-                    sess.running = true;
-                    state.global_pending -= 1;
-                    state.pending_by_class[cls] -= 1;
-                    state.running += 1;
-                    shared.refresh_gauges(&state);
-                    break (name, env, item, flight);
-                }
-                state = shared.work.wait(state).expect("service state poisoned");
-            }
-        };
-        run_session_eval(shared, &name, env, item, flight);
-    }
-}
-
-/// Runs one dequeued evaluation through a session's environment and
-/// publishes the completion: spans, SLO accounting, fault dumps, the
-/// session's status mirrors, and rescheduling. Shared by the in-process
-/// worker pool and the fleet commit path ([`Service::commit_lease`]) —
-/// in the latter the "evaluation" is usually a cache replay of a remote
-/// worker's outcome, which takes the identical route through
-/// `env.evaluate`, so both modes publish completions the same way.
-fn run_session_eval(
-    shared: &Shared,
-    name: &str,
-    mut env: TuningEnv,
-    item: QueuedEval,
-    flight: Arc<FlightRecorder>,
-) {
-    let _scope = trace::enter(item.trace);
-    // The queue-wait span covers enqueue (stamped on the handler
-    // thread, carried with the item) to dequeue (now).
-    let wait_ms = item.enqueued_at.elapsed().as_secs_f64() * 1e3;
-    let wait_span = shared
-        .obs
-        .span_at("serve.queue_wait", item.enqueued_us)
-        .with("session", name);
-    if let Some(record) = wait_span.finish() {
-        flight.record_span(record);
-    }
-    shared.obs.record("serve.queue_wait_ms", wait_ms);
-
-    let start = Instant::now();
-    let (observation, eval_span) = {
-        let mut span = shared.obs.span("serve.evaluate");
-        span.set("session", name);
-        let observation = env.evaluate(&item.config);
-        if observation.is_censored() {
-            span.set("aborted", true);
-            if let Some(cause) = observation.result.abort_cause {
-                span.set("abort_cause", cause.as_str());
-            }
-        }
-        (observation, span.finish())
-    };
-    let latency_ms = start.elapsed().as_secs_f64() * 1e3;
-    if let Some(record) = eval_span {
-        flight.record_span(record);
-    }
-    // Ordering matters for scrape consistency: histogram, then the
-    // SLO tracker (which bumps `serve.slo.evaluations`), then the
-    // cumulative counter — so any concurrent scrape observes
-    // `serve.slo.evaluations >= serve.evaluations`.
-    shared.obs.record("serve.evaluate_ms", latency_ms);
-    shared
-        .slo
-        .record_eval(&shared.obs, latency_ms, observation.is_censored());
-    shared.obs.inc("serve.evaluations");
-
-    // Cost attribution, read while the environment is still in hand.
-    let stress_time_ms = env.stress_time().as_ms();
-    let retries = env.total_retries();
-    let evalcache_hits = env.cache_hits();
-
-    // A censored (abort-cause) evaluation freezes the session's
-    // flight recorder — the complete trace of the failed request.
-    // Written *before* the completion is published to the session
-    // state, so any observer that sees the censored count (a joiner,
-    // the drain report, a reconciliation script) can rely on the dump
-    // already being on disk. No lock is held during the write.
-    if observation.is_censored() {
-        flight.record(FlightEvent::Protocol {
-            trace: item.trace,
-            event: "abort".to_string(),
-            at_us: shared.obs.now_us(),
-            detail: observation
-                .result
-                .abort_cause
-                .map(|c| c.as_str().to_string())
-                .unwrap_or_default(),
-        });
-        if let Some(dir) = &shared.config.flightrec_dir {
-            let dump = flight.dump(name, "fault");
-            match relm_obs::save_dump(dir, &dump) {
-                Ok(_) => shared.obs.inc("serve.flightrec.dumps"),
-                Err(_) => shared.obs.inc("serve.flightrec.errors"),
-            }
-        }
-    }
-
-    let mut state = shared.state.lock().expect("service state poisoned");
-    state.running -= 1;
-    state.evaluations += 1;
-    let epoch = state.evaluations;
-    let sess = state
-        .sessions
-        .get_mut(name)
-        .expect("running session is registered");
-    sess.completed += 1;
-    if observation.is_censored() {
-        sess.censored += 1;
-    }
-    sess.best_score_mins = Some(match sess.best_score_mins {
-        Some(best) => best.min(observation.score_mins),
-        None => observation.score_mins,
-    });
-    sess.stress_time_ms = stress_time_ms;
-    sess.retries = retries;
-    // The environment's live counter resets on an evict/resume cycle;
-    // the base keeps the mirror monotone across any number of them.
-    sess.evalcache_hits = sess.evalcache_hits_base + evalcache_hits;
-    sess.queue_wait_ms += wait_ms;
-    sess.last_active = epoch;
-    sess.env = Some(env);
-    sess.running = false;
-    if !sess.pending.is_empty() && !sess.cancelled && !sess.queued {
-        sess.queued = true;
-        let name = sess.name.clone();
-        let cls = sess.priority.index();
-        state.ready[cls].push_back(name);
-        shared.work.notify_all();
-    }
-    // Completions advance the eviction epoch clock: sweep for sessions
-    // gone cold while this one worked.
-    maybe_evict_locked(shared, &mut state);
-    shared.refresh_gauges(&state);
-    drop(state);
-    shared.done.notify_all();
-}
-
-/// Builds the per-session engine from a spec — the same construction for
-/// a fresh session and for a resume from an eviction checkpoint, so a
-/// resumed environment evaluates exactly as the original would have.
-fn build_engine(shared: &Shared, spec: &SessionSpec) -> Engine {
-    let mut engine = Engine::new(ClusterSpec::cluster_a()).with_obs(shared.obs.clone());
-    if let (Some(seed), Some(faults)) = (spec.fault_seed, spec.faults) {
-        engine = engine.with_faults(FaultPlan::new(seed, faults));
-    }
-    engine
-}
-
-/// Builds the per-session engine + environment from a spec.
-fn build_env(shared: &Shared, spec: &SessionSpec) -> Result<TuningEnv, String> {
-    let app = match &spec.app {
-        Some(app) => app.clone(),
-        None => resolve_workload(&spec.workload)
-            .ok_or_else(|| format!("unknown workload `{}`", spec.workload))?,
-    };
-    let engine = build_engine(shared, spec);
-    let mut env = TuningEnv::new(engine, app, spec.base_seed);
-    if let Some(retry) = spec.retry {
-        env = env.with_retry_policy(retry);
-    }
-    if spec.use_cache || shared.config.execution == Execution::External {
-        // Fleet mode rides on the cache unconditionally: remote
-        // outcomes land in the shared cache and commit by *replaying*
-        // through the session's environment — the same path a warm
-        // local run takes, proven byte-identical to a live one.
-        env = env.with_cache(shared.cache.clone());
-    }
-    Ok(env)
-}
-
-/// Checkpoints one idle session to `<dir>/<name>.evict.json` and unloads
-/// its environment (and the memory-heavy part of its guided state). On
-/// any failure the session is left exactly as it was, environment home.
-fn evict_one_locked(shared: &Shared, state: &mut State, name: &str) -> Result<String, String> {
-    let Some(dir) = shared.config.evict_dir() else {
-        return Err("no eviction directory configured (set evict_dir or checkpoint_dir)".into());
-    };
-    let dir = dir.clone();
-    let Some(sess) = state.sessions.get_mut(name) else {
-        return Err(format!("unknown session `{name}`"));
-    };
-    if sess.evicted {
-        return Err(format!("session `{name}` is already evicted"));
-    }
-    if sess.running || !sess.pending.is_empty() {
-        return Err(format!(
-            "session `{name}` must be idle to evict (join first)"
-        ));
-    }
-    let Some(env) = sess.env.take() else {
-        return Err(format!("session `{name}` owns no environment"));
-    };
-    if std::fs::create_dir_all(&dir).is_err() {
-        sess.env = Some(env);
-        shared.obs.inc("serve.evict_errors");
-        return Err(format!(
-            "cannot create eviction directory `{}`",
-            dir.display()
-        ));
-    }
-    let path = dir.join(format!("{name}.evict.json"));
-    let ckpt = SessionCheckpoint::capture(&env);
-    match ckpt.save_tagged(&path, name) {
-        Ok(()) => {
-            // The restored environment's cache-hit counter restarts at
-            // zero; bank what's accrued so the mirror stays monotone.
-            sess.evalcache_hits_base = sess.evalcache_hits;
-            sess.frozen_guided = sess.guided.take().map(|g| FrozenGuided {
-                rng: g.rng,
-                fits: g.fits,
-                feeds: g.feeds,
-            });
-            sess.evicted = true;
-            state.evictions += 1;
-            shared.obs.inc("serve.evictions");
-            Ok(path.display().to_string())
-        }
-        Err(e) => {
-            sess.env = Some(env);
-            shared.obs.inc("serve.evict_errors");
-            Err(format!("eviction checkpoint failed: {e}"))
-        }
-    }
-}
-
-/// The automatic eviction sweep, run on every completion when
-/// [`ServeConfig::evict_after_evals`] is set: any session that completed
-/// work but has been idle for a full epoch window is checkpointed out.
-/// Purely an epoch-clock policy — no wall time touches the decision.
-fn maybe_evict_locked(shared: &Shared, state: &mut State) {
-    let window = shared.config.evict_after_evals;
-    if window == 0 || shared.config.evict_dir().is_none() {
-        return;
-    }
-    let epoch = state.evaluations;
-    let victims: Vec<String> = state
-        .sessions
-        .values()
-        .filter(|s| {
-            !s.evicted
-                && s.env.is_some()
-                && !s.running
-                && s.pending.is_empty()
-                && s.completed > 0
-                && epoch.saturating_sub(s.last_active) >= window
-        })
-        .map(|s| s.name.clone())
-        .collect();
-    for name in victims {
-        // Failures (checkpoint unwritable) leave the session live and
-        // are counted under `serve.evict_errors`.
-        let _ = evict_one_locked(shared, state, &name);
-    }
-}
-
-/// The guided step's entry gate, run at both of its lock acquisitions: the
-/// service must still admit work, and an evicted session comes home so
-/// its history can be read.
-fn guided_home_locked(shared: &Shared, state: &mut State, session: &str) -> Result<(), String> {
-    if state.draining || state.stopped {
-        return Err("service is draining".into());
-    }
-    if state.sessions.get(session).is_some_and(|s| s.evicted) {
-        resume_session(shared, state, session)?;
-    }
-    Ok(())
-}
-
-/// The refusal of a guided step on a session that has (or gained) work.
-fn not_idle(session: &str) -> Response {
-    Response::Error {
-        message: format!("session `{session}` must be idle for guided steps (join first)"),
-    }
-}
-
-/// Rebuilds an evicted session's guided-proposal state by replaying its
-/// recorded fit schedule against the resumed history: same prior, same
-/// observation order, same full-vs-incremental refit sequence, same
-/// seeds — so the fitter (and with the carried-over RNG, the proposal
-/// stream) comes back bit-identical.
-fn rebuild_guided(
-    frozen: &FrozenGuided,
-    prior: &PriorBundle,
-    space: &ConfigSpace,
-    guided_seed: u64,
-    history: &[Observation],
-) -> Result<GuidedState, String> {
-    let mut fitter = GpFitter::default().with_policy(SparsePolicy::large_n());
-    for (x, y) in &prior.gp_obs {
-        fitter
-            .observe(x.clone(), *y)
-            .map_err(|e| format!("guided rebuild failed: {e}"))?;
-    }
-    let mut fed = 0usize;
-    for (i, &upto) in frozen.feeds.iter().enumerate() {
-        for obs in &history[fed..upto] {
-            fitter
-                .observe(space.encode(&obs.config).to_vec(), obs.score_mins)
-                .map_err(|e| format!("guided rebuild failed: {e}"))?;
-        }
-        fed = upto;
-        let full = !fitter.has_fit() || i.is_multiple_of(GUIDED_REFIT_PERIOD);
-        let fitted = if full {
-            fitter.fit_full(guided_seed ^ ((i as u64) << 8))
-        } else {
-            fitter.refit()
-        };
-        if let Err(e) = fitted {
-            return Err(format!("guided rebuild failed: {e}"));
-        }
-    }
-    Ok(GuidedState {
-        fitter,
-        rng: frozen.rng.clone(),
-        fits: frozen.fits,
-        fed,
-        feeds: frozen.feeds.clone(),
-    })
-}
-
-/// Brings an evicted session home: loads its eviction checkpoint,
-/// rebuilds the engine from the retained spec, restores the environment
-/// (byte-identical history and seed chain — the [`SessionCheckpoint`]
-/// resume guarantee), re-applies the spec's retry policy and cache
-/// attachment (which `restore` resets), replays the guided fit schedule,
-/// and deletes the checkpoint file. No-op for live sessions. On error
-/// the session stays evicted and `serve.resume_errors` counts it; the
-/// caller decides whether to fail the session.
-fn resume_session(shared: &Shared, state: &mut State, name: &str) -> Result<(), String> {
-    let Some(sess) = state.sessions.get_mut(name) else {
-        return Err(format!("unknown session `{name}`"));
-    };
-    if !sess.evicted {
-        return Ok(());
-    }
-    let result = (|| -> Result<(TuningEnv, Option<GuidedState>), String> {
-        let dir = shared
-            .config
-            .evict_dir()
-            .ok_or_else(|| "no eviction directory configured".to_string())?;
-        let path = dir.join(format!("{name}.evict.json"));
-        let ckpt = SessionCheckpoint::load(&path)
-            .map_err(|e| format!("cannot load eviction checkpoint: {e}"))?;
-        let engine = build_engine(shared, &sess.spec);
-        let mut env = ckpt.resume(engine);
-        // `restore` resets the retry policy and detaches the cache;
-        // re-apply both from the retained spec, in creation order.
-        if let Some(retry) = sess.spec.retry {
-            env = env.with_retry_policy(retry);
-        }
-        if sess.spec.use_cache || shared.config.execution == Execution::External {
-            env = env.with_cache(shared.cache.clone());
-        }
-        let guided = match &sess.frozen_guided {
-            Some(frozen) => Some(rebuild_guided(
-                frozen,
-                &sess.prior,
-                &sess.space,
-                sess.guided_seed,
-                env.history(),
-            )?),
-            None => None,
-        };
-        Ok((env, guided))
-    })();
-    match result {
-        Ok((env, guided)) => {
-            if guided.is_some() {
-                sess.guided = guided;
-            }
-            sess.frozen_guided = None;
-            sess.env = Some(env);
-            sess.evicted = false;
-            if let Some(dir) = shared.config.evict_dir() {
-                let _ = std::fs::remove_file(dir.join(format!("{name}.evict.json")));
-            }
-            state.resumes += 1;
-            shared.obs.inc("serve.resumes");
-            Ok(())
-        }
-        Err(message) => {
-            shared.obs.inc("serve.resume_errors");
-            Err(message)
-        }
-    }
-}
-
-/// Fails a session whose eviction resume is permanently broken, exactly
-/// like a cancel: pending work is discarded (so the global queue and
-/// joiners move on) and new steps are refused.
-fn fail_session_locked(shared: &Shared, state: &mut State, name: &str) {
-    let Some(sess) = state.sessions.get_mut(name) else {
-        return;
-    };
-    let discarded = sess.pending.len();
-    sess.pending.clear();
-    sess.cancelled = true;
-    sess.queued = false;
-    let cls = sess.priority.index();
-    state.global_pending -= discarded;
-    state.pending_by_class[cls] -= discarded;
-    shared.obs.inc("serve.sessions.cancelled");
-    shared.obs.add("serve.discarded", discarded as f64);
-    shared.refresh_gauges(state);
 }
 
 /// Resolves a workload name against the benchmark suite
@@ -2929,5 +3017,43 @@ mod tests {
             }
             other => panic!("result failed: {other:?}"),
         }
+    }
+
+    /// With every class backlogged, each deficit-weighted round pulls 4
+    /// high, 2 normal and 1 low, in that order, FIFO within a class.
+    #[test]
+    fn dwrr_pulls_four_two_one_per_round_with_every_class_backlogged() {
+        let mut sched = Scheduler::new(8, 64);
+        for i in 0..8 {
+            for p in Priority::ALL {
+                sched.push_ready(p, format!("{}-{i}", p.as_str()));
+            }
+        }
+        let order: Vec<String> = (0..14).map(|_| sched.pop_ready().unwrap()).collect();
+        let expected = [
+            "high-0", "high-1", "high-2", "high-3", "normal-0", "normal-1", "low-0", //
+            "high-4", "high-5", "high-6", "high-7", "normal-2", "normal-3", "low-1",
+        ];
+        assert_eq!(order, expected);
+    }
+
+    /// A class that runs dry mid-round forfeits the rest of its credit:
+    /// readied again in the same round, it waits for the next one.
+    #[test]
+    fn dwrr_class_that_runs_dry_forfeits_its_remaining_credit() {
+        let mut sched = Scheduler::new(8, 64);
+        sched.push_ready(Priority::High, "h0".into());
+        for name in ["n0", "n1", "n2"] {
+            sched.push_ready(Priority::Normal, name.into());
+        }
+        assert_eq!(sched.pop_ready().as_deref(), Some("h0"));
+        // High ran dry with 3 of its 4 pulls left and forfeits them.
+        assert_eq!(sched.pop_ready().as_deref(), Some("n0"));
+        sched.push_ready(Priority::High, "h1".into());
+        assert_eq!(sched.pop_ready().as_deref(), Some("n1"));
+        // Normal spent its 2 pulls: the next round starts with high.
+        assert_eq!(sched.pop_ready().as_deref(), Some("h1"));
+        assert_eq!(sched.pop_ready().as_deref(), Some("n2"));
+        assert_eq!(sched.pop_ready(), None);
     }
 }
