@@ -49,31 +49,45 @@
 //! A session that sits idle while others work is a memory liability, not
 //! a correctness hazard — so when [`ServeConfig::evict_after_evals`] is
 //! set, the service checkpoints idle sessions via the proven
-//! [`SessionCheckpoint`] path and unloads their environments. The idle
-//! clock is *evaluation-count epochs*, never wall time: a session is cold
-//! once `evict_after_evals` service-wide completions have passed since it
-//! last finished one. An evicted session resumes transparently from its
+//! [`SessionCheckpoint`](relm_tune::SessionCheckpoint) path and unloads
+//! their environments. The idle clock is *evaluation-count epochs*, never
+//! wall time: a session is cold once `evict_after_evals` service-wide
+//! completions have passed since it last finished one. An evicted
+//! session resumes transparently from its
 //! checkpoint on the next request that needs its environment; the guided
 //! proposal state is rebuilt by replaying the exact fit schedule, so
 //! histories and proposals stay byte-identical across any number of
 //! evict/resume cycles (`serve.evictions` / `serve.resumes` count them).
+//!
+//! ## Layout
+//!
+//! [`Service`] is the facade. This module holds it, its configuration,
+//! the request handlers and the worker loop; each policy lives in a
+//! private submodule under the one state lock: `scheduler` (ready queues,
+//! DWRR, admission gate), `residency` (eviction and resume), `guided`
+//! (GP proposal state) and `drain` (graceful shutdown).
+
+mod drain;
+mod guided;
+mod residency;
+mod scheduler;
 
 use crate::protocol::{
     Priority, Request, Response, SessionSpec, SessionStatus, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::slo::SloTracker;
+use guided::{guided_home_locked, not_idle, FrozenGuided, GuidedState, Proposal};
 use relm_app::{AppSpec, Engine, EngineCostModel};
 use relm_cluster::ClusterSpec;
 use relm_common::{MemoryConfig, Rng};
 use relm_faults::FaultPlan;
-use relm_memory::{build_prior, normalize_label, MemoryStore, PriorBundle, SessionDigest};
+use relm_memory::{build_prior, normalize_label, MemoryStore, PriorBundle};
 use relm_obs::{trace, FlightEvent, FlightRecorder, Obs, DEFAULT_FLIGHT_CAPACITY};
-use relm_surrogate::{maximize_ei, Gp, GpFitter, SparsePolicy};
-use relm_tune::space::DIMS;
 use relm_tune::{
-    recommendation, session_export, CachedEval, ConfigSpace, EvalKey, Observation, RetryPolicy,
-    SessionCheckpoint, TuningEnv,
+    recommendation, session_export, CachedEval, ConfigSpace, EvalKey, RetryPolicy, TuningEnv,
 };
+use residency::{evict_one_locked, maybe_evict_locked, resume_session};
+use scheduler::Scheduler;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -400,174 +414,6 @@ impl Shared {
         self.obs
             .gauge("serve.sessions.active", state.sessions.len() as f64);
         state.sched.publish(&self.obs);
-    }
-}
-
-/// Who runs next, and whether a batch may queue at all: the ready
-/// sessions of each priority class under deficit-weighted round-robin,
-/// the pending and running counts, and the graduated admission gate.
-/// Plain data with no locks or threads; the service drives it under its
-/// state lock.
-pub(super) struct Scheduler {
-    /// Pending-evaluation bound per session.
-    session_limit: usize,
-    /// Pending-evaluation bound across all sessions.
-    global_limit: usize,
-    /// Ready sessions (pending work, idle environment), one FIFO queue
-    /// per priority class, indexed by [`Priority::index`]. Workers pull
-    /// through the deficit-weighted round-robin in
-    /// [`Scheduler::pop_ready`].
-    ready: [VecDeque<String>; 3],
-    /// Remaining scheduling credit per class in the current DWRR round.
-    credit: [u64; 3],
-    global_pending: usize,
-    /// Pending evaluations per priority class, indexed by
-    /// [`Priority::index`] — the `serve.queue.class.*` gauges.
-    pending_by_class: [usize; 3],
-    /// Evaluations currently on workers.
-    running: usize,
-}
-
-impl Scheduler {
-    pub(super) fn new(session_limit: usize, global_limit: usize) -> Self {
-        Scheduler {
-            session_limit,
-            global_limit,
-            ready: Default::default(),
-            credit: [0; 3],
-            global_pending: 0,
-            pending_by_class: [0; 3],
-            running: 0,
-        }
-    }
-
-    /// Pending evaluations across all sessions.
-    pub(super) fn pending(&self) -> usize {
-        self.global_pending
-    }
-
-    /// True when no evaluation is pending or running.
-    pub(super) fn idle(&self) -> bool {
-        self.global_pending == 0 && self.running == 0
-    }
-
-    /// The admission gate for `batch` more evaluations on a session of
-    /// class `priority` that already holds `session_pending`. `Err`
-    /// carries the reason: the session's own bound, or its class's share
-    /// of the global bound ([`Priority::admission_share`]), under which
-    /// low-priority traffic sees pushback first and high-priority steps
-    /// still land until the queue is truly full. A batch is admitted or
-    /// rejected whole.
-    pub(super) fn gate(
-        &self,
-        obs: &Obs,
-        priority: Priority,
-        session_pending: usize,
-        batch: usize,
-    ) -> Result<(), String> {
-        if session_pending + batch > self.session_limit {
-            return Err(format!(
-                "session queue limit ({}) exceeded",
-                self.session_limit
-            ));
-        }
-        let class_limit =
-            ((self.global_limit as f64) * priority.admission_share()).floor() as usize;
-        let class_limit = class_limit.max(1);
-        if self.global_pending + batch > class_limit {
-            obs.inc(&format!(
-                "serve.rejected.overloaded.class.{}",
-                priority.as_str()
-            ));
-            return Err(format!(
-                "global queue limit for {}-priority steps \
-                 ({class_limit} of {}) exceeded",
-                priority.as_str(),
-                self.global_limit
-            ));
-        }
-        Ok(())
-    }
-
-    /// Books `batch` admitted evaluations of class `priority`.
-    pub(super) fn enqueue(&mut self, priority: Priority, batch: usize) {
-        self.global_pending += batch;
-        self.pending_by_class[priority.index()] += batch;
-    }
-
-    /// Appends a session that has pending work and an idle environment
-    /// to the back of its class's ready queue.
-    pub(super) fn push_ready(&mut self, priority: Priority, name: String) {
-        self.ready[priority.index()].push_back(name);
-    }
-
-    /// Picks the next session to run by deficit-weighted round-robin.
-    ///
-    /// Each round grants every backlogged class its
-    /// [`Priority::weight`] in pulls; higher classes spend their credit
-    /// first, a class that runs dry forfeits the rest of its round, and
-    /// the round replenishes once no backlogged class has credit left.
-    /// Within a class, sessions rotate FIFO — with a single class in
-    /// play this degenerates to exactly the old fair round-robin.
-    pub(super) fn pop_ready(&mut self) -> Option<String> {
-        if self.ready.iter().all(|q| q.is_empty()) {
-            return None;
-        }
-        loop {
-            for cls in (0..self.ready.len()).rev() {
-                if self.credit[cls] == 0 {
-                    continue;
-                }
-                if let Some(name) = self.ready[cls].pop_front() {
-                    self.credit[cls] -= 1;
-                    return Some(name);
-                }
-                // Ran dry mid-round: forfeit, don't bank credit.
-                self.credit[cls] = 0;
-            }
-            // No creditable class has work: start a new round.
-            for p in Priority::ALL {
-                let cls = p.index();
-                self.credit[cls] = if self.ready[cls].is_empty() {
-                    0
-                } else {
-                    p.weight()
-                };
-            }
-        }
-    }
-
-    /// One pending evaluation of class `priority` moves onto a worker.
-    pub(super) fn start(&mut self, priority: Priority) {
-        self.global_pending -= 1;
-        self.pending_by_class[priority.index()] -= 1;
-        self.running += 1;
-    }
-
-    /// One running evaluation completed.
-    pub(super) fn finish(&mut self) {
-        self.running -= 1;
-    }
-
-    /// Drops a cancelled session's `discarded` pending evaluations and
-    /// takes it out of the ready queue.
-    pub(super) fn discard(&mut self, priority: Priority, name: &str, discarded: usize) {
-        let cls = priority.index();
-        self.ready[cls].retain(|s| s != name);
-        self.global_pending -= discarded;
-        self.pending_by_class[cls] -= discarded;
-    }
-
-    /// Publishes the queue-depth and busy-worker gauges.
-    pub(super) fn publish(&self, obs: &Obs) {
-        obs.gauge("serve.queue.global", self.global_pending as f64);
-        obs.gauge("serve.workers.busy", self.running as f64);
-        for p in Priority::ALL {
-            obs.gauge(
-                &format!("serve.queue.class.{}", p.as_str()),
-                self.pending_by_class[p.index()] as f64,
-            );
-        }
     }
 }
 
@@ -1660,526 +1506,6 @@ fn discard_locked(shared: &Shared, state: &mut State, name: &str) -> Option<usiz
     Some(discarded)
 }
 
-/// Checkpoints one idle session to `<dir>/<name>.evict.json` and unloads
-/// its environment (and the memory-heavy part of its guided state). On
-/// any failure the session is left exactly as it was, environment home.
-fn evict_one_locked(shared: &Shared, state: &mut State, name: &str) -> Result<String, String> {
-    let Some(dir) = shared.config.evict_dir() else {
-        return Err("no eviction directory configured (set evict_dir or checkpoint_dir)".into());
-    };
-    let dir = dir.clone();
-    let Some(sess) = state.sessions.get_mut(name) else {
-        return Err(format!("unknown session `{name}`"));
-    };
-    if sess.evicted {
-        return Err(format!("session `{name}` is already evicted"));
-    }
-    if sess.running || !sess.pending.is_empty() {
-        return Err(format!(
-            "session `{name}` must be idle to evict (join first)"
-        ));
-    }
-    let Some(env) = sess.env.take() else {
-        return Err(format!("session `{name}` owns no environment"));
-    };
-    if std::fs::create_dir_all(&dir).is_err() {
-        sess.env = Some(env);
-        shared.obs.inc("serve.evict_errors");
-        return Err(format!(
-            "cannot create eviction directory `{}`",
-            dir.display()
-        ));
-    }
-    let path = dir.join(format!("{name}.evict.json"));
-    let ckpt = SessionCheckpoint::capture(&env);
-    match ckpt.save_tagged(&path, name) {
-        Ok(()) => {
-            // The restored environment's cache-hit counter restarts at
-            // zero; bank what's accrued so the mirror stays monotone.
-            sess.evalcache_hits_base = sess.evalcache_hits;
-            sess.frozen_guided = sess.guided.take().map(GuidedState::freeze);
-            sess.evicted = true;
-            state.evictions += 1;
-            shared.obs.inc("serve.evictions");
-            Ok(path.display().to_string())
-        }
-        Err(e) => {
-            sess.env = Some(env);
-            shared.obs.inc("serve.evict_errors");
-            Err(format!("eviction checkpoint failed: {e}"))
-        }
-    }
-}
-
-/// The automatic eviction sweep, run on every completion when
-/// [`ServeConfig::evict_after_evals`] is set: any session that completed
-/// work but has been idle for a full epoch window is checkpointed out.
-/// Purely an epoch-clock policy — no wall time touches the decision.
-fn maybe_evict_locked(shared: &Shared, state: &mut State) {
-    let window = shared.config.evict_after_evals;
-    if window == 0 || shared.config.evict_dir().is_none() {
-        return;
-    }
-    let epoch = state.evaluations;
-    let victims: Vec<String> = state
-        .sessions
-        .values()
-        .filter(|s| {
-            !s.evicted
-                && s.env.is_some()
-                && !s.running
-                && s.pending.is_empty()
-                && s.completed > 0
-                && epoch.saturating_sub(s.last_active) >= window
-        })
-        .map(|s| s.name.clone())
-        .collect();
-    for name in victims {
-        // Failures (checkpoint unwritable) leave the session live and
-        // are counted under `serve.evict_errors`.
-        let _ = evict_one_locked(shared, state, &name);
-    }
-}
-
-/// Brings an evicted session home: loads its eviction checkpoint,
-/// rebuilds the engine from the retained spec, restores the environment
-/// (byte-identical history and seed chain — the [`SessionCheckpoint`]
-/// resume guarantee), re-applies the spec's retry policy and cache
-/// attachment (which `restore` resets), replays the guided fit schedule,
-/// and deletes the checkpoint file. No-op for live sessions. On error
-/// the session stays evicted and `serve.resume_errors` counts it; the
-/// caller decides whether to fail the session.
-fn resume_session(shared: &Shared, state: &mut State, name: &str) -> Result<(), String> {
-    let Some(sess) = state.sessions.get_mut(name) else {
-        return Err(format!("unknown session `{name}`"));
-    };
-    if !sess.evicted {
-        return Ok(());
-    }
-    let result = (|| -> Result<(TuningEnv, Option<GuidedState>), String> {
-        let dir = shared
-            .config
-            .evict_dir()
-            .ok_or_else(|| "no eviction directory configured".to_string())?;
-        let path = dir.join(format!("{name}.evict.json"));
-        let ckpt = SessionCheckpoint::load(&path)
-            .map_err(|e| format!("cannot load eviction checkpoint: {e}"))?;
-        let engine = build_engine(shared, &sess.spec);
-        let env = attach_spec(shared, &sess.spec, ckpt.resume(engine));
-        let guided = match &sess.frozen_guided {
-            Some(frozen) => Some(
-                frozen
-                    .thaw(&sess.prior, &sess.space, sess.guided_seed, env.history())
-                    .map_err(|e| format!("guided rebuild failed: {e}"))?,
-            ),
-            None => None,
-        };
-        Ok((env, guided))
-    })();
-    match result {
-        Ok((env, guided)) => {
-            if guided.is_some() {
-                sess.guided = guided;
-            }
-            sess.frozen_guided = None;
-            sess.env = Some(env);
-            sess.evicted = false;
-            if let Some(dir) = shared.config.evict_dir() {
-                let _ = std::fs::remove_file(dir.join(format!("{name}.evict.json")));
-            }
-            state.resumes += 1;
-            shared.obs.inc("serve.resumes");
-            Ok(())
-        }
-        Err(message) => {
-            shared.obs.inc("serve.resume_errors");
-            Err(message)
-        }
-    }
-}
-
-/// Completed evaluations a session needs before `StepGuided` can fit its
-/// surrogate.
-const GUIDED_MIN_HISTORY: usize = 4;
-/// Every K-th guided fit re-tunes the GP hyperparameters from scratch; the
-/// fits in between extend the stored Cholesky factor incrementally
-/// (bit-identical to a from-scratch fit at the retained hyperparameters).
-const GUIDED_REFIT_PERIOD: usize = 4;
-
-/// Deterministic GP proposal state behind `StepGuided`.
-///
-/// A pure function of the session spec and the *settled* history: the
-/// fitter ingests encoded observations in history order, and the RNG
-/// advances only when a batch is admitted (clone-compute-commit, exactly
-/// like the auto sampler) — so rejected requests never shift the stream.
-#[derive(Clone)]
-pub(super) struct GuidedState {
-    fitter: GpFitter,
-    rng: Rng,
-    /// How many *history* observations the fitter has ingested. Tracked
-    /// separately from `fitter.len()` because a warm-started fitter also
-    /// holds prior observations that are not part of this session's
-    /// history.
-    pub(super) fed: usize,
-    /// The fit schedule: `feeds[i]` is how much history the fitter had
-    /// ingested when fit `i` ran, so `feeds.len()` is the number of fits
-    /// so far. An evicted session's fitter is rebuilt by replaying
-    /// exactly this schedule ([`FrozenGuided::thaw`]), which reproduces
-    /// the full-vs-incremental refit sequence — and therefore the
-    /// proposal stream — bit for bit.
-    pub(super) feeds: Vec<usize>,
-}
-
-impl GuidedState {
-    /// A fresh proposal state whose fitter holds the warm-start prior and
-    /// no history yet. Prior points are part of the fitter but never of
-    /// `fed`, which indexes history alone.
-    fn new(prior: &PriorBundle, rng: Rng) -> relm_common::Result<Self> {
-        // Long-lived sessions can accumulate histories in the hundreds;
-        // the large-n policy keeps per-step fit cost flat there while
-        // leaving smaller histories (below the sparse threshold)
-        // byte-identical to the exact path.
-        let mut fitter = GpFitter::default().with_policy(SparsePolicy::large_n());
-        for (x, y) in &prior.gp_obs {
-            fitter.observe(x.clone(), *y)?;
-        }
-        Ok(GuidedState {
-            fitter,
-            rng,
-            fed: 0,
-            feeds: Vec::new(),
-        })
-    }
-
-    /// Feeds the fitter the observations of `history` it has not seen
-    /// yet, in history order, encoded into the space's unit hypercube.
-    fn feed(&mut self, space: &ConfigSpace, history: &[Observation]) -> relm_common::Result<()> {
-        for obs in &history[self.fed..] {
-            self.fitter
-                .observe(space.encode(&obs.config).to_vec(), obs.score_mins)?;
-        }
-        self.fed = history.len();
-        Ok(())
-    }
-
-    /// Runs the next fit of the schedule and records it: every
-    /// [`GUIDED_REFIT_PERIOD`]-th fit (and the first) re-tunes from
-    /// scratch, seeded by `seed` and the fit count; the fits in between
-    /// are incremental.
-    fn fit(&mut self, seed: u64) -> relm_common::Result<Gp> {
-        let fits = self.feeds.len();
-        let gp = if !self.fitter.has_fit() || fits.is_multiple_of(GUIDED_REFIT_PERIOD) {
-            self.fitter.fit_full(seed ^ ((fits as u64) << 8))?
-        } else {
-            self.fitter.refit()?
-        };
-        self.feeds.push(self.fed);
-        Ok(gp)
-    }
-
-    /// What survives eviction: the fitter is dropped, the schedule and
-    /// the RNG are kept.
-    pub(super) fn freeze(self) -> FrozenGuided {
-        FrozenGuided {
-            rng: self.rng,
-            feeds: self.feeds,
-        }
-    }
-}
-
-/// What survives of a [`GuidedState`] across eviction: the fitter (the
-/// memory-heavy part — Gram matrices and Cholesky factors) is dropped and
-/// rebuilt at resume by replaying the recorded fit schedule against the
-/// resumed history; the RNG and schedule carry over verbatim, so the
-/// proposal stream continues bit-identically.
-pub(super) struct FrozenGuided {
-    rng: Rng,
-    feeds: Vec<usize>,
-}
-
-impl FrozenGuided {
-    /// Rebuilds the proposal state by replaying the recorded fit schedule
-    /// against the resumed history: same prior, same observation order,
-    /// same full-vs-incremental refit sequence, same seeds — so the
-    /// fitter (and with the carried-over RNG, the proposal stream) comes
-    /// back bit-identical.
-    pub(super) fn thaw(
-        &self,
-        prior: &PriorBundle,
-        space: &ConfigSpace,
-        guided_seed: u64,
-        history: &[Observation],
-    ) -> relm_common::Result<GuidedState> {
-        let mut guided = GuidedState::new(prior, self.rng.clone())?;
-        for &upto in &self.feeds {
-            guided.feed(space, &history[..upto])?;
-            guided.fit(guided_seed)?;
-        }
-        Ok(guided)
-    }
-}
-
-/// One guided batch in the making: everything it is computed from,
-/// copied out of an idle session under the state lock so that the fit
-/// and EI can run without it.
-pub(super) struct Proposal {
-    /// A copy of the session's proposal state, fed the settled history;
-    /// it replaces the session's own only if the batch is admitted.
-    pub(super) guided: GuidedState,
-    space: ConfigSpace,
-    seed: u64,
-    /// The EI threshold.
-    tau: f64,
-    /// The prior's best point, proposed first by a warm session that has
-    /// no history yet.
-    incumbent: Option<Vec<f64>>,
-}
-
-impl Proposal {
-    /// Reads an idle session: checks it has enough history (or prior) to
-    /// fit, and feeds a copy of its proposal state — built on first use —
-    /// the settled history.
-    fn prepare(sess: &Session) -> Result<Self, String> {
-        let history = sess
-            .env
-            .as_ref()
-            .expect("idle session owns its env")
-            .history();
-        // A warm-started session's prior observations count toward the
-        // fit minimum: with a usable prior, guided steps can run from
-        // evaluation zero.
-        if history.len() + sess.prior.gp_obs.len() < GUIDED_MIN_HISTORY {
-            return Err(format!(
-                "guided steps need at least {GUIDED_MIN_HISTORY} completed \
-                 evaluations, session `{}` has {}",
-                sess.name,
-                history.len()
-            ));
-        }
-        let fit_failed = |e: relm_common::Error| format!("guided fit failed: {e}");
-        let mut guided = match &sess.guided {
-            Some(g) => g.clone(),
-            None => {
-                GuidedState::new(&sess.prior, Rng::new(sess.guided_seed)).map_err(fit_failed)?
-            }
-        };
-        guided.feed(&sess.space, history).map_err(fit_failed)?;
-        Ok(Proposal {
-            guided,
-            space: sess.space.clone(),
-            seed: sess.guided_seed,
-            // The EI threshold folds in the prior's best score, so the
-            // first warm proposals already aim below what similar past
-            // sessions achieved.
-            tau: history
-                .iter()
-                .fold(sess.prior.best_y().unwrap_or(f64::INFINITY), |t, obs| {
-                    t.min(obs.score_mins)
-                }),
-            // Incumbent transfer: before any evaluation has settled, the
-            // first warm proposal re-evaluates the prior's best-known
-            // point rather than trusting the surrogate to re-discover it.
-            incumbent: if history.is_empty() {
-                sess.prior.best_x().map(|x| x.to_vec())
-            } else {
-                None
-            },
-        })
-    }
-
-    /// Runs the next fit of the schedule and proposes `evals`
-    /// configurations by maximizing EI, advancing the copy's RNG.
-    pub(super) fn run(&mut self, obs: &Obs, evals: u32) -> Result<Vec<MemoryConfig>, String> {
-        let guided = &mut self.guided;
-        let before = guided.fitter.stats();
-        let fit_started = Instant::now();
-        let gp = guided
-            .fit(self.seed)
-            .map_err(|e| format!("guided fit failed: {e}"))?;
-        obs.record(
-            "surrogate.fit_ms",
-            fit_started.elapsed().as_secs_f64() * 1e3,
-        );
-        let stats = guided.fitter.stats();
-        obs.add(
-            "surrogate.gram_reuse",
-            (stats.gram_reused_dims - before.gram_reused_dims) as f64,
-        );
-        obs.add(
-            "surrogate.incremental_fits",
-            (stats.incremental_fits - before.incremental_fits) as f64,
-        );
-        obs.add(
-            "surrogate.chol_jitter_retries",
-            (stats.chol_jitter_retries - before.chol_jitter_retries) as f64,
-        );
-        obs.inc("serve.guided.batches");
-        Ok((0..evals)
-            .map(|i| match (i, &self.incumbent) {
-                (0, Some(x)) => self.space.decode(x),
-                _ => {
-                    let (x, _ei) = maximize_ei(&gp, DIMS, self.tau, &mut guided.rng);
-                    self.space.decode(&x)
-                }
-            })
-            .collect())
-    }
-}
-
-/// The guided step's entry gate, run at both of its lock acquisitions: the
-/// service must still admit work, and an evicted session comes home so
-/// its history can be read.
-fn guided_home_locked(shared: &Shared, state: &mut State, session: &str) -> Result<(), String> {
-    if state.draining || state.stopped {
-        return Err("service is draining".into());
-    }
-    if state.sessions.get(session).is_some_and(|s| s.evicted) {
-        resume_session(shared, state, session)?;
-    }
-    Ok(())
-}
-
-/// The refusal of a guided step on a session that has (or gained) work.
-pub(super) fn not_idle(session: &str) -> Response {
-    Response::Error {
-        message: format!("session `{session}` must be idle for guided steps (join first)"),
-    }
-}
-
-impl Service {
-    /// Graceful shutdown: stop admitting, run the backlog dry, checkpoint
-    /// every session, then stop the workers.
-    ///
-    /// With a fleet attached, "run the backlog dry" includes tasks in
-    /// reassignment limbo: after admission closes, the center's
-    /// [`FleetRouter::drain_assist`] runs every queued or orphaned task
-    /// to completion (locally if no live worker will take it) before the
-    /// tally below — a draining service never drops a leased task.
-    pub(super) fn drain(&self) -> Response {
-        let shared = &self.shared;
-        {
-            let mut state = shared.state.lock().expect("service state poisoned");
-            state.draining = true;
-        }
-        // No state lock held across the router call (lock-ordering rule:
-        // the router calls back into `lease_next`/`commit_lease`).
-        let router = self.router();
-        if let Some(router) = &router {
-            router.drain_assist();
-        }
-        let reassignments = router.map_or(0, |r| r.reassignments());
-        let mut state = shared.state.lock().expect("service state poisoned");
-        while !state.sched.idle() {
-            state = shared.done.wait(state).expect("service state poisoned");
-        }
-        // Quiescent: every environment is home or evicted to disk. Bring
-        // the evicted ones home so the final checkpoint/digest pass sees
-        // live environments — the drain report's `resumes` includes
-        // these, so `evictions == resumes` holds after a clean drain.
-        let evicted: Vec<String> = state
-            .sessions
-            .values()
-            .filter(|s| s.evicted)
-            .map(|s| s.name.clone())
-            .collect();
-        for name in &evicted {
-            // A failed resume leaves the session without an environment;
-            // the loops below skip it (counted as `serve.resume_errors`).
-            let _ = resume_session(shared, &mut state, name);
-        }
-        let mut checkpointed = 0usize;
-        if let Some(dir) = &shared.config.checkpoint_dir {
-            if std::fs::create_dir_all(dir).is_ok() {
-                for (name, sess) in &state.sessions {
-                    let Some(env) = sess.env.as_ref() else {
-                        continue;
-                    };
-                    let ckpt = SessionCheckpoint::capture(env);
-                    let path = dir.join(format!("{name}.ckpt.json"));
-                    match ckpt.save_tagged(&path, name) {
-                        Ok(()) => {
-                            checkpointed += 1;
-                            shared.obs.inc("serve.checkpointed");
-                        }
-                        Err(_) => shared.obs.inc("serve.checkpoint_errors"),
-                    }
-                }
-            }
-        }
-        // Extract one compact digest per session with completed work:
-        // written beside the checkpoints (so memory ingest never needs a
-        // live session) and merged into the memory store below.
-        let mut digests: Vec<SessionDigest> = Vec::new();
-        for (name, sess) in &state.sessions {
-            let Some(env) = sess.env.as_ref() else {
-                continue;
-            };
-            if env.evaluations() == 0 {
-                continue;
-            }
-            let digest = SessionDigest::from_env(&sess.workload_label, sess.base_seed, env);
-            if let Some(dir) = &shared.config.checkpoint_dir {
-                match digest.save(&dir.join(format!("{name}.digest.json"))) {
-                    Ok(()) => shared.obs.inc("serve.digests_written"),
-                    Err(_) => shared.obs.inc("serve.digest_errors"),
-                }
-            }
-            digests.push(digest);
-        }
-        // Freeze every session's flight recorder alongside the
-        // checkpoints — the post-mortem record of the whole run.
-        let mut flight_dumped = 0usize;
-        if let Some(dir) = &shared.config.flightrec_dir {
-            for (name, sess) in &state.sessions {
-                let dump = sess.flight.dump(name, "drain");
-                match relm_obs::save_dump(dir, &dump) {
-                    Ok(_) => {
-                        flight_dumped += 1;
-                        shared.obs.inc("serve.flightrec.dumps");
-                    }
-                    Err(_) => shared.obs.inc("serve.flightrec.errors"),
-                }
-            }
-        }
-        let sessions = state.sessions.len();
-        let evaluations = state.evaluations;
-        let evictions = state.evictions;
-        let resumes = state.resumes;
-        let already_stopped = state.stopped;
-        state.stopped = true;
-        shared.refresh_gauges(&state);
-        drop(state);
-        // Merge the digests into the cross-session memory store and
-        // persist it — after the state lock is gone (lock-ordering rule:
-        // the memory and state locks are never held together).
-        if let Some(path) = &shared.config.memory_store {
-            if !digests.is_empty() {
-                let mut memory = shared.memory.lock().expect("memory store poisoned");
-                if let Some(store) = memory.as_mut() {
-                    for digest in digests {
-                        store.ingest(digest);
-                    }
-                    if store.save(path).is_err() {
-                        shared.obs.inc("memory.save_errors");
-                    }
-                }
-            }
-        }
-        if !already_stopped {
-            shared.work.notify_all();
-        }
-        Response::Drained {
-            sessions,
-            evaluations,
-            checkpointed,
-            flight_dumped,
-            reassignments,
-            evictions,
-            resumes,
-        }
-    }
-}
-
 /// Resolves a workload name against the benchmark suite
 /// (case-insensitive, punctuation-insensitive: `K-means` == `kmeans`).
 pub fn resolve_workload(name: &str) -> Option<relm_app::AppSpec> {
@@ -2220,6 +1546,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::protocol::SessionSpec;
+    use relm_tune::SessionCheckpoint;
 
     fn svc(workers: usize) -> Service {
         Service::start(
@@ -3017,43 +2344,5 @@ mod tests {
             }
             other => panic!("result failed: {other:?}"),
         }
-    }
-
-    /// With every class backlogged, each deficit-weighted round pulls 4
-    /// high, 2 normal and 1 low, in that order, FIFO within a class.
-    #[test]
-    fn dwrr_pulls_four_two_one_per_round_with_every_class_backlogged() {
-        let mut sched = Scheduler::new(8, 64);
-        for i in 0..8 {
-            for p in Priority::ALL {
-                sched.push_ready(p, format!("{}-{i}", p.as_str()));
-            }
-        }
-        let order: Vec<String> = (0..14).map(|_| sched.pop_ready().unwrap()).collect();
-        let expected = [
-            "high-0", "high-1", "high-2", "high-3", "normal-0", "normal-1", "low-0", //
-            "high-4", "high-5", "high-6", "high-7", "normal-2", "normal-3", "low-1",
-        ];
-        assert_eq!(order, expected);
-    }
-
-    /// A class that runs dry mid-round forfeits the rest of its credit:
-    /// readied again in the same round, it waits for the next one.
-    #[test]
-    fn dwrr_class_that_runs_dry_forfeits_its_remaining_credit() {
-        let mut sched = Scheduler::new(8, 64);
-        sched.push_ready(Priority::High, "h0".into());
-        for name in ["n0", "n1", "n2"] {
-            sched.push_ready(Priority::Normal, name.into());
-        }
-        assert_eq!(sched.pop_ready().as_deref(), Some("h0"));
-        // High ran dry with 3 of its 4 pulls left and forfeits them.
-        assert_eq!(sched.pop_ready().as_deref(), Some("n0"));
-        sched.push_ready(Priority::High, "h1".into());
-        assert_eq!(sched.pop_ready().as_deref(), Some("n1"));
-        // Normal spent its 2 pulls: the next round starts with high.
-        assert_eq!(sched.pop_ready().as_deref(), Some("h1"));
-        assert_eq!(sched.pop_ready().as_deref(), Some("n2"));
-        assert_eq!(sched.pop_ready(), None);
     }
 }
