@@ -442,6 +442,7 @@ impl Service {
             },
             None => None,
         };
+        let sched = Scheduler::new(config.session_queue_limit, config.global_queue_limit);
         let shared = Arc::new(Shared {
             config: ServeConfig {
                 workers: config.workers.max(1),
@@ -451,7 +452,7 @@ impl Service {
             cache,
             state: Mutex::new(State {
                 sessions: BTreeMap::new(),
-                sched: Scheduler::new(config.session_queue_limit, config.global_queue_limit),
+                sched,
                 evaluations: 0,
                 evictions: 0,
                 resumes: 0,
