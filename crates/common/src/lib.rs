@@ -5,10 +5,14 @@
 //! the canonical [`MemoryConfig`] describing the memory-management knobs the
 //! paper tunes (Table 1 of the paper).
 //!
+//! [`durable`] is the one write path and record codec every on-disk format
+//! shares.
+//!
 //! Everything in this crate is dependency-light and platform-deterministic so
 //! that simulation results are exactly reproducible from a seed.
 
 pub mod config;
+pub mod durable;
 pub mod error;
 pub mod hash;
 pub mod mem;

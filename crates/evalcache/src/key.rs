@@ -1,8 +1,9 @@
 //! Content-addressed cache keys: a canonical, field-order-independent
 //! encoding hashed with FNV-1a 128.
 
+use relm_common::durable::canonicalize;
 use relm_common::hash::Fnv128;
-use serde::{Map, Serialize, Value};
+use serde::Serialize;
 use std::fmt;
 
 /// A 128-bit content hash identifying one evaluation.
@@ -53,28 +54,11 @@ impl fmt::Display for EvalKey {
 }
 
 /// Serializes a value to canonical JSON: nested object keys are sorted
-/// (recursively), so two values that differ only in field order encode —
-/// and therefore hash — identically. Arrays keep their element order;
-/// order is semantic there.
+/// (recursively, by [`canonicalize`]), so two values that differ only in
+/// field order encode — and therefore hash — identically. Arrays keep
+/// their element order; order is semantic there.
 pub fn canonical_json(value: &impl Serialize) -> String {
     canonicalize(&value.to_value()).to_string()
-}
-
-/// Recursively sorts object keys; everything else passes through.
-pub(crate) fn canonicalize(value: &Value) -> Value {
-    match value {
-        Value::Object(map) => {
-            let mut entries: Vec<(&String, &Value)> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            let mut out = Map::new();
-            for (k, v) in entries {
-                out.insert(k.clone(), canonicalize(v));
-            }
-            Value::Object(out)
-        }
-        Value::Array(items) => Value::Array(items.iter().map(canonicalize).collect()),
-        other => other.clone(),
-    }
 }
 
 /// Separator fed between a field's name and its encoding: an unambiguous
@@ -148,6 +132,7 @@ impl KeyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Map, Value};
 
     #[test]
     fn hex_round_trips() {

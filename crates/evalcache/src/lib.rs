@@ -22,10 +22,11 @@
 //!   one cheaply clonable handle, values shared out as `Arc`s, hit/miss/
 //!   insert totals mirrored to [`relm_obs`] as `evalcache.*` counters and
 //!   an `evalcache.hit_ratio` gauge.
-//! * [`store`] — the optional persistent JSONL store: versioned header,
-//!   per-entry FNV-1a checksum verified on load, atomic write-rename
-//!   save, and key-sorted output so the file bytes are independent of
-//!   insertion order and worker count.
+//! * [`store`] — the optional persistent JSONL store, in
+//!   [`relm_common::durable`]'s keyed-record format: versioned header,
+//!   per-entry FNV-1a checksum verified on load, atomic save, and
+//!   key-sorted output so the file bytes are independent of insertion
+//!   order and worker count.
 //!
 //! ```
 //! use relm_evalcache::{EvalCache, KeyBuilder};

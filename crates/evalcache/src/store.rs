@@ -1,28 +1,25 @@
-//! The persistent JSONL-backed store.
-//!
-//! Layout: a versioned header line followed by one entry per line, sorted
-//! by key so the file is a pure function of the cache *contents* —
-//! independent of insertion order, shard layout, or worker count:
+//! The persistent JSONL-backed store, in the keyed-record format of
+//! [`relm_common::durable`]: a versioned header line, then one checksummed
+//! entry per line, sorted by key so the file is a pure function of the
+//! cache *contents*, independent of insertion order, shard layout, or
+//! worker count:
 //!
 //! ```text
 //! {"kind":"relm-evalcache","version":2}
 //! {"key":"<32-hex>","check":<fnv64>,"value":{...}}
 //! ```
 //!
-//! `check` is FNV-1a 64 over the entry's canonical value JSON; loading
-//! re-canonicalizes each value and verifies the digest, so a truncated or
-//! hand-edited file is rejected instead of silently replaying a corrupted
-//! evaluation. Saves write a sibling temporary file (unique per process
-//! and save) and rename it into place, so a crash mid-save can never
-//! destroy the previous store.
+//! Loading rejects the whole file on the first line that fails to parse or
+//! verify ([`BadLine::Reject`]): a truncated or hand-edited file is refused
+//! instead of silently replaying a corrupted evaluation. Saves go through
+//! [`write_atomic`], so a crash mid-save never destroys the previous store.
 
 use crate::cache::EvalCache;
-use crate::key::{canonical_json, canonicalize, EvalKey};
-use relm_common::hash::fnv1a64_str;
-use serde::{Deserialize, Map, Number, Serialize, Value};
+use crate::key::EvalKey;
+use relm_common::durable::{parse_records, render_records, write_atomic, BadLine};
+use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Store format version; bumped whenever the line layout or the cached
@@ -32,126 +29,30 @@ pub const STORE_VERSION: u32 = 2;
 /// The `kind` tag every store file starts with.
 pub const STORE_KIND: &str = "relm-evalcache";
 
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-fn header_line() -> String {
-    let mut m = Map::new();
-    m.insert("kind", Value::String(STORE_KIND.to_string()));
-    m.insert("version", Value::Number(Number::U64(STORE_VERSION as u64)));
-    Value::Object(m).to_string()
-}
-
-/// Serializes the cache to `text` (header + key-sorted entries).
-fn render<V: Serialize>(cache: &EvalCache<V>) -> String {
-    let mut out = header_line();
-    out.push('\n');
-    for (key, value) in cache.entries() {
-        let value_json = canonical_json(value.as_ref());
-        let mut line = Map::new();
-        line.insert("key", Value::String(key.hex()));
-        line.insert(
-            "check",
-            Value::Number(Number::U64(fnv1a64_str(&value_json))),
-        );
-        line.insert(
-            "value",
-            serde_json::from_str(&value_json).expect("canonical JSON re-parses"),
-        );
-        out.push_str(&Value::Object(line).to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes the cache to `path` atomically: the bytes land in a sibling
-/// temporary file first and are renamed into place.
+/// Writes the cache to `path` atomically (header + key-sorted entries).
 pub fn save<V: Serialize>(cache: &EvalCache<V>, path: &Path) -> io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".{}.{}.tmp",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, render(cache))?;
-    let renamed = std::fs::rename(&tmp, path);
-    if renamed.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    renamed
-}
-
-/// Parses one entry line into its verified `(key, value)` pair.
-fn parse_entry<V: Deserialize>(line: &str, lineno: usize) -> io::Result<(EvalKey, V)> {
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| invalid(format!("store line {lineno}: {e}")))?;
-    let map = value
-        .as_object()
-        .ok_or_else(|| invalid(format!("store line {lineno}: not an object")))?;
-    let key = map
-        .get("key")
-        .and_then(Value::as_str)
-        .and_then(EvalKey::from_hex)
-        .ok_or_else(|| invalid(format!("store line {lineno}: bad key")))?;
-    let check = map
-        .get("check")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| invalid(format!("store line {lineno}: bad check")))?;
-    let payload = map
-        .get("value")
-        .ok_or_else(|| invalid(format!("store line {lineno}: missing value")))?;
-    let value_json = canonicalize(payload).to_string();
-    if fnv1a64_str(&value_json) != check {
-        return Err(invalid(format!(
-            "store line {lineno}: checksum mismatch (corrupted entry for key {key})"
-        )));
-    }
-    let parsed: V = serde_json::from_str(&value_json)
-        .map_err(|e| invalid(format!("store line {lineno}: {e}")))?;
-    Ok((key, parsed))
+    let records = cache
+        .entries()
+        .into_iter()
+        .map(|(key, value)| (key.hex(), value.as_ref().to_value()));
+    let text = render_records(STORE_KIND, STORE_VERSION.into(), records);
+    write_atomic(path, text.as_bytes())
 }
 
 /// Reads a store file and returns its verified entries in file order.
 pub fn read<V: Deserialize>(path: &Path) -> io::Result<Vec<(EvalKey, V)>> {
     let text = std::fs::read_to_string(path)?;
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| invalid("store file is empty (missing header)"))?;
-    let header: Value =
-        serde_json::from_str(header).map_err(|e| invalid(format!("store header: {e}")))?;
-    let kind = header
-        .as_object()
-        .and_then(|m| m.get("kind"))
-        .and_then(Value::as_str);
-    if kind != Some(STORE_KIND) {
-        return Err(invalid(format!(
-            "store header kind is {kind:?}, expected {STORE_KIND:?}"
-        )));
-    }
-    let version = header
-        .as_object()
-        .and_then(|m| m.get("version"))
-        .and_then(Value::as_u64);
-    if version != Some(STORE_VERSION as u64) {
-        return Err(invalid(format!(
-            "store version {version:?} is not the supported version {STORE_VERSION}"
-        )));
-    }
-    let mut entries = Vec::new();
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        entries.push(parse_entry(line, i + 1)?);
-    }
-    Ok(entries)
+    let records = parse_records(
+        &text,
+        STORE_KIND,
+        STORE_VERSION.into(),
+        BadLine::Reject,
+        |key, value| {
+            let key = EvalKey::from_hex(key).ok_or("bad key")?;
+            Ok((key, V::from_value(value).map_err(|e| e.to_string())?))
+        },
+    )?;
+    Ok(records.entries)
 }
 
 /// Loads a store file into the cache, returning how many entries were

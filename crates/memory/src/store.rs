@@ -1,8 +1,7 @@
-//! The persistent cross-session memory store.
-//!
-//! Layout mirrors the evalcache's JSONL store — a versioned header line,
-//! then one checksummed entry per line, key-sorted so the file is a pure
-//! function of the store *contents*:
+//! The persistent cross-session memory store, in the keyed-record format
+//! of [`relm_common::durable`]: a versioned header line, then one
+//! checksummed digest per line, key-sorted so the file is a pure function
+//! of the store *contents*:
 //!
 //! ```text
 //! {"kind":"relm-memory","version":1}
@@ -10,36 +9,30 @@
 //! ```
 //!
 //! One deliberate difference from the evalcache: a corrupted or truncated
-//! entry line is **skipped and counted** (`memory.skipped`) instead of
-//! failing the whole load. The evalcache replays exact outcomes — a
-//! corrupt entry there would silently falsify a history, so it must
-//! refuse. Memory only *informs* priors; losing one digest degrades a
-//! warm start, it never corrupts a result — so the store salvages every
-//! verifiable line and keeps serving. A wrong header (different kind or
-//! version) is still a hard error: that is a different file, not a
-//! damaged one.
+//! entry line is **skipped and counted** ([`BadLine::Skip`],
+//! `memory.skipped`) instead of failing the whole load. The evalcache
+//! replays exact outcomes — a corrupt entry there would silently falsify a
+//! history, so it must refuse. Memory only *informs* priors; losing one
+//! digest degrades a warm start, it never corrupts a result — so the store
+//! salvages every verifiable line and keeps serving. A wrong header
+//! (different kind or version) is still a hard error: that is a different
+//! file, not a damaged one.
 
-use crate::digest::SessionDigest;
+use crate::digest::{SessionDigest, DIGEST_VERSION};
 use crate::fingerprint::Fingerprint;
-use relm_evalcache::canonical_json;
+use relm_common::durable::{parse_records, render_records, write_atomic, BadLine};
+use relm_evalcache::EvalKey;
 use relm_obs::Obs;
-use serde::{Map, Number, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Store format version; bumped whenever the line layout changes.
 pub const STORE_VERSION: u32 = 1;
 /// The `kind` tag every memory store file starts with.
 pub const STORE_KIND: &str = "relm-memory";
-
-use relm_common::hash::fnv1a64_str;
-
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
 
 /// One retrieval hit: a past session and how similar its workload
 /// fingerprint is to the query.
@@ -168,80 +161,16 @@ impl MemoryStore {
         out
     }
 
-    /// Serializes the store (header + key-sorted checksummed entries).
-    fn render(&self) -> String {
-        let mut out = {
-            let mut m = Map::new();
-            m.insert("kind", Value::String(STORE_KIND.to_string()));
-            m.insert("version", Value::Number(Number::U64(STORE_VERSION as u64)));
-            Value::Object(m).to_string()
-        };
-        out.push('\n');
-        for (key, digest) in &self.sessions {
-            let value_json = canonical_json(digest);
-            let mut line = Map::new();
-            line.insert("key", Value::String(key.clone()));
-            line.insert(
-                "check",
-                Value::Number(Number::U64(fnv1a64_str(&value_json))),
-            );
-            line.insert(
-                "value",
-                serde_json::from_str(&value_json).expect("canonical JSON re-parses"),
-            );
-            out.push_str(&Value::Object(line).to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes the store to `path` atomically: a sibling temporary file
-    /// (unique per process and save) renamed into place, so a crash
-    /// mid-save never destroys the previous store.
+    /// Writes the store to `path` atomically (header + key-sorted
+    /// checksummed entries), so a crash mid-save never destroys the
+    /// previous store.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(
-            ".{}.{}.tmp",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.render())?;
-        let renamed = std::fs::rename(&tmp, path);
-        if renamed.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        renamed
-    }
-
-    /// Parses one entry line into its verified digest, or a reason to
-    /// skip it.
-    fn parse_entry(line: &str) -> Result<(String, SessionDigest), String> {
-        let value: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        let map = value.as_object().ok_or("not an object")?;
-        let key = map
-            .get("key")
-            .and_then(Value::as_str)
-            .filter(|k| k.len() == 32 && k.chars().all(|c| c.is_ascii_hexdigit()))
-            .ok_or("bad key")?;
-        let check = map
-            .get("check")
-            .and_then(Value::as_u64)
-            .ok_or("bad check")?;
-        let payload = map.get("value").ok_or("missing value")?;
-        let value_json = canonical_json(payload);
-        if fnv1a64_str(&value_json) != check {
-            return Err(format!("checksum mismatch for key {key}"));
-        }
-        let digest: SessionDigest = serde_json::from_str(&value_json).map_err(|e| e.to_string())?;
-        if digest.version != crate::digest::DIGEST_VERSION {
-            return Err(format!("unsupported digest version {}", digest.version));
-        }
-        Ok((key.to_string(), digest))
+        let records = self
+            .sessions
+            .iter()
+            .map(|(key, digest)| (key.clone(), digest.to_value()));
+        let text = render_records(STORE_KIND, STORE_VERSION.into(), records);
+        write_atomic(path, text.as_bytes())
     }
 
     /// Loads a store file. The header must match kind and version — a
@@ -253,44 +182,25 @@ impl MemoryStore {
     pub fn load(path: &Path, obs: Obs) -> io::Result<Self> {
         let start = Instant::now();
         let text = std::fs::read_to_string(path)?;
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| invalid("memory store file is empty (missing header)"))?;
-        let header: Value =
-            serde_json::from_str(header).map_err(|e| invalid(format!("memory header: {e}")))?;
-        let kind = header
-            .as_object()
-            .and_then(|m| m.get("kind"))
-            .and_then(Value::as_str);
-        if kind != Some(STORE_KIND) {
-            return Err(invalid(format!(
-                "memory store kind is {kind:?}, expected {STORE_KIND:?}"
-            )));
-        }
-        let version = header
-            .as_object()
-            .and_then(|m| m.get("version"))
-            .and_then(Value::as_u64);
-        if version != Some(STORE_VERSION as u64) {
-            return Err(invalid(format!(
-                "memory store version {version:?} is not the supported version {STORE_VERSION}"
-            )));
-        }
+        let records = parse_records(
+            &text,
+            STORE_KIND,
+            STORE_VERSION.into(),
+            BadLine::Skip,
+            |key, value| {
+                EvalKey::from_hex(key).ok_or("bad key")?;
+                let digest = SessionDigest::from_value(value).map_err(|e| e.to_string())?;
+                if digest.version != DIGEST_VERSION {
+                    return Err(format!("unsupported digest version {}", digest.version));
+                }
+                Ok((key.to_string(), digest))
+            },
+        )?;
         let mut store = MemoryStore::instrumented(obs);
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match Self::parse_entry(line) {
-                Ok((key, digest)) => {
-                    store.sessions.insert(key, digest);
-                }
-                Err(_) => {
-                    store.skipped += 1;
-                    store.obs.inc("memory.skipped");
-                }
-            }
+        store.sessions.extend(records.entries);
+        store.skipped = records.skipped;
+        if records.skipped > 0 {
+            store.obs.add("memory.skipped", records.skipped as f64);
         }
         store
             .obs

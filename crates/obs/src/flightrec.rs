@@ -7,10 +7,11 @@
 //! committed record). When an evaluation dies to a fault, when the
 //! service drains, or when a client sends an explicit `Dump` request, the
 //! ring is frozen into a [`FlightDump`] and written under
-//! `results/flightrec/` by [`save_dump`] — atomically (unique temp file +
-//! rename, the evalcache idiom) and checksummed, so a dump written as the
-//! process is going down is either complete and verifiable or absent,
-//! never torn.
+//! `results/flightrec/` by [`save_dump`], through
+//! [`relm_common::durable::write_atomic`] and checksummed: a dump written
+//! as the process is going down is either complete and verifiable or
+//! absent, never torn. It is not fsynced, so a power loss can leave an
+//! empty or stale file.
 //!
 //! ## On-disk format
 //!
@@ -21,12 +22,14 @@
 //! {"session":"s-0001","reason":"fault", ...}
 //! ```
 //!
-//! `check` is the FNV-1a hash of the payload line's raw bytes;
-//! [`read_dump`] refuses kind/version mismatches and corrupt payloads.
+//! The header is [`relm_common::durable::header`] plus `session` and
+//! `check`, the FNV-1a hash of the payload line's raw bytes; [`read_dump`]
+//! refuses kind/version mismatches and corrupt payloads.
 
 use crate::span::SpanRecord;
+use relm_common::durable::{check_header, header, write_atomic};
 use relm_common::hash::fnv1a64_str;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Number, Serialize, Value};
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -172,37 +175,28 @@ fn safe_name(s: &str) -> String {
         .collect()
 }
 
-/// Writes `dump` under `dir` (created if missing) and returns the file
-/// path. Atomic: the payload lands in a uniquely named temp file which is
-/// renamed into place, so readers never observe a partial dump.
+/// Writes `dump` under `dir` (created if missing) through
+/// [`write_atomic`] and returns the file path; readers never observe a
+/// partial dump.
 pub fn save_dump(dir: impl AsRef<Path>, dump: &FlightDump) -> io::Result<PathBuf> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
     let payload = serde_json::to_string(dump).map_err(|e| io::Error::other(e.to_string()))?;
-    let header = format!(
-        "{{\"kind\":\"{KIND}\",\"version\":{FLIGHTREC_VERSION},\"session\":{},\"check\":{}}}",
-        serde_json::to_string(&dump.session).map_err(|e| io::Error::other(e.to_string()))?,
-        fnv1a64_str(&payload)
-    );
+    let mut head = header(KIND, FLIGHTREC_VERSION);
+    head.insert("session", Value::String(dump.session.clone()));
+    head.insert("check", Value::Number(Number::U64(fnv1a64_str(&payload))));
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let name = format!(
+    let path = dir.as_ref().join(format!(
         "{}-{}-{seq}.flight.json",
         safe_name(&dump.session),
         safe_name(&dump.reason)
-    );
-    let path = dir.join(&name);
-    let tmp = dir.join(format!("{name}.{}.{seq}.tmp", std::process::id()));
-    std::fs::write(&tmp, format!("{header}\n{payload}\n"))?;
-    match std::fs::rename(&tmp, &path) {
-        Ok(()) => Ok(path),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+    ));
+    write_atomic(
+        &path,
+        format!("{}\n{payload}\n", Value::Object(head)).as_bytes(),
+    )?;
+    Ok(path)
 }
 
-fn invalid(msg: String) -> io::Error {
+fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
@@ -210,35 +204,18 @@ fn invalid(msg: String) -> io::Error {
 pub fn read_dump(path: impl AsRef<Path>) -> io::Result<FlightDump> {
     let text = std::fs::read_to_string(path.as_ref())?;
     let mut lines = text.lines();
-    let header_line = lines
+    let header = check_header(lines.next(), KIND, FLIGHTREC_VERSION)?;
+    let payload = lines
         .next()
-        .ok_or_else(|| invalid("empty flight dump".to_string()))?;
-    let payload_line = lines
-        .next()
-        .ok_or_else(|| invalid("flight dump missing payload line".to_string()))?;
-    let header: serde_json::Value =
-        serde_json::from_str(header_line).map_err(|e| invalid(format!("bad header: {e}")))?;
-    let header = header
-        .as_object()
-        .ok_or_else(|| invalid("flight dump header is not an object".to_string()))?;
-    let kind = header.get("kind").and_then(serde_json::Value::as_str);
-    if kind != Some(KIND) {
-        return Err(invalid(format!("not a flight dump (kind={kind:?})")));
-    }
-    let version = header.get("version").and_then(serde_json::Value::as_u64);
-    if version != Some(FLIGHTREC_VERSION) {
-        return Err(invalid(format!(
-            "unsupported flight dump version {version:?} (want {FLIGHTREC_VERSION})"
-        )));
-    }
+        .ok_or_else(|| invalid("flight dump missing payload line"))?;
     let check = header
         .get("check")
-        .and_then(serde_json::Value::as_u64)
-        .ok_or_else(|| invalid("flight dump header missing check".to_string()))?;
-    if fnv1a64_str(payload_line) != check {
-        return Err(invalid("flight dump checksum mismatch".to_string()));
+        .and_then(Value::as_u64)
+        .ok_or_else(|| invalid("flight dump header missing check"))?;
+    if fnv1a64_str(payload) != check {
+        return Err(invalid("flight dump checksum mismatch"));
     }
-    serde_json::from_str(payload_line).map_err(|e| invalid(format!("bad payload: {e}")))
+    serde_json::from_str(payload).map_err(|e| invalid(&format!("bad payload: {e}")))
 }
 
 #[cfg(test)]

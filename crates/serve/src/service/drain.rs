@@ -49,20 +49,17 @@ impl Service {
         }
         let mut checkpointed = 0usize;
         if let Some(dir) = &shared.config.checkpoint_dir {
-            if std::fs::create_dir_all(dir).is_ok() {
-                for (name, sess) in &state.sessions {
-                    let Some(env) = sess.env.as_ref() else {
-                        continue;
-                    };
-                    let ckpt = SessionCheckpoint::capture(env);
-                    let path = dir.join(format!("{name}.ckpt.json"));
-                    match ckpt.save_tagged(&path, name) {
-                        Ok(()) => {
-                            checkpointed += 1;
-                            shared.obs.inc("serve.checkpointed");
-                        }
-                        Err(_) => shared.obs.inc("serve.checkpoint_errors"),
+            for (name, sess) in &state.sessions {
+                let Some(env) = sess.env.as_ref() else {
+                    continue;
+                };
+                let path = dir.join(format!("{name}.ckpt.json"));
+                match SessionCheckpoint::capture(env).save(&path) {
+                    Ok(()) => {
+                        checkpointed += 1;
+                        shared.obs.inc("serve.checkpointed");
                     }
+                    Err(_) => shared.obs.inc("serve.checkpoint_errors"),
                 }
             }
         }

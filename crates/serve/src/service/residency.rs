@@ -16,7 +16,7 @@ pub(super) fn evict_one_locked(
     let Some(dir) = shared.config.evict_dir() else {
         return Err("no eviction directory configured (set evict_dir or checkpoint_dir)".into());
     };
-    let dir = dir.clone();
+    let path = dir.join(format!("{name}.evict.json"));
     let Some(sess) = state.sessions.get_mut(name) else {
         return Err(format!("unknown session `{name}`"));
     };
@@ -28,36 +28,22 @@ pub(super) fn evict_one_locked(
             "session `{name}` must be idle to evict (join first)"
         ));
     }
-    let Some(env) = sess.env.take() else {
+    let Some(env) = sess.env.as_ref() else {
         return Err(format!("session `{name}` owns no environment"));
     };
-    if std::fs::create_dir_all(&dir).is_err() {
-        sess.env = Some(env);
+    if let Err(e) = SessionCheckpoint::capture(env).save(&path) {
         shared.obs.inc("serve.evict_errors");
-        return Err(format!(
-            "cannot create eviction directory `{}`",
-            dir.display()
-        ));
+        return Err(format!("eviction checkpoint failed: {e}"));
     }
-    let path = dir.join(format!("{name}.evict.json"));
-    let ckpt = SessionCheckpoint::capture(&env);
-    match ckpt.save_tagged(&path, name) {
-        Ok(()) => {
-            // The restored environment's cache-hit counter restarts at
-            // zero; bank what's accrued so the mirror stays monotone.
-            sess.evalcache_hits_base = sess.evalcache_hits;
-            sess.frozen_guided = sess.guided.take().map(GuidedState::freeze);
-            sess.evicted = true;
-            state.evictions += 1;
-            shared.obs.inc("serve.evictions");
-            Ok(path.display().to_string())
-        }
-        Err(e) => {
-            sess.env = Some(env);
-            shared.obs.inc("serve.evict_errors");
-            Err(format!("eviction checkpoint failed: {e}"))
-        }
-    }
+    sess.env = None;
+    // The restored environment's cache-hit counter restarts at zero; bank
+    // what's accrued so the mirror stays monotone.
+    sess.evalcache_hits_base = sess.evalcache_hits;
+    sess.frozen_guided = sess.guided.take().map(GuidedState::freeze);
+    sess.evicted = true;
+    state.evictions += 1;
+    shared.obs.inc("serve.evictions");
+    Ok(path.display().to_string())
 }
 
 /// The automatic eviction sweep, run on every completion when

@@ -151,7 +151,7 @@ pub fn session_export(env: &TuningEnv, rec: &Recommendation) -> SessionExport {
     }
 }
 
-/// Crash-safe snapshot of a tuning session in progress.
+/// Resumable snapshot of a tuning session in progress.
 ///
 /// A session that dies mid-way (node reboot, operator Ctrl-C, the tuning
 /// driver itself being preempted) should not forfeit the stress tests it
@@ -209,46 +209,14 @@ impl SessionCheckpoint {
         )
     }
 
-    /// Atomically writes the checkpoint to `path`: the JSON goes to a
-    /// sibling temporary file first and is renamed into place, so a crash
-    /// mid-write leaves either the previous checkpoint or none — never a
-    /// torn file.
+    /// Writes the checkpoint to `path` through
+    /// [`relm_common::durable::write_atomic`]: atomic against process
+    /// death; not fsynced, so a power loss can leave an empty or stale
+    /// file.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        self.save_tagged(path, "ckpt")
-    }
-
-    /// [`SessionCheckpoint::save`] with a caller-supplied tag woven into
-    /// the temporary file's name.
-    ///
-    /// Writers sharing a results directory — or even the *same* target
-    /// path — must not share a temporary file, or one writer's rename can
-    /// promote another writer's half-written JSON. The temporary name
-    /// therefore embeds the sanitized tag (e.g. a session id), the process
-    /// id, and a process-wide sequence number, making it unique across
-    /// concurrent writers in and across processes.
-    pub fn save_tagged(&self, path: &Path, tag: &str) -> io::Result<()> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SEQ: AtomicU64 = AtomicU64::new(0);
         let json = serde_json::to_string(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tag: String = tag
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(format!(
-            ".{}.{}.{}.tmp",
-            tag,
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, json)?;
-        let renamed = std::fs::rename(&tmp, path);
-        if renamed.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        renamed
+        relm_common::durable::write_atomic(path, json.as_bytes())
     }
 
     /// Loads a checkpoint written by [`SessionCheckpoint::save`].
@@ -461,13 +429,13 @@ mod tests {
         );
         let _ = std::fs::remove_file(path.as_path());
 
-        let threads: Vec<_> = [(a.clone(), "s-0001"), (b.clone(), "s-0002")]
+        let threads: Vec<_> = [a.clone(), b.clone()]
             .into_iter()
-            .map(|(ckpt, tag)| {
+            .map(|ckpt| {
                 let path = Arc::clone(&path);
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        ckpt.save_tagged(&path, tag).unwrap();
+                        ckpt.save(&path).unwrap();
                     }
                 })
             })
