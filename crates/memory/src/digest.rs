@@ -1,22 +1,20 @@
 //! The compact remainder of a tuning session: everything cross-session
 //! warm starting needs, and nothing a live session holds.
 //!
-//! A [`SessionDigest`] is extracted when a session settles (drain,
-//! checkpoint, or explicit export): the workload label, the mean Table-6
-//! statistics over its clean runs (via
-//! [`relm_tune::TuningEnv::stats_accumulator`]), and the full
+//! A [`SessionDigest`] is extracted when a session settles (a serve drain
+//! that feeds a memory store, or an explicit [`SessionDigest::from_env`]):
+//! the workload label, the mean Table-6 statistics over its clean runs
+//! (via [`relm_tune::TuningEnv::stats_accumulator`]), and the full
 //! `(config, score)` observation list. Fingerprinting and prior
 //! construction work from digests alone — ingest never needs a live
 //! environment or a retained profile.
 
 use crate::fingerprint::Fingerprint;
-use relm_common::{Error, MemoryConfig, Result};
+use relm_common::MemoryConfig;
 use relm_evalcache::{EvalKey, KeyBuilder};
 use relm_profile::DerivedStats;
 use relm_tune::TuningEnv;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Digest schema version; bumped on any incompatible layout change.
 pub const DIGEST_VERSION: u32 = 1;
@@ -113,52 +111,12 @@ impl SessionDigest {
             .map(|o| o.score_mins)
             .min_by(f64::total_cmp)
     }
-
-    /// Writes the digest to `path` atomically (temp file + rename, like a
-    /// checkpoint), creating parent directories as needed. Concurrent
-    /// savers to one path never tear: each writes its own temp file and
-    /// the rename is atomic.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| Error::Tuning(format!("digest dir: {e}")))?;
-            }
-        }
-        let tmp = path.with_extension(format!(
-            "{}.{}.tmp",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let body = serde_json::to_string_pretty(self)
-            .map_err(|e| Error::Tuning(format!("digest encode: {e}")))?;
-        std::fs::write(&tmp, body).map_err(|e| Error::Tuning(format!("digest write: {e}")))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            Error::Tuning(format!("digest rename: {e}"))
-        })
-    }
-
-    /// Reads a digest back, rejecting unknown schema versions.
-    pub fn load(path: &Path) -> Result<Self> {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| Error::Tuning(format!("digest read: {e}")))?;
-        let digest: SessionDigest =
-            serde_json::from_str(&body).map_err(|e| Error::Tuning(format!("digest parse: {e}")))?;
-        if digest.version != DIGEST_VERSION {
-            return Err(Error::Tuning(format!(
-                "digest version {} unsupported (expected {DIGEST_VERSION})",
-                digest.version
-            )));
-        }
-        Ok(digest)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoryStore;
     use relm_app::Engine;
     use relm_cluster::ClusterSpec;
     use relm_workloads::{max_resource_allocation, wordcount};
@@ -200,10 +158,13 @@ mod tests {
         let env = settled_env();
         let digest = SessionDigest::from_env("WordCount", 7, &env);
         let dir = std::env::temp_dir().join(format!("relm_digest_{}", std::process::id()));
-        let path = dir.join("s-0001.digest.json");
-        digest.save(&path).unwrap();
-        let loaded = SessionDigest::load(&path).unwrap();
-        assert_eq!(loaded, digest);
+        let path = dir.join("memory.jsonl");
+        let mut store = MemoryStore::new();
+        store.ingest(digest.clone());
+        store.save(&path).unwrap();
+        let loaded = MemoryStore::load(&path, relm_obs::Obs::disabled()).unwrap();
+        let stored: Vec<&SessionDigest> = loaded.sessions().map(|(_, d)| d).collect();
+        assert_eq!(stored, vec![&digest]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -213,9 +174,15 @@ mod tests {
         let mut digest = SessionDigest::from_env("WordCount", 7, &env);
         digest.version = 99;
         let dir = std::env::temp_dir().join(format!("relm_digest_v_{}", std::process::id()));
-        let path = dir.join("bad.digest.json");
-        digest.save(&path).unwrap();
-        assert!(SessionDigest::load(&path).is_err());
+        let path = dir.join("memory.jsonl");
+        let mut store = MemoryStore::new();
+        store.ingest(digest);
+        store.save(&path).unwrap();
+        let obs = relm_obs::Obs::enabled();
+        let loaded = MemoryStore::load(&path, obs.clone()).unwrap();
+        assert!(loaded.is_empty());
+        assert_eq!(loaded.skipped(), 1);
+        assert_eq!(obs.counter_value("memory.skipped"), 1.0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

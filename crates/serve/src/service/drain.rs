@@ -1,5 +1,5 @@
-//! Graceful shutdown: `Drain` runs the backlog dry, then checkpoints,
-//! digests and dumps every session before the workers stop.
+//! Graceful shutdown: `Drain` runs the backlog dry, then checkpoints and
+//! dumps every session and feeds the memory store before the workers stop.
 
 use super::{resume_session, Service};
 use crate::protocol::Response;
@@ -63,25 +63,22 @@ impl Service {
                 }
             }
         }
-        // Extract one compact digest per session with completed work:
-        // written beside the checkpoints (so memory ingest never needs a
-        // live session) and merged into the memory store below.
+        // One compact digest per session with completed work, for the
+        // memory store below; nothing else reads them.
         let mut digests: Vec<SessionDigest> = Vec::new();
-        for (name, sess) in &state.sessions {
-            let Some(env) = sess.env.as_ref() else {
-                continue;
-            };
-            if env.evaluations() == 0 {
-                continue;
-            }
-            let digest = SessionDigest::from_env(&sess.workload_label, sess.base_seed, env);
-            if let Some(dir) = &shared.config.checkpoint_dir {
-                match digest.save(&dir.join(format!("{name}.digest.json"))) {
-                    Ok(()) => shared.obs.inc("serve.digests_written"),
-                    Err(_) => shared.obs.inc("serve.digest_errors"),
+        if shared.config.memory_store.is_some() {
+            for sess in state.sessions.values() {
+                let Some(env) = sess.env.as_ref() else {
+                    continue;
+                };
+                if env.evaluations() > 0 {
+                    digests.push(SessionDigest::from_env(
+                        &sess.workload_label,
+                        sess.base_seed,
+                        env,
+                    ));
                 }
             }
-            digests.push(digest);
         }
         // Freeze every session's flight recorder alongside the
         // checkpoints — the post-mortem record of the whole run.

@@ -88,21 +88,19 @@ cargo run --release -q -p relm-experiments --bin serve_load -- \
   --out "$serve_dir/parallel.jsonl" --checkpoint-dir "$serve_dir/ckpt8"
 diff "$serve_dir/serial.jsonl" "$serve_dir/parallel.jsonl" \
   || { echo "serve smoke test FAILED: histories depend on worker count" >&2; exit 1; }
-# The drain writes one checkpoint plus one .digest.json memory sidecar
-# per session.
-ckpts="$(ls "$serve_dir/ckpt8" | grep -cv '\.digest\.json$')"
-[ "$ckpts" -eq 12 ] \
-  || { echo "serve smoke test FAILED: expected 12 checkpoints, found $ckpts" >&2; exit 1; }
-digests="$(ls "$serve_dir/ckpt8" | grep -c '\.digest\.json$')"
-[ "$digests" -eq 12 ] \
-  || { echo "serve smoke test FAILED: expected 12 digest sidecars, found $digests" >&2; exit 1; }
+# The drain writes exactly one checkpoint per session into the checkpoint
+# directory, and nothing else.
+files="$(ls "$serve_dir/ckpt8" | wc -l)"
+ckpts="$(ls "$serve_dir/ckpt8" | grep -c '\.ckpt\.json$')"
+[ "$files" -eq 12 ] && [ "$ckpts" -eq 12 ] \
+  || { echo "serve smoke test FAILED: expected 12 files, all *.ckpt.json; found $files files, $ckpts checkpoints" >&2; exit 1; }
 # The drain freezes one flight dump per session (plus one per censored
 # evaluation); serve_load already verified each dump parses and
 # checksums, so here just pin the drain-dump count.
 drain_dumps="$(ls "$serve_dir/flight8" | grep -c -- '-drain-')"
 [ "$drain_dumps" -eq 12 ] \
   || { echo "serve smoke test FAILED: expected 12 drain flight dumps, found $drain_dumps" >&2; exit 1; }
-echo "serve OK: 12 sessions (incl. GP-guided steps) byte-identical across 1/8 workers under a live scraper, all checkpointed (+digest sidecars) and flight-dumped on drain"
+echo "serve OK: 12 sessions (incl. GP-guided steps) byte-identical across 1/8 workers under a live scraper, all checkpointed and flight-dumped on drain"
 
 echo "== fleet smoke test =="
 # Same load, but evaluated by a 3-worker fleet with one worker armed to
