@@ -105,7 +105,8 @@ impl Service {
         drop(state);
         // Merge the digests into the cross-session memory store and
         // persist it — after the state lock is gone (lock-ordering rule:
-        // the memory and state locks are never held together).
+        // the memory and state locks are never held together). A store
+        // that failed to load is absent, so its file is never overwritten.
         if let Some(path) = &shared.config.memory_store {
             if !digests.is_empty() {
                 let mut memory = shared.memory.lock().expect("memory store poisoned");

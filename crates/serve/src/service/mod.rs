@@ -431,17 +431,15 @@ impl Service {
     pub fn start(config: ServeConfig, obs: Obs) -> Self {
         let cache = relm_tune::EvalStore::instrumented(obs.clone());
         // Load the memory store up front: a corrupt store surfaces at
-        // startup, not mid-drain, and retrieval never touches disk.
-        let memory = match &config.memory_store {
-            Some(path) => match MemoryStore::load_or_empty(path, obs.clone()) {
-                Ok(store) => Some(store),
-                Err(_) => {
-                    obs.inc("memory.load_errors");
-                    Some(MemoryStore::instrumented(obs.clone()))
-                }
-            },
-            None => None,
-        };
+        // startup, not mid-drain, and retrieval never touches disk. A
+        // store that fails to load (another kind, a future version, a
+        // damaged header) leaves the run without memory: warm starts fall
+        // back to cold and the drain never overwrites the file.
+        let memory = config.memory_store.as_ref().and_then(|path| {
+            MemoryStore::load_or_empty(path, obs.clone())
+                .map_err(|_| obs.inc("memory.load_errors"))
+                .ok()
+        });
         let sched = Scheduler::new(config.session_queue_limit, config.global_queue_limit);
         let shared = Arc::new(Shared {
             config: ServeConfig {
@@ -2345,5 +2343,42 @@ mod tests {
             }
             other => panic!("result failed: {other:?}"),
         }
+    }
+
+    #[test]
+    fn unreadable_memory_store_is_never_overwritten() {
+        let dir = std::env::temp_dir().join(format!("relm-serve-memv99-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("memory.jsonl");
+        // A store from a future build: a different file, not a damaged one.
+        let future = format!(
+            "{{\"kind\":\"relm-memory\",\"version\":99}}\n\
+             {{\"key\":\"{:032x}\",\"check\":0,\"value\":{{}}}}\n",
+            7
+        );
+        std::fs::write(&path, &future).unwrap();
+        let service = Service::start(
+            ServeConfig {
+                workers: 1,
+                memory_store: Some(path.clone()),
+                ..ServeConfig::default()
+            },
+            Obs::enabled(),
+        );
+        let session = create(
+            &service,
+            SessionSpec::named("WordCount", 3).with_warm_start(),
+        );
+        service.handle(&Request::StepAuto { session, evals: 2 });
+        assert!(matches!(
+            service.handle(&Request::Drain),
+            Response::Drained { evaluations: 2, .. }
+        ));
+        let obs = service.obs();
+        assert_eq!(obs.counter_value("memory.load_errors"), 1.0);
+        assert_eq!(obs.counter_value("memory.warm_misses"), 1.0);
+        assert_eq!(obs.counter_value("memory.ingested"), 0.0);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), future);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
