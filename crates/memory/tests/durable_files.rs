@@ -2,19 +2,23 @@
 //! the cross-session memory store, session checkpoints and flight-recorder
 //! dumps. Each is saved from a fixed input and pinned to the FNV-1a 64 of
 //! its bytes, so a refactor of the write path cannot move a byte unseen.
-//! `relm-memory` is the lowest crate that links all four.
+//! Each loader is then fed torn and mutated copies of its file and must
+//! answer `Ok` or `Err`, never panic. `relm-memory` is the lowest crate
+//! that links all four.
 
 use relm_app::Engine;
 use relm_cluster::ClusterSpec;
 use relm_common::hash::fnv1a64;
-use relm_common::{Mem, MemoryConfig};
+use relm_common::{Mem, MemoryConfig, Rng};
 use relm_evalcache::{store, EvalCache, KeyBuilder};
 use relm_memory::{DigestObs, MemoryStore, SessionDigest, DIGEST_VERSION};
-use relm_obs::{save_dump, FieldValue, FlightDump, FlightEvent, SpanRecord};
+use relm_obs::{read_dump, save_dump, FieldValue, FlightDump, FlightEvent, Obs, SpanRecord};
 use relm_profile::DerivedStats;
 use relm_tune::{SessionCheckpoint, TuningEnv};
 use relm_workloads::{max_resource_allocation, wordcount};
-use std::path::PathBuf;
+use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 /// FNV-1a 64 of each saved file, recorded before the formats shared one
 /// write path.
@@ -174,4 +178,134 @@ fn saved_files_keep_their_bytes() {
         "saved bytes changed:\n{}",
         moved.join("\n")
     );
+}
+
+/// Characters a damaged file is most likely to trip a parser on: JSON
+/// structure, escape and number syntax, and multi-byte chars that shift
+/// char boundaries.
+const STRUCTURAL: [&str; 17] = [
+    "\"", "\\", "u", "{", "}", "[", "]", ",", ":", "0", "-", "e", ".", "é", "€", "𝄞", "\u{0}",
+];
+
+/// Seeded single-character mutations loaded per file.
+const MUTATIONS: usize = 400;
+
+/// Every truncation of `bytes` (torn writes, cut mid-char included), then
+/// a seeded sample of substitutions and insertions of [`STRUCTURAL`]
+/// characters anywhere in the file, header included.
+fn damaged_copies(bytes: &[u8], seed: u64) -> Vec<Vec<u8>> {
+    let text = std::str::from_utf8(bytes).unwrap();
+    let mut copies: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+    let boundaries: Vec<usize> = text
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain([text.len()])
+        .collect();
+    let mut rng = Rng::new(seed);
+    for _ in 0..MUTATIONS {
+        let at = boundaries[rng.below(boundaries.len())];
+        let with = STRUCTURAL[rng.below(STRUCTURAL.len())];
+        let rest = match text[at..].chars().next() {
+            // Substitute the char at `at`, or insert before it.
+            Some(c) if rng.chance(0.5) => &text[at + c.len_utf8()..],
+            _ => &text[at..],
+        };
+        copies.push(format!("{}{with}{rest}", &text[..at]).into_bytes());
+    }
+    copies
+}
+
+/// Writes each damaged copy of the file at `path` over it and loads it.
+/// No load may panic; `accept` checks every load that succeeds, given the
+/// bytes it came from. Returns how many copies loaded.
+fn load_damaged<T>(
+    path: &Path,
+    seed: u64,
+    load: impl Fn(&Path) -> io::Result<T>,
+    accept: impl Fn(&[u8], T),
+) -> usize {
+    let saved = std::fs::read(path).unwrap();
+    let mut loaded = 0;
+    for copy in damaged_copies(&saved, seed) {
+        std::fs::write(path, &copy).unwrap();
+        let result = catch_unwind(AssertUnwindSafe(|| load(path)));
+        let text = String::from_utf8_lossy(&copy);
+        match result {
+            Err(_) => panic!("loading {} panicked on {text:?}", path.display()),
+            Ok(Ok(value)) => {
+                accept(&copy, value);
+                loaded += 1;
+            }
+            Ok(Err(_)) => {}
+        }
+    }
+    loaded
+}
+
+/// Torn and mutated files load as `Ok` or `Err`, never a panic. Whatever
+/// loads from a checksummed format carries values the save wrote, and the
+/// memory store counts every entry line it drops in `skipped()`. The
+/// checkpoint has no checksum, so a mutated digit can load as a different
+/// number; for it, the test asserts only that no truncation loads.
+#[test]
+fn torn_and_mutated_files_never_panic() {
+    let dir = temp_dir("damage");
+
+    let cache = eval_cache();
+    let saved_values: Vec<Vec<f64>> = cache.entries().iter().map(|(_, v)| v.to_vec()).collect();
+    let cache_path = dir.join("cache.jsonl");
+    store::save(&cache, &cache_path).unwrap();
+    let loaded = load_damaged(&cache_path, 1, store::read::<Vec<f64>>, |_, entries| {
+        for (key, value) in entries {
+            assert!(saved_values.contains(&value), "{key} loaded {value:?}");
+        }
+    });
+    assert!(loaded > 0, "some truncations end on a line boundary");
+
+    let memory = memory_store();
+    let saved_digests: Vec<SessionDigest> = memory.sessions().map(|(_, d)| d.clone()).collect();
+    let memory_path = dir.join("memory.jsonl");
+    memory.save(&memory_path).unwrap();
+    let loaded = load_damaged(
+        &memory_path,
+        2,
+        |path| MemoryStore::load(path, Obs::disabled()),
+        |bytes, store| {
+            for (key, digest) in store.sessions() {
+                assert!(saved_digests.contains(digest), "{key} loaded {digest:?}");
+            }
+            let text = String::from_utf8_lossy(bytes);
+            let entry_lines = text.lines().skip(1).filter(|l| !l.trim().is_empty());
+            assert_eq!(
+                store.len() as u64 + store.skipped(),
+                entry_lines.count() as u64,
+                "every entry line loads or is skipped: {text:?}"
+            );
+        },
+    );
+    assert!(loaded > 0, "damaged entry lines are skipped, not fatal");
+
+    let ckpt_path = dir.join("s-0001.ckpt.json");
+    checkpoint().save(&ckpt_path).unwrap();
+    let saved_ckpt = std::fs::read(&ckpt_path).unwrap();
+    load_damaged(&ckpt_path, 3, SessionCheckpoint::load, |bytes, _| {
+        let truncated = bytes.len() < saved_ckpt.len() && saved_ckpt.starts_with(bytes);
+        assert!(
+            !truncated,
+            "a checkpoint cut at {} bytes loaded",
+            bytes.len()
+        );
+    });
+
+    let dump = flight_dump();
+    let dump_path = save_dump(dir.join("flightrec"), &dump).unwrap();
+    let loaded = load_damaged(
+        &dump_path,
+        4,
+        |path| read_dump(path),
+        |_, back| assert_eq!(back, dump),
+    );
+    assert!(loaded > 0, "a dump cut after its payload still verifies");
+
+    std::fs::remove_dir_all(&dir).ok();
 }
