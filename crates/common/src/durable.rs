@@ -135,19 +135,16 @@ pub fn render_records(
     let mut out = Value::Object(header(kind, version)).to_string();
     out.push('\n');
     for (key, value) in records {
-        let value_json = canonicalize(&value).to_string();
-        let mut line = Map::new();
-        line.insert("key", Value::String(key));
-        line.insert(
-            "check",
-            Value::Number(Number::U64(fnv1a64_str(&value_json))),
-        );
-        line.insert(
-            "value",
-            serde::parse(&value_json).expect("canonical JSON re-parses"),
-        );
-        out.push_str(&Value::Object(line).to_string());
-        out.push('\n');
+        // The line holds the canonical value as it re-parses (`-0` reads
+        // back as `0`), and the checksum covers exactly those bytes.
+        let value_json = serde::parse(&canonicalize(&value).to_string())
+            .expect("canonical JSON re-parses")
+            .to_string();
+        let key = Value::String(key);
+        let check = fnv1a64_str(&value_json);
+        out.push_str(&format!(
+            "{{\"key\":{key},\"check\":{check},\"value\":{value_json}}}\n"
+        ));
     }
     out
 }
@@ -267,6 +264,17 @@ mod tests {
         assert_eq!(read.skipped, 0);
         let want: Vec<Value> = (0..4).map(|n| canonicalize(&record(n).1)).collect();
         assert_eq!(read.entries, want);
+    }
+
+    #[test]
+    fn negative_zero_survives_a_round_trip() {
+        let value = Value::Array(vec![
+            Value::Number(Number::F64(-0.0)),
+            Value::Number(Number::F64(0.5)),
+        ]);
+        let text = render_records("relm-test", 3, [("k".to_string(), value)]);
+        let read = parse_records(&text, "relm-test", 3, BadLine::Reject, decode_any).unwrap();
+        assert_eq!(read.entries[0].as_array().unwrap()[0].as_f64(), Some(0.0));
     }
 
     #[test]

@@ -68,15 +68,9 @@ impl Service {
         let mut digests: Vec<SessionDigest> = Vec::new();
         if shared.config.memory_store.is_some() {
             for sess in state.sessions.values() {
-                let Some(env) = sess.env.as_ref() else {
-                    continue;
-                };
-                if env.evaluations() > 0 {
-                    digests.push(SessionDigest::from_env(
-                        &sess.workload_label,
-                        sess.base_seed,
-                        env,
-                    ));
+                if let Some(env) = sess.env.as_ref().filter(|env| env.evaluations() > 0) {
+                    let digest = SessionDigest::from_env(&sess.workload_label, sess.base_seed, env);
+                    digests.push(digest);
                 }
             }
         }
