@@ -11,15 +11,16 @@
 //!
 //! * [`SessionDigest`] — the compact remainder of a settled session
 //!   (label, mean Table-6 stats, every `(config, score)` observation),
-//!   extractable from a [`relm_tune::TuningEnv`] at drain/checkpoint time
-//!   with no live profile needed.
+//!   extractable from a [`relm_tune::TuningEnv`] at drain time with no
+//!   live profile needed.
 //! * [`Fingerprint`] — the normalized statistics vector; distance between
 //!   fingerprints is the workload-similarity metric.
-//! * [`MemoryStore`] — the persistent store: checksummed JSONL (the
-//!   evalcache's atomic write-rename and canonical-hash idioms), key-sorted
-//!   so the bytes are reproducible, with *skip-and-count* semantics for
-//!   corrupted entries (memory informs priors; it never falsifies
-//!   results, so a damaged line degrades instead of failing the load).
+//! * [`MemoryStore`] — the persistent store: checksummed JSONL in
+//!   [`relm_common::durable`]'s keyed-record format, shared with the
+//!   evalcache, key-sorted so the bytes are reproducible, with
+//!   *skip-and-count* semantics for corrupted entries (memory informs
+//!   priors; it never falsifies results, so a damaged line degrades
+//!   instead of failing the load).
 //! * [`PriorBundle`] / [`build_prior`] — similarity-retrieved warm starts
 //!   per tuner family: GP observations for BO/GBO, weighted mean stats
 //!   for RelM, retrieved digests for DDPG replay seeding.
