@@ -117,7 +117,7 @@ pub enum BadLine {
 }
 
 /// The verified records of a keyed-record file.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Records<T> {
     /// Decoded records, in file order.
     pub entries: Vec<T>,
