@@ -3,12 +3,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use relm_bench::context;
-use relm_bo::BayesOpt;
+use relm_bo::{BayesOpt, SpaceSurrogate};
 use relm_common::Rng;
 use relm_core::{QModel, RelmTuner};
 use relm_ddpg::{state_vector, AgentConfig, DdpgAgent, Transition, STATE_DIMS};
 use relm_profile::derive_stats;
-use relm_surrogate::{latin_hypercube, maximize_ei, Gp, Surrogate};
+use relm_surrogate::{latin_hypercube, maximize_ei, Gp};
 use relm_tune::ConfigSpace;
 use relm_workloads::svm;
 use std::hint::black_box;
@@ -84,26 +84,15 @@ fn bench_model_probing(c: &mut Criterion) {
         b.iter(|| black_box(maximize_ei(&gp, 4, 5.0, &mut rng)))
     });
 
-    struct Guided<'a> {
-        gp: &'a Gp,
-        space: &'a ConfigSpace,
-        q: &'a QModel,
-    }
-    impl Surrogate for Guided<'_> {
-        fn predict(&self, x: &[f64]) -> (f64, f64) {
-            self.gp
-                .predict(&BayesOpt::features(self.space, Some(self.q), x))
-        }
-    }
     let xs7: Vec<Vec<f64>> = xs
         .iter()
         .map(|x| BayesOpt::features(&space, Some(&qmodel), x))
         .collect();
     let gp7 = Gp::fit(xs7, &ys, 1).expect("fit");
-    let guided = Guided {
-        gp: &gp7,
+    let guided = SpaceSurrogate {
+        inner: &gp7,
         space: &space,
-        q: &qmodel,
+        q: Some(&qmodel),
     };
     group.bench_function("gbo_maximize_ei", |b| {
         let mut rng = Rng::new(5);

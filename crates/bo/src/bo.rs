@@ -156,13 +156,18 @@ impl BayesOpt {
     }
 }
 
-/// Adapter: a surrogate over extended features exposed as a surrogate over
-/// the raw 4-dimensional space (Q metrics are deterministic functions of the
-/// configuration, so they are appended on the fly during acquisition).
-struct SpaceSurrogate<'a> {
-    inner: &'a dyn Surrogate,
-    space: &'a ConfigSpace,
-    q: Option<&'a QModel>,
+/// The acquisition adapter BO and GBO maximize EI through: a surrogate over
+/// the extended features of [`BayesOpt::features`], exposed as a surrogate
+/// over the raw 4-dimensional space. Q metrics are deterministic functions
+/// of the configuration, so they are appended on the fly during
+/// acquisition; with `q: None` the features are the raw coordinates.
+pub struct SpaceSurrogate<'a> {
+    /// The surrogate fitted on feature vectors.
+    pub inner: &'a dyn Surrogate,
+    /// Decodes a point into the configuration the Q metrics read.
+    pub space: &'a ConfigSpace,
+    /// GBO's guiding model; `None` for vanilla BO.
+    pub q: Option<&'a QModel>,
 }
 
 impl Surrogate for SpaceSurrogate<'_> {

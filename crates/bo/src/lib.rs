@@ -16,5 +16,5 @@
 pub mod bo;
 pub mod reuse;
 
-pub use bo::{BayesOpt, BoConfig, BoStep, SurrogateKind};
+pub use bo::{BayesOpt, BoConfig, BoStep, SpaceSurrogate, SurrogateKind};
 pub use reuse::{stats_fingerprint, ModelRepository, StoredModel};

@@ -13,7 +13,7 @@
 //! counters (they are exact atomic sums).
 
 use relm_app::Engine;
-use relm_bo::{BayesOpt, BoConfig};
+use relm_bo::{BayesOpt, BoConfig, SpaceSurrogate};
 use relm_cluster::ClusterSpec;
 use relm_common::Rng;
 use relm_core::{QModel, RelmTuner};
@@ -210,21 +210,10 @@ fn main() {
     let bo_probe = time_ms(|| {
         let _ = maximize_ei(&gp_plain, 4, 5.0, &mut rng);
     });
-    struct Wrapped<'a> {
-        gp: &'a Gp,
-        space: &'a ConfigSpace,
-        q: &'a QModel,
-    }
-    impl relm_surrogate::Surrogate for Wrapped<'_> {
-        fn predict(&self, x: &[f64]) -> (f64, f64) {
-            self.gp
-                .predict(&BayesOpt::features(self.space, Some(self.q), x))
-        }
-    }
-    let wrapped = Wrapped {
-        gp: &gp_guided,
+    let wrapped = SpaceSurrogate {
+        inner: &gp_guided,
         space: &space,
-        q: &qmodel,
+        q: Some(&qmodel),
     };
     let gbo_probe = time_ms(|| {
         let _ = maximize_ei(&wrapped, 4, 5.0, &mut rng);

@@ -5,7 +5,11 @@
 //! [`maximize_ei`] scores the 128-point candidate set as one fused
 //! [`Surrogate::predict_batch`] pass (scratch buffers reused across the
 //! pool) rather than one `predict` call per candidate, then runs four
-//! local hill climbs from the best candidates.
+//! local hill climbs from the best candidates. A climb move that the clamp
+//! to `[0, 1]` sends back onto the current point is skipped without a
+//! prediction: the candidate is the current point bit for bit, scores the
+//! current EI exactly, and can never pass the strict `fc > fx` test, so
+//! skipping it changes no accepted move, returned value or RNG draw.
 
 use crate::lhs::latin_hypercube;
 use crate::Surrogate;
@@ -83,13 +87,20 @@ pub fn maximize_ei<S: Surrogate + ?Sized>(
             let mut improved = false;
             for d in 0..dims {
                 for dir in [-1.0, 1.0] {
-                    let mut cand = x.clone();
-                    cand[d] = (cand[d] + dir * step).clamp(0.0, 1.0);
-                    let fc = ei_at(&cand);
+                    let here = x[d];
+                    let moved = (here + dir * step).clamp(0.0, 1.0);
+                    if moved.to_bits() == here.to_bits() {
+                        // Clamped back onto `x`: same bits, same EI as `fx`,
+                        // so `fc > fx` cannot hold.
+                        continue;
+                    }
+                    x[d] = moved;
+                    let fc = ei_at(&x);
                     if fc > fx {
-                        x = cand;
                         fx = fc;
                         improved = true;
+                    } else {
+                        x[d] = here;
                     }
                 }
             }
@@ -107,6 +118,8 @@ pub fn maximize_ei<S: Surrogate + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Gp;
+    use proptest::prelude::*;
 
     #[test]
     fn erf_matches_known_values() {
@@ -158,5 +171,144 @@ mod tests {
         assert!(ei > 0.0);
         assert!((x[0] - 0.7).abs() < 0.08, "x0 = {}", x[0]);
         assert!((x[1] - 0.3).abs() < 0.08, "x1 = {}", x[1]);
+    }
+
+    /// The maximizer before the climb skipped clamped no-op moves: a fresh
+    /// `x.clone()` per candidate, and every candidate scored. Kept verbatim
+    /// as the oracle [`maximize_ei`] must match bit for bit.
+    fn reference_maximize_ei<S: Surrogate + ?Sized>(
+        surrogate: &S,
+        dims: usize,
+        tau: f64,
+        rng: &mut Rng,
+    ) -> (Vec<f64>, f64) {
+        let ei_at = |x: &[f64]| {
+            let (m, v) = surrogate.predict(x);
+            expected_improvement(m, v, tau)
+        };
+        let mut candidates = latin_hypercube(96, dims, rng);
+        candidates.extend((0..32).map(|_| (0..dims).map(|_| rng.uniform()).collect::<Vec<f64>>()));
+        let mut scored: Vec<(f64, Vec<f64>)> = surrogate
+            .predict_batch(&candidates)
+            .into_iter()
+            .map(|(m, v)| expected_improvement(m, v, tau))
+            .zip(candidates)
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN EI"));
+        let mut best = scored[0].clone();
+        for (_, start) in scored.into_iter().take(4) {
+            let mut x = start;
+            let mut fx = ei_at(&x);
+            let mut step = 0.12;
+            while step > 0.005 {
+                let mut improved = false;
+                for d in 0..dims {
+                    for dir in [-1.0, 1.0] {
+                        let mut cand = x.clone();
+                        cand[d] = (cand[d] + dir * step).clamp(0.0, 1.0);
+                        let fc = ei_at(&cand);
+                        if fc > fx {
+                            x = cand;
+                            fx = fc;
+                            improved = true;
+                        }
+                    }
+                }
+                if !improved {
+                    step *= 0.5;
+                }
+            }
+            if fx > best.0 {
+                best = (fx, x);
+            }
+        }
+        (best.1, best.0)
+    }
+
+    /// A surrogate over 4 raw coordinates backed by a GP over 7 features —
+    /// the coordinates plus three deterministic, piecewise functions of them
+    /// — shaped like GBO's acquisition adapter in `relm-bo`.
+    struct SevenFeatures(Gp);
+
+    impl SevenFeatures {
+        fn features(x: &[f64]) -> Vec<f64> {
+            let mut f = x.to_vec();
+            f.extend([
+                (x[0] * x[1]).min(0.6),
+                (0.5 * (x[2] + x[3])).max(0.2),
+                if x[0] > x[3] { x[0] - x[3] } else { 0.0 },
+            ]);
+            f
+        }
+    }
+
+    impl Surrogate for SevenFeatures {
+        fn predict(&self, x: &[f64]) -> (f64, f64) {
+            self.0.predict(&Self::features(x))
+        }
+
+        fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+            let feats: Vec<Vec<f64>> = xs.iter().map(|x| Self::features(x)).collect();
+            self.0.predict_batch(&feats)
+        }
+    }
+
+    /// Training data whose minimum sits at a random corner, so climbs run
+    /// into the cube's faces; half the points are snapped to a 0.25 grid,
+    /// like configurations decoded and re-encoded by the tuners.
+    fn cornered_dataset(n: usize, dims: usize, rng: &mut Rng) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let corner: Vec<f64> = (0..dims)
+            .map(|_| f64::from(u8::from(rng.chance(0.5))))
+            .collect();
+        let mut xs = latin_hypercube(n, dims, rng);
+        for x in xs.iter_mut().step_by(2) {
+            for v in x.iter_mut() {
+                *v = (*v * 4.0).round() / 4.0;
+            }
+        }
+        let ys = xs
+            .iter()
+            .map(|x| {
+                1.0 + x
+                    .iter()
+                    .zip(&corner)
+                    .map(|(v, c)| (v - c).powi(2))
+                    .sum::<f64>()
+            })
+            .collect();
+        (xs, ys)
+    }
+
+    /// Runs [`maximize_ei`] and the reference from the same RNG state and
+    /// compares the point's bits, the EI's bits and the RNG's next draw.
+    fn assert_climbs_match<S: Surrogate + ?Sized>(s: &S, dims: usize, tau: f64, seed: u64) {
+        let (mut fast_rng, mut ref_rng) = (Rng::new(seed), Rng::new(seed));
+        let (x, ei) = maximize_ei(s, dims, tau, &mut fast_rng);
+        let (want_x, want_ei) = reference_maximize_ei(s, dims, tau, &mut ref_rng);
+        let to_bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(to_bits(&x), to_bits(&want_x), "point, seed {seed}");
+        assert_eq!(ei.to_bits(), want_ei.to_bits(), "EI, seed {seed}");
+        assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "RNG, seed {seed}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+        /// [`maximize_ei`] equals [`reference_maximize_ei`] bit for bit on a
+        /// 4-D GP, on a GBO-shaped 7-feature adapter, and on [`Bowl`].
+        #[test]
+        fn climb_matches_the_reference_bitwise(seed in 0u64..1000, n in 4usize..=40) {
+            let mut rng = Rng::new(seed ^ 0xC11B);
+            let (xs, ys) = cornered_dataset(n, 4, &mut rng);
+            let tau = ys.iter().cloned().fold(f64::INFINITY, f64::min);
+            let gp = Gp::fit(xs.clone(), &ys, seed).unwrap();
+            assert_climbs_match(&gp, 4, tau, seed);
+
+            let feats: Vec<Vec<f64>> = xs.iter().map(|x| SevenFeatures::features(x)).collect();
+            let guided = SevenFeatures(Gp::fit(feats, &ys, seed).unwrap());
+            assert_climbs_match(&guided, 4, tau, seed);
+
+            assert_climbs_match(&Bowl, 2, 0.5, seed);
+        }
     }
 }

@@ -7,14 +7,25 @@
 //! selected by maximizing the log marginal likelihood over a seeded random
 //! search refined by coordinate descent.
 //!
-//! The hot path is organized around [`GpFitter`], which owns a
-//! [`GramCache`] of pairwise differences so the ~136 likelihood evaluations
-//! per fit assemble their Gram matrices with one `exp` per pair, and —
-//! between hyperparameter re-tunes — extends the previous Cholesky factor
-//! by one row per new observation instead of refactorizing. Every path is
-//! bit-identical to the original from-scratch fit; the property tests in
-//! this module and the byte-identical-trace gates in `scripts/check.sh`
-//! hold it to that.
+//! Fitting is organized around [`GpFitter`], which owns a [`GramCache`] of
+//! pairwise differences so the 1 + 24 + 8·(d + 2) likelihood evaluations
+//! per fit (73 at d = 4, 97 at d = 7) assemble their Gram matrices with one
+//! `exp` per pair, and — between hyperparameter re-tunes — extends the
+//! previous Cholesky factor by one row per new observation instead of
+//! refactorizing.
+//!
+//! Prediction is the hot path of EI maximization: one `maximize_ei` call
+//! makes hundreds of them. A fitted [`Gp`] stores its training inputs and
+//! its Cholesky factor column-major, and one kernel serves both
+//! [`Gp::predict`] and [`Gp::predict_batch`]: `k*` accumulates one dimension
+//! at a time across all training points, and the forward solve runs column
+//! by column, so every loop over training points is contiguous and
+//! vectorizable while each entry keeps the operation order of the
+//! per-point, row-oriented form.
+//!
+//! Every path is bit-identical to the original from-scratch fit and
+//! prediction; the property tests in this module and the
+//! byte-identical-trace gates in `scripts/check.sh` hold it to that.
 //!
 //! For large histories an opt-in [`SparsePolicy`] (see
 //! [`GpFitter::with_policy`]) bounds the fit to a deterministic inducing
@@ -80,9 +91,15 @@ fn standardize_into(y: &[f64], out: &mut Vec<f64>) -> (f64, f64) {
 /// A fitted Gaussian process.
 #[derive(Debug, Clone)]
 pub struct Gp {
-    x: Vec<Vec<f64>>,
+    /// Training inputs, column-major: `xt[d·n + i] = x_i[d]`, so the
+    /// prediction kernel walks one dimension across all training points
+    /// contiguously.
+    xt: Vec<f64>,
     params: GpParams,
-    chol: Cholesky,
+    /// The Cholesky factor `L`, column-major: `lc[j·n + i] = L[i][j]` for
+    /// `i ≥ j` (zero above the diagonal), so the forward solve walks one
+    /// column at a time.
+    lc: Vec<f64>,
     alpha: Vec<f64>,
     y_mean: f64,
     y_scale: f64,
@@ -128,26 +145,41 @@ impl Gp {
         cache.assemble_fresh_into(&params, &mut k);
         let chol = Cholesky::with_jitter(&k, 1e-8)?;
         let alpha = chol.solve(&ys);
-        Ok(Gp::assemble(x, params, chol, alpha, y_mean, y_scale))
+        Ok(Gp::assemble(&x, params, &chol, alpha, y_mean, y_scale))
     }
 
-    /// Builds the struct, hoisting the exponentiated hyperparameters the
-    /// predict loop uses.
+    /// Builds the struct: transposes the training inputs and the factor
+    /// into the column-major layouts the prediction kernel reads, and
+    /// hoists the exponentiated hyperparameters.
     fn assemble(
-        x: Vec<Vec<f64>>,
+        x: &[Vec<f64>],
         params: GpParams,
-        chol: Cholesky,
+        chol: &Cholesky,
         alpha: Vec<f64>,
         y_mean: f64,
         y_scale: f64,
     ) -> Gp {
+        let n = x.len();
+        let dims = x.first().map_or(0, Vec::len);
+        let mut xt = vec![0.0; dims * n];
+        for (i, xi) in x.iter().enumerate() {
+            for (d, &v) in xi.iter().enumerate() {
+                xt[d * n + i] = v;
+            }
+        }
+        let mut lc = vec![0.0; n * n];
+        for j in 0..n {
+            for i in j..n {
+                lc[j * n + i] = chol.get(i, j);
+            }
+        }
         let ls = params.log_lengthscales.iter().map(|l| l.exp()).collect();
         let sv = params.log_signal_var.exp();
         let noise = params.log_noise_var.exp();
         Gp {
-            x,
+            xt,
             params,
-            chol,
+            lc,
             alpha,
             y_mean,
             y_scale,
@@ -172,38 +204,58 @@ impl Gp {
     /// Posterior mean and variance at `x` (Equation 6), in the original
     /// target units.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        let k_star: Vec<f64> = self.x.iter().map(|xi| self.k(xi, x)).collect();
-        let mean_std = dot(&k_star, &self.alpha);
-        let v = self.chol.solve_l(&k_star);
-        let k_xx = self.k(x, x) + self.noise;
-        let var_std = (k_xx - dot(&v, &v)).max(1e-12);
+        self.predict_into(x, &mut vec![0.0; self.len()])
+    }
+
+    /// Batched prediction reusing one `k*` buffer across queries.
+    /// Bit-identical to calling [`Gp::predict`] per point.
+    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        let mut buf = vec![0.0; self.len()];
+        xs.iter().map(|q| self.predict_into(q, &mut buf)).collect()
+    }
+
+    /// The prediction kernel behind [`Gp::predict`] and
+    /// [`Gp::predict_batch`]; `buf` holds `n` doubles. Every entry keeps the
+    /// operation order of a per-point [`Gp::k`] followed by a row-oriented
+    /// forward substitution, so results are bit-identical to that form;
+    /// only the loop nesting changes, which makes every loop over training
+    /// points contiguous and vectorizable:
+    ///
+    /// * `k*`: each point's squared scaled distance accumulates from `0.0`
+    ///   one dimension at a time, in ascending dimension order, across all
+    ///   points at once;
+    /// * the forward solve `L v = k*` runs column by column: `v_j = w_j /
+    ///   L[j][j]`, then `w_i −= L[i][j]·v_j` for every `i > j`, so each
+    ///   row still subtracts its products in ascending `j`.
+    fn predict_into(&self, q: &[f64], buf: &mut [f64]) -> (f64, f64) {
+        let n = self.len();
+        let w = &mut buf[..n];
+        w.fill(0.0);
+        for ((col, &qd), &l) in self.xt.chunks_exact(n).zip(q).zip(&self.ls) {
+            for (s, &xi) in w.iter_mut().zip(col) {
+                let d = (xi - qd) / l;
+                *s += d * d;
+            }
+        }
+        for s in w.iter_mut() {
+            *s = self.sv * (-0.5 * *s).exp();
+        }
+        let mean_std = dot(w, &self.alpha);
+        // In place: `w` turns from `k*` into `v`, entry j settling at step j.
+        for (j, col) in self.lc.chunks_exact(n).enumerate() {
+            let (done, rest) = w.split_at_mut(j + 1);
+            let vj = done[j] / col[j];
+            done[j] = vj;
+            for (wi, &lij) in rest.iter_mut().zip(&col[j + 1..]) {
+                *wi -= lij * vj;
+            }
+        }
+        let k_xx = self.k(q, q) + self.noise;
+        let var_std = (k_xx - dot(w, w)).max(1e-12);
         (
             self.y_mean + self.y_scale * mean_std,
             var_std * self.y_scale * self.y_scale,
         )
-    }
-
-    /// Batched prediction reusing the `k*` and forward-solve buffers across
-    /// queries. Bit-identical to calling [`Gp::predict`] per point.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        let n = self.x.len();
-        let mut k_star = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        xs.iter()
-            .map(|q| {
-                for (ks, xi) in k_star.iter_mut().zip(&self.x) {
-                    *ks = self.k(xi, q);
-                }
-                let mean_std = dot(&k_star, &self.alpha);
-                self.chol.solve_l_into(&k_star, &mut v);
-                let k_xx = self.k(q, q) + self.noise;
-                let var_std = (k_xx - dot(&v, &v)).max(1e-12);
-                (
-                    self.y_mean + self.y_scale * mean_std,
-                    var_std * self.y_scale * self.y_scale,
-                )
-            })
-            .collect()
     }
 
     /// The selected hyperparameters.
@@ -213,13 +265,13 @@ impl Gp {
 
     /// Number of training points.
     pub fn len(&self) -> usize {
-        self.x.len()
+        self.alpha.len()
     }
 
     /// True when the GP holds no training points (cannot happen after a
     /// successful [`Gp::fit`]).
     pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
+        self.alpha.is_empty()
     }
 }
 
@@ -417,12 +469,13 @@ impl GpFitter {
         stats.full_fits += 1;
         stats.chol_jitter_retries += u64::from(chol.jitter_retries());
         let alpha = chol.solve(ys_scratch);
+        let gp = Gp::assemble(x, best.clone(), &chol, alpha, y_mean, y_scale);
         *last = Some(LastFit {
-            params: best.clone(),
-            chol: Some(chol.clone()),
+            params: best,
+            chol: Some(chol),
             seed,
         });
-        Ok(Gp::assemble(x.clone(), best, chol, alpha, y_mean, y_scale))
+        Ok(gp)
     }
 
     /// The sparse large-n full fit: selects `policy.inducing` points by
@@ -451,7 +504,7 @@ impl GpFitter {
             chol: None,
             seed,
         });
-        Ok(Gp::assemble(sub_x, best, chol, alpha, y_mean, y_scale))
+        Ok(Gp::assemble(&sub_x, best, &chol, alpha, y_mean, y_scale))
     }
 
     /// Incremental refit at the previously selected hyperparameters: appends
@@ -510,14 +563,7 @@ impl GpFitter {
         stats.incremental_fits += 1;
         let (y_mean, y_scale) = standardize_into(y, ys_scratch);
         let alpha = chol.solve(ys_scratch);
-        Ok(Gp::assemble(
-            x.clone(),
-            params,
-            chol.clone(),
-            alpha,
-            y_mean,
-            y_scale,
-        ))
+        Ok(Gp::assemble(x, params, chol, alpha, y_mean, y_scale))
     }
 
     /// The sparse refit: re-selects the inducing subset over the grown
@@ -539,7 +585,7 @@ impl GpFitter {
         self.stats.sparse_fits += 1;
         self.stats.chol_jitter_retries += u64::from(chol.jitter_retries());
         let alpha = chol.solve(&self.ys_scratch);
-        Ok(Gp::assemble(sub_x, params, chol, alpha, y_mean, y_scale))
+        Ok(Gp::assemble(&sub_x, params, &chol, alpha, y_mean, y_scale))
     }
 }
 
@@ -845,6 +891,54 @@ mod tests {
         }
     }
 
+    /// The prediction before the column-major kernel, reconstructed: [`Gp::k`]
+    /// per training row, then the row-oriented forward substitution
+    /// `Cholesky::solve_l` ran (each row subtracts its products in ascending
+    /// column order). The kernel must match it to the last bit.
+    fn reference_predict(gp: &Gp, rows: &[Vec<f64>], chol: &Cholesky, q: &[f64]) -> (f64, f64) {
+        let k_star: Vec<f64> = rows.iter().map(|xi| gp.k(xi, q)).collect();
+        let mean_std = dot(&k_star, &gp.alpha);
+        let mut v = vec![0.0; rows.len()];
+        for (i, &ki) in k_star.iter().enumerate() {
+            let mut sum = ki;
+            for (j, vj) in v[..i].iter().enumerate() {
+                sum -= chol.get(i, j) * vj;
+            }
+            v[i] = sum / chol.get(i, i);
+        }
+        let k_xx = gp.k(q, q) + gp.noise;
+        let var_std = (k_xx - dot(&v, &v)).max(1e-12);
+        (
+            gp.y_mean + gp.y_scale * mean_std,
+            var_std * gp.y_scale * gp.y_scale,
+        )
+    }
+
+    /// Probes for the kernel oracle: the training points themselves, the
+    /// all-0 and all-1 corners, random corners, random points on the
+    /// cube's faces, and random interior points.
+    fn kernel_probes(xs: &[Vec<f64>], dims: usize, rng: &mut Rng) -> Vec<Vec<f64>> {
+        let mut probes = xs.to_vec();
+        probes.push(vec![0.0; dims]);
+        probes.push(vec![1.0; dims]);
+        for _ in 0..6 {
+            probes.push(
+                (0..dims)
+                    .map(|_| f64::from(u8::from(rng.chance(0.5))))
+                    .collect(),
+            );
+            let mut face: Vec<f64> = (0..dims).map(|_| rng.uniform()).collect();
+            face[rng.below(dims)] = f64::from(u8::from(rng.chance(0.5)));
+            probes.push(face);
+            probes.push((0..dims).map(|_| rng.uniform()).collect());
+        }
+        probes
+    }
+
+    fn bits((m, v): (f64, f64)) -> (u64, u64) {
+        (m.to_bits(), v.to_bits())
+    }
+
     #[test]
     fn refit_requires_a_prior_full_fit() {
         let mut fitter = GpFitter::default();
@@ -997,6 +1091,51 @@ mod tests {
                     &probes,
                     &format!("seed={seed} n0={n0} step={step}"),
                 );
+            }
+        }
+
+        /// `predict` and `predict_batch` equal [`reference_predict`] bit for
+        /// bit on GPs from all three constructors: `fit_full` on the first
+        /// half of the data, `refit` after streaming in the rest, and
+        /// `fit_with_params` on all of it at the selected hyperparameters.
+        #[test]
+        fn prediction_kernel_matches_the_row_oriented_reference(
+            seed in 0u64..1000,
+            n in 1usize..=64,
+            dims in 1usize..=8,
+        ) {
+            let (xs, ys) = random_dataset(n, dims, seed ^ 0x7E57);
+            let n0 = n.div_ceil(2);
+            let mut fitter = GpFitter::default();
+            for (x, y) in xs[..n0].iter().zip(&ys) {
+                fitter.observe(x.clone(), *y).unwrap();
+            }
+            let factor = |f: &GpFitter| f.last.as_ref().and_then(|l| l.chol.clone()).unwrap();
+            let full = fitter.fit_full(seed).unwrap();
+            let full_chol = factor(&fitter);
+            for (x, y) in xs[n0..].iter().zip(&ys[n0..]) {
+                fitter.observe(x.clone(), *y).unwrap();
+            }
+            let refit = fitter.refit().unwrap();
+            let refit_chol = factor(&fitter);
+            let params = full.params().clone();
+            let fixed = Gp::fit_with_params(xs.clone(), &ys, params.clone()).unwrap();
+            let mut gram = Matrix::zeros(0);
+            GramCache::new(&xs).assemble_fresh_into(&params, &mut gram);
+            let fixed_chol = Cholesky::with_jitter(&gram, 1e-8).unwrap();
+
+            let probes = kernel_probes(&xs, dims, &mut Rng::new(seed ^ 0xFACE));
+            for (name, gp, rows, chol) in [
+                ("fit_full", &full, &xs[..n0], &full_chol),
+                ("refit", &refit, &xs[..], &refit_chol),
+                ("fit_with_params", &fixed, &xs[..], &fixed_chol),
+            ] {
+                let batch = gp.predict_batch(&probes);
+                for (p, b) in probes.iter().zip(&batch) {
+                    let want = bits(reference_predict(gp, rows, chol, p));
+                    prop_assert_eq!(bits(gp.predict(p)), want, "{} predict at {:?}", name, p);
+                    prop_assert_eq!(bits(*b), want, "{} predict_batch at {:?}", name, p);
+                }
             }
         }
 

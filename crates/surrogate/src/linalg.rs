@@ -8,6 +8,8 @@
 //! backward substitutions into one buffer. All code paths produce results
 //! bit-identical to the textbook two-triangle formulation they replaced —
 //! the tuning pipeline's byte-identical-history invariant depends on it.
+//! GP prediction does not solve through this type: [`crate::Gp`] copies the
+//! factor column-major and runs its own column-oriented forward solve.
 
 use relm_common::{Error, Result};
 
@@ -177,15 +179,8 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Solves `L z = b` (forward substitution).
-    pub fn solve_l(&self, b: &[f64]) -> Vec<f64> {
-        let mut z = vec![0.0; self.n];
-        self.solve_l_into(b, &mut z);
-        z
-    }
-
-    /// Forward substitution into a caller-owned buffer (`out.len() == n`),
-    /// for hot paths that reuse allocations.
+    /// Solves `L z = b` (forward substitution) into a caller-owned buffer
+    /// (`out.len() == n`), for hot paths that reuse allocations.
     pub fn solve_l_into(&self, b: &[f64], out: &mut [f64]) {
         for (i, &bi) in b[..self.n].iter().enumerate() {
             let ri = row_start(i);

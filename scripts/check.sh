@@ -142,7 +142,18 @@ echo "== surrogate perf smoke test =="
 # The fast surrogate kernels must be invisible in the traces: the
 # workspace tests above prove incremental refits are bit-identical to the
 # from-scratch path, and the convergence driver must emit byte-identical
-# JSONL whether its (policy, rep) cells run on 1 worker or 8.
+# JSONL whether its (policy, rep) cells run on 1 worker or 8. The serial
+# exact and sparse traces must also match recorded SHA-256 digests, which
+# pins every BO/GBO proposal of fig20 across versions; only a change that
+# means to alter tuning histories updates them.
+fig20_exact_sha=a17e682cf81a2d9baa7b46dfd11ee4ef25e2289a0cc76632bcc663e581a93f1b
+fig20_sparse_sha=f642e30c8268efcbdedbb2d76b9845c11e7f51cdbb841d06be6b1ce7f5e29b5d
+check_digest() {
+  local got
+  got="$(sha256sum "$1" | cut -d' ' -f1)"
+  [ "$got" = "$2" ] \
+    || { echo "$3 FAILED: $1 has sha256 $got, expected $2" >&2; exit 1; }
+}
 surrogate_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir" "$cache_dir" "$serve_dir" "$surrogate_dir"' EXIT
 cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
@@ -151,7 +162,8 @@ cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
   --workers 8 --out "$surrogate_dir/t8.jsonl" >/dev/null
 diff "$surrogate_dir/t1.jsonl" "$surrogate_dir/t8.jsonl" \
   || { echo "surrogate smoke test FAILED: convergence depends on workers" >&2; exit 1; }
-echo "surrogate OK: fig20 convergence byte-identical across 1/8 workers"
+check_digest "$surrogate_dir/t1.jsonl" "$fig20_exact_sha" "surrogate smoke test"
+echo "surrogate OK: fig20 convergence byte-identical across 1/8 workers and to its pinned digest"
 
 echo "== sparse surrogate smoke test =="
 # The large-n inducing-subset path holds the same determinism contract:
@@ -172,7 +184,8 @@ cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
   --sparse --workers 8 --out "$surrogate_dir/sp8.jsonl" >/dev/null
 diff "$surrogate_dir/sp1.jsonl" "$surrogate_dir/sp8.jsonl" \
   || { echo "sparse smoke test FAILED: sparse convergence depends on workers" >&2; exit 1; }
-echo "sparse OK: n=500 posterior repeats run to run, sparse fig20 trace byte-identical across 1/8 workers"
+check_digest "$surrogate_dir/sp1.jsonl" "$fig20_sparse_sha" "sparse smoke test"
+echo "sparse OK: n=500 posterior repeats run to run, sparse fig20 trace byte-identical across 1/8 workers and to its pinned digest"
 
 echo "== warm-start smoke test =="
 # Cross-session memory end to end through the serving layer: a cold
