@@ -3,9 +3,39 @@
 //! [`Engine::run`] executes an [`AppSpec`] under a [`MemoryConfig`] on a
 //! [`ClusterSpec`] and returns a [`RunResult`] plus the [`Profile`] a
 //! monitoring stack would have collected. [`Engine::run_stats`] runs the
-//! same simulation but returns only the profile's Table-6 statistics, so
-//! it never records the timelines that only plots read. The simulation is
-//! deterministic given the seed.
+//! same simulation but returns only the profile's Table-6 statistics, and
+//! never builds the profile. The simulation is deterministic given the
+//! seed.
+//!
+//! ## Statistics without a profile
+//!
+//! `derive_stats` reads a profile's pool maxima and, at each full-GC event,
+//! the cache, shuffle and running-task samples in effect at the event's
+//! time. A statistics-only run keeps these per container as it simulates
+//! ([`relm_profile::StatsInputs`]), and resolves each full-GC event when
+//! the container-wave attempt that logged it commits, with the values that
+//! commit would push to the timelines. That is exactly what the timelines
+//! give:
+//!
+//! - An attempt that starts at wave time `T` pushes its samples at `T` and
+//!   logs its events in `[T, T + compute)`. The young loop, the
+//!   promotion-failure loop and the leftover-spill loop all place events
+//!   strictly inside the wave, and clamping an event to the JVM's previous
+//!   one never moves it past that.
+//! - The container's next samples are pushed no earlier than
+//!   `T + compute + gc pause`: the clock advances by at least the
+//!   attempt's wall time, whether the wave commits or a later container
+//!   fails it.
+//! - A container that fails is replaced before it commits, and its JVM's
+//!   events go with it: a profile keeps only each container's final JVM's
+//!   events, and the statistics-only run drops that JVM's samples.
+//!
+//! So the timeline lookup at an event's time always reads the commit that
+//! follows the event. The samples are collected in the order
+//! `derive_stats` visits them, container by container with events in
+//! logged order, so even values that compare equal (±0.0) sort as they
+//! would from the profile. Profile corruption takes the same draws in both
+//! runs.
 //!
 //! ## Model
 //!
@@ -27,11 +57,14 @@
 use crate::result::RunResult;
 use crate::spec::{AppSpec, InputSource, StageSpec};
 use relm_cluster::{ClusterSpec, ContainerSpec, ResourceManager};
+use relm_common::hash::Fnv64;
 use relm_common::{Mem, MemoryConfig, Millis, Rng};
-use relm_faults::{AbortCause, FaultPlan, ProfileNoise};
+use relm_faults::{AbortCause, FaultPlan, ProfileNoise, StageSites};
 use relm_jvm::{GcCostModel, GcSettings, JvmSim, WavePressure};
 use relm_obs::Obs;
-use relm_profile::{derive_stats, ContainerTrace, DerivedStats, Profile};
+use relm_profile::{
+    ContainerInputs, ContainerTrace, DerivedStats, FullGcSample, Profile, StatsInputs,
+};
 use serde::{Deserialize, Serialize};
 
 /// Tunable constants of the execution model.
@@ -93,32 +126,110 @@ impl Default for EngineCostModel {
     }
 }
 
+/// What the profiler keeps of one container. The record outlives the
+/// container's JVMs: a replacement JVM takes over its predecessor's.
+trait Record {
+    /// Whether the JVMs keep their profiler timeline: every GC event and
+    /// RSS sample, rather than only the full-GC events.
+    const TIMELINE: bool;
+
+    /// An empty record for a container whose code overhead is `m_i`.
+    fn new(m_i: Mem) -> Self;
+
+    /// Notes a committed container-wave attempt that started at `now`.
+    fn commit(&mut self, now: Millis, jvm: &JvmSim, cache_used: Mem, shuffle_live: Mem, tasks: u32);
+
+    /// Notes that `dying` was killed at `now` and is being replaced.
+    fn retire(&mut self, dying: &JvmSim, now: Millis);
+}
+
+/// [`Engine::run`] keeps the full trace its profile returns.
+impl Record for ContainerTrace {
+    const TIMELINE: bool = true;
+
+    fn new(m_i: Mem) -> Self {
+        ContainerTrace {
+            code_overhead: m_i,
+            ..Default::default()
+        }
+    }
+
+    fn commit(&mut self, now: Millis, _: &JvmSim, cache_used: Mem, shuffle_live: Mem, tasks: u32) {
+        self.running_tasks.push(now, tasks);
+        self.cache_used.push(now, cache_used);
+        self.shuffle_used.push(now, shuffle_live);
+    }
+
+    /// Flushes the dying JVM's RSS samples into the trace: the fresh
+    /// process starts a new sample log. The final sample is the peak that
+    /// triggered the failure.
+    fn retire(&mut self, dying: &JvmSim, now: Millis) {
+        let mut last_t = now;
+        for &(t, rss) in dying.rss_samples() {
+            self.rss.push_clamped(t, rss);
+            last_t = last_t.max(t);
+        }
+        self.rss.push_clamped(last_t, dying.peak_rss());
+    }
+}
+
+/// [`Engine::run_stats`] keeps only what the Table-6 statistics read: the
+/// pool maxima, and each full-GC event of the current JVM resolved against
+/// the values its attempt commits (see the module docs for why that is
+/// exactly what `derive_stats` reads off the timelines).
+impl Record for ContainerInputs {
+    const TIMELINE: bool = false;
+
+    fn new(m_i: Mem) -> Self {
+        ContainerInputs {
+            code_overhead: m_i,
+            ..Default::default()
+        }
+    }
+
+    fn commit(&mut self, _: Millis, jvm: &JvmSim, cache_used: Mem, shuffle_live: Mem, tasks: u32) {
+        self.max_cache_used = self.max_cache_used.max(cache_used);
+        self.max_shuffle_used = self.max_shuffle_used.max(shuffle_live);
+        // Without a timeline the JVM logs only full-GC events, and every
+        // earlier one is already resolved.
+        let logged = &jvm.events()[self.full_gcs.len()..];
+        self.full_gcs.extend(logged.iter().map(|e| FullGcSample {
+            heap_used_after: e.heap_used_after,
+            cache_used,
+            shuffle_used: shuffle_live,
+            running_tasks: tasks,
+        }));
+    }
+
+    /// A profile keeps only the final JVM's GC events.
+    fn retire(&mut self, _: &JvmSim, _: Millis) {
+        self.full_gcs.clear();
+    }
+}
+
 /// Per-container mutable state during a run.
-struct ContainerState {
+struct ContainerState<R> {
     jvm: JvmSim,
-    trace: ContainerTrace,
+    record: R,
     cache_used: Mem,
     rng: Rng,
 }
 
-impl ContainerState {
+impl<R: Record> ContainerState<R> {
+    /// A fresh JVM that takes over `record`.
     fn new(
         heap: Mem,
         settings: GcSettings,
         gc: GcCostModel,
         m_i: Mem,
         rng: Rng,
-        timeline: bool,
+        record: R,
     ) -> Self {
-        let mut jvm = JvmSim::new(heap, settings, gc).with_timeline(timeline);
+        let mut jvm = JvmSim::new(heap, settings, gc).with_timeline(R::TIMELINE);
         jvm.set_code_overhead(m_i);
-        let trace = ContainerTrace {
-            code_overhead: m_i,
-            ..Default::default()
-        };
         ContainerState {
             jvm,
-            trace,
+            record,
             cache_used: Mem::ZERO,
             rng,
         }
@@ -190,37 +301,39 @@ impl Engine {
     /// Runs the application under `config`, returning the run metrics and
     /// the collected profile. Deterministic given `seed`.
     pub fn run(&self, app: &AppSpec, config: &MemoryConfig, seed: u64) -> (RunResult, Profile) {
-        self.simulate(app, config, seed, true)
+        self.simulate(app, config, seed, RunSim::profile)
     }
 
     /// Runs the application like [`Engine::run`] but returns only the
     /// profile's Table-6 statistics: exactly
     /// `derive_stats(&engine.run(app, config, seed).1)`, and the same
-    /// `RunResult`, span and counters. The run records no RSS samples and
-    /// keeps no young-GC events, which the statistics never read.
+    /// `RunResult`, span and counters. The run records no profile: it
+    /// folds the statistics' inputs into the simulation as each wave
+    /// attempt commits (see the module docs).
     pub fn run_stats(
         &self,
         app: &AppSpec,
         config: &MemoryConfig,
         seed: u64,
     ) -> (RunResult, DerivedStats) {
-        let (result, profile) = self.simulate(app, config, seed, false);
-        (result, derive_stats(&profile))
+        let (result, inputs) = self.simulate(app, config, seed, RunSim::stats_inputs);
+        (result, inputs.derive())
     }
 
-    /// One run under the `engine.run` span. Without the `timeline` the
-    /// profile holds only what [`derive_stats`] reads: no RSS samples and
-    /// only the full-GC events.
-    fn simulate(
-        &self,
-        app: &AppSpec,
+    /// One run under the `engine.run` span, keeping an `R` per container;
+    /// `collect` turns those records into what the run returns.
+    fn simulate<'a, R: Record, T>(
+        &'a self,
+        app: &'a AppSpec,
         config: &MemoryConfig,
         seed: u64,
-        timeline: bool,
-    ) -> (RunResult, Profile) {
+        collect: impl FnOnce(&mut RunSim<'a, R>, Summary) -> T,
+    ) -> (RunResult, T) {
         let mut span = self.obs.span("engine.run");
-        let mut sim = RunSim::new(self, app, config, seed, timeline);
-        let (result, profile) = sim.execute();
+        let mut sim = RunSim::new(self, app, config, seed);
+        sim.execute();
+        let (result, summary) = sim.finish();
+        let collected = collect(&mut sim, summary);
         if span.is_recording() {
             span.set("app", app.name.as_str());
             span.set("seed", seed);
@@ -240,7 +353,7 @@ impl Engine {
             self.obs.record("engine.run_ms", result.runtime.as_ms());
             self.obs.record("engine.gc_ms", sim.pause_time.as_ms());
         }
-        (result, profile)
+        (result, collected)
     }
 }
 
@@ -293,12 +406,12 @@ enum WaveAttempt {
 }
 
 /// The working state of one simulated run.
-struct RunSim<'a> {
+struct RunSim<'a, R> {
     engine: &'a Engine,
     app: &'a AppSpec,
     config: MemoryConfig,
     container_spec: ContainerSpec,
-    containers: Vec<ContainerState>,
+    containers: Vec<ContainerState<R>>,
     rm: ResourceManager,
     now: Millis,
     aborted: bool,
@@ -318,47 +431,60 @@ struct RunSim<'a> {
     cache_target_per_container: Mem,
     hit_ratio: f64,
     seed: u64,
-    /// Record the profiler timeline (RSS samples, young-GC events).
-    timeline: bool,
 }
 
-/// FNV-1a over the skew coordinates: deterministic across platforms and
-/// stable across retries of the same wave.
-fn skew_hash(seed: u64, stage: &str, wave: u32, container: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for b in seed.to_le_bytes() {
-        eat(b);
-    }
-    for b in stage.bytes() {
-        eat(b);
-    }
-    for b in wave.to_le_bytes() {
-        eat(b);
-    }
-    for b in (container as u64).to_le_bytes() {
-        eat(b);
-    }
-    h
+/// The run-level figures of a profile, corrupted when the fault plan says
+/// so.
+struct Summary {
+    duration: Millis,
+    cpu_avg: f64,
+    disk_avg: f64,
+    cache_hit_ratio: f64,
+    spill_fraction: f64,
+    gc_overhead: f64,
+    /// The corruption's noise, left for the per-container draws.
+    noise: Option<ProfileNoise>,
 }
 
-impl<'a> RunSim<'a> {
-    fn new(
-        engine: &'a Engine,
-        app: &'a AppSpec,
-        config: &MemoryConfig,
-        seed: u64,
-        timeline: bool,
-    ) -> Self {
+/// What one stage's container-waves hash their draws from, computed once
+/// per stage.
+struct StageHashes {
+    /// FNV-1a after the sticky-skew coordinates `(run seed, stage name)`.
+    skew: Fnv64,
+    /// The fault plan's sites for this stage.
+    faults: Option<StageSites>,
+}
+
+impl StageHashes {
+    fn new(seed: u64, stage: &str, plan: Option<&FaultPlan>) -> Self {
+        let mut skew = Fnv64::new();
+        skew.write_u64(seed);
+        skew.write_str(stage);
+        StageHashes {
+            skew,
+            faults: plan.map(|p| p.stage_sites(seed, stage)),
+        }
+    }
+
+    /// The seed of a container-wave's sticky skew: the stage prefix plus
+    /// `(wave, container)`, so it is deterministic across platforms and
+    /// stable across retries of the same wave.
+    fn skew_seed(&self, wave: u32, container: usize) -> u64 {
+        let mut h = self.skew;
+        h.write_bytes(&wave.to_le_bytes());
+        h.write_u64(container as u64);
+        h.finish()
+    }
+}
+
+impl<'a, R: Record> RunSim<'a, R> {
+    fn new(engine: &'a Engine, app: &'a AppSpec, config: &MemoryConfig, seed: u64) -> Self {
         let cluster = &engine.cluster;
         let container_spec = cluster.container(config.containers_per_node);
         let n_containers = cluster.total_containers(config.containers_per_node);
         let settings = GcSettings::from_config(config);
         let root = Rng::new(seed);
-        let containers: Vec<ContainerState> = (0..n_containers)
+        let containers: Vec<ContainerState<R>> = (0..n_containers)
             .map(|i| {
                 ContainerState::new(
                     config.heap,
@@ -366,7 +492,7 @@ impl<'a> RunSim<'a> {
                     engine.cost.gc,
                     app.code_overhead,
                     root.fork(i as u64 + 1),
-                    timeline,
+                    R::new(app.code_overhead),
                 )
             })
             .collect();
@@ -418,22 +544,21 @@ impl<'a> RunSim<'a> {
             cache_target_per_container,
             hit_ratio,
             seed,
-            timeline,
         }
     }
 
-    fn execute(&mut self) -> (RunResult, Profile) {
-        for &stage_idx in &self.app.schedule() {
-            let stage = self.app.stages[stage_idx].clone();
-            self.run_stage(&stage);
+    fn execute(&mut self) {
+        let app = self.app;
+        for &stage_idx in &app.schedule() {
+            self.run_stage(&app.stages[stage_idx]);
             if self.aborted {
                 break;
             }
         }
-        self.finish()
     }
 
     fn run_stage(&mut self, stage: &StageSpec) {
+        let hashes = StageHashes::new(self.seed, &stage.name, self.engine.faults.as_ref());
         let n_containers = self.containers.len() as u32;
         let p = self.config.task_concurrency.max(1);
         let total_slots = n_containers * p;
@@ -447,7 +572,7 @@ impl<'a> RunSim<'a> {
 
             let mut attempts = 0u32;
             loop {
-                match self.attempt_wave(stage, wave, base, extra, attempts) {
+                match self.attempt_wave(stage, &hashes, wave, base, extra, attempts) {
                     WaveAttempt::Ok => break,
                     WaveAttempt::ContainerFailed {
                         idx,
@@ -491,7 +616,7 @@ impl<'a> RunSim<'a> {
         &mut self,
         idx: usize,
         stage: &StageSpec,
-        wave_idx: u32,
+        skew_seed: u64,
         tasks: u32,
         straggle: f64,
     ) -> ContainerWave {
@@ -602,8 +727,7 @@ impl<'a> RunSim<'a> {
         // many tasks smooths allocation peaks that would sink a small heap
         // running few tasks.
         let noise_scale = 1.0 / m_f.sqrt();
-        let skew = Rng::new(skew_hash(self.seed, &stage.name, wave_idx, idx))
-            .noise_factor(cost.skew_noise * noise_scale);
+        let skew = Rng::new(skew_seed).noise_factor(cost.skew_noise * noise_scale);
         let state = &mut self.containers[idx];
         let mem_noise = state.rng.noise_factor(cost.mem_noise * noise_scale);
         let working = stage.unmanaged_per_task * m_f * skew * mem_noise;
@@ -675,6 +799,7 @@ impl<'a> RunSim<'a> {
     fn attempt_wave(
         &mut self,
         stage: &StageSpec,
+        hashes: &StageHashes,
         wave_idx: u32,
         base_tasks: u32,
         extra: u32,
@@ -682,19 +807,13 @@ impl<'a> RunSim<'a> {
     ) -> WaveAttempt {
         let n = self.containers.len();
         let mut wave_wall = Millis::ZERO;
-        let plan = self.engine.faults.as_ref();
+        let sites = hashes.faults.as_ref();
 
         // Node loss preempts the whole wave: every container on the victim
         // node dies before any task finishes.
-        if let Some(node) = plan.and_then(|p| {
-            p.node_loss(
-                self.seed,
-                &stage.name,
-                wave_idx,
-                attempt,
-                self.engine.cluster.nodes,
-            )
-        }) {
+        if let Some(node) =
+            sites.and_then(|s| s.node_loss(wave_idx, attempt, self.engine.cluster.nodes))
+        {
             let cpn = self.config.containers_per_node.max(1);
             let recovery = self.rm.report_node_loss(self.now, cpn);
             self.engine.obs.inc("faults.injected");
@@ -708,8 +827,8 @@ impl<'a> RunSim<'a> {
                 continue;
             }
 
-            let straggle = plan
-                .and_then(|p| p.straggler(self.seed, &stage.name, wave_idx, idx, attempt))
+            let straggle = sites
+                .and_then(|s| s.straggler(wave_idx, idx, attempt))
                 .unwrap_or(1.0);
             if straggle > 1.0 {
                 self.soft_injections += 1;
@@ -717,14 +836,15 @@ impl<'a> RunSim<'a> {
                 self.engine.obs.inc("faults.injected.straggler");
             }
 
-            let mut wave = self.simulate_container(idx, stage, wave_idx, tasks, straggle);
+            let skew_seed = hashes.skew_seed(wave_idx, idx);
+            let mut wave = self.simulate_container(idx, stage, skew_seed, tasks, straggle);
 
             // An injected kill takes the container down even if the wave
             // would have survived organically; organic failures win the
             // race because they fire first.
             if wave.failure.is_none()
-                && plan
-                    .and_then(|p| p.container_kill(self.seed, &stage.name, wave_idx, idx, attempt))
+                && sites
+                    .and_then(|s| s.container_kill(wave_idx, idx, attempt))
                     .is_some()
             {
                 wave.failure = Some(FailureKind::Injected);
@@ -764,12 +884,15 @@ impl<'a> RunSim<'a> {
             self.spilled_bytes_mb += wave.spilled_mb * m_f;
             self.spill_events += wave.spill_events as u64;
 
-            let now = self.now;
             let state = &mut self.containers[idx];
             state.cache_used += wave.cache_fill;
-            state.trace.running_tasks.push(now, wave.tasks);
-            state.trace.cache_used.push(now, state.cache_used);
-            state.trace.shuffle_used.push(now, wave.shuffle_live);
+            state.record.commit(
+                self.now,
+                &state.jvm,
+                state.cache_used,
+                wave.shuffle_live,
+                wave.tasks,
+            );
         }
 
         self.now += wave_wall;
@@ -777,42 +900,31 @@ impl<'a> RunSim<'a> {
     }
 
     /// Replaces a failed container with a fresh JVM process. The replacement
-    /// keeps the accumulated trace (the profiler observes the whole run) and
+    /// keeps the accumulated record (the profiler observes the whole run) and
     /// is assumed to re-populate its cache during the retry (the time cost is
     /// charged in the recovery delay by the caller via `recache_ms_per_mb`).
     fn replace_container(&mut self, idx: usize, _kind: FailureKind) {
         let settings = GcSettings::from_config(&self.config);
-        let lost_cache = self.containers[idx].cache_used;
-        let mut old_trace = std::mem::take(&mut self.containers[idx].trace);
-        // Flush the dying JVM's RSS samples into the trace now — the fresh
-        // process starts a new sample log. The final sample is the peak that
-        // triggered the failure.
-        if self.timeline {
-            let mut last_t = self.now;
-            for &(t, rss) in self.containers[idx].jvm.rss_samples() {
-                old_trace.rss.push_clamped(t, rss);
-                last_t = last_t.max(t);
-            }
-            old_trace
-                .rss
-                .push_clamped(last_t, self.containers[idx].jvm.peak_rss());
-        }
-        let rng = self.containers[idx].rng.fork(0xDEAD_BEEF);
+        let old = &mut self.containers[idx];
+        let lost_cache = old.cache_used;
+        let mut record = std::mem::replace(&mut old.record, R::new(self.app.code_overhead));
+        record.retire(&old.jvm, self.now);
+        let rng = old.rng.fork(0xDEAD_BEEF);
         let mut fresh = ContainerState::new(
             self.config.heap,
             settings,
             self.engine.cost.gc,
             self.app.code_overhead,
             rng,
-            self.timeline,
+            record,
         );
-        fresh.trace = old_trace;
         fresh.cache_used = lost_cache;
         self.now += Millis::ms(lost_cache.as_mb() * self.engine.cost.recache_ms_per_mb);
         self.containers[idx] = fresh;
     }
 
-    fn finish(&mut self) -> (RunResult, Profile) {
+    /// The run's result, and the run-level figures its profile reports.
+    fn finish(&mut self) -> (RunResult, Summary) {
         let elapsed = self.now.max(Millis::ms(1.0));
         let cluster = &self.engine.cluster;
         let total_cores = (cluster.nodes * cluster.cores_per_node) as f64;
@@ -846,12 +958,12 @@ impl<'a> RunSim<'a> {
 
         // Decide profile corruption before assembling the result so the
         // injection tally includes it.
-        let corruption = self
+        let noise = self
             .engine
             .faults
             .as_ref()
             .and_then(|p| p.profile_corruption(self.seed));
-        if corruption.is_some() {
+        if noise.is_some() {
             self.soft_injections += 1;
             self.engine.obs.inc("faults.injected");
             self.engine.obs.inc("faults.injected.profile_corruption");
@@ -875,70 +987,140 @@ impl<'a> RunSim<'a> {
             full_gcs,
         };
 
+        let mut summary = Summary {
+            duration: elapsed,
+            cpu_avg: avg_cpu_util * 100.0,
+            disk_avg: avg_disk_util * 100.0,
+            cache_hit_ratio: self.hit_ratio,
+            spill_fraction,
+            gc_overhead,
+            noise,
+        };
+        summary.corrupt();
+        (result, summary)
+    }
+}
+
+impl RunSim<'_, ContainerTrace> {
+    /// The run's profile.
+    fn profile(&mut self, mut summary: Summary) -> Profile {
         let containers = self
             .containers
             .iter_mut()
             .map(|c| {
-                let mut trace = std::mem::take(&mut c.trace);
+                let mut trace = std::mem::take(&mut c.record);
                 trace.gc_events = c.jvm.events().to_vec();
                 trace.peak_heap_used = c.jvm.peak_heap_used();
                 trace.peak_old_used = c.jvm.peak_old_used();
                 for &(t, rss) in c.jvm.rss_samples() {
                     trace.rss.push_clamped(t, rss);
                 }
+                if let Some(noise) = &mut summary.noise {
+                    corrupt_container(
+                        noise,
+                        &c.jvm,
+                        &mut trace.peak_heap_used,
+                        &mut trace.peak_old_used,
+                        &mut trace.gc_events,
+                    );
+                }
                 trace
             })
             .collect();
-
-        let mut profile = Profile {
+        Profile {
             app_name: self.app.name.clone(),
             config: self.config,
-            duration: elapsed,
-            cpu_avg: avg_cpu_util * 100.0,
-            disk_avg: avg_disk_util * 100.0,
-            cache_hit_ratio: self.hit_ratio,
-            spill_fraction,
+            duration: summary.duration,
+            cpu_avg: summary.cpu_avg,
+            disk_avg: summary.disk_avg,
+            cache_hit_ratio: summary.cache_hit_ratio,
+            spill_fraction: summary.spill_fraction,
             containers,
-            gc_overhead,
-        };
-
-        if let Some(mut noise) = corruption {
-            corrupt_profile(&mut profile, &self.containers, &mut noise);
+            gc_overhead: summary.gc_overhead,
         }
-
-        (result, profile)
     }
 }
 
-/// Degrades a collected profile the way a flaky monitoring stack does:
-/// summary statistics drift (clock skew, partial sample windows) and
-/// individual GC events go missing (log rotation, dropped scrapes). The
-/// perturbation is multiplicative and clamped into each statistic's valid
-/// range, so downstream consumers get a *plausible* but wrong profile —
-/// exactly the failure mode white-box tuning must survive.
-///
-/// One coin is drawn per collection each container's JVM ran, young ones
-/// included, even when the profile kept only the full-GC events: a run
-/// without a timeline drops exactly the full-GC events a timeline run
-/// drops.
-fn corrupt_profile(profile: &mut Profile, containers: &[ContainerState], noise: &mut ProfileNoise) {
-    profile.cpu_avg = (profile.cpu_avg * noise.factor()).clamp(0.0, 100.0);
-    profile.disk_avg = (profile.disk_avg * noise.factor()).clamp(0.0, 100.0);
-    profile.cache_hit_ratio = (profile.cache_hit_ratio * noise.factor()).clamp(0.0, 1.0);
-    profile.spill_fraction = (profile.spill_fraction * noise.factor()).clamp(0.0, 1.0);
-    profile.gc_overhead = (profile.gc_overhead * noise.factor()).clamp(0.0, 1.0);
-    for (trace, ContainerState { jvm, .. }) in profile.containers.iter_mut().zip(containers) {
-        let f = noise.factor();
-        trace.peak_heap_used = trace.peak_heap_used * f;
-        trace.peak_old_used = (trace.peak_old_used * f).min(trace.peak_heap_used);
-        let collections = jvm.young_gc_count() + jvm.full_gc_count();
-        let dropped: Vec<bool> = (0..collections).map(|_| noise.chance(0.3)).collect();
-        let mut k = 0;
-        trace.gc_events.retain(|_| {
-            k += 1;
-            !dropped[jvm.event_position(k - 1) as usize]
-        });
+impl RunSim<'_, ContainerInputs> {
+    /// The inputs of the run's Table-6 statistics.
+    fn stats_inputs(&mut self, mut summary: Summary) -> StatsInputs {
+        let containers = self
+            .containers
+            .iter_mut()
+            .map(|c| {
+                let mut inputs = std::mem::take(&mut c.record);
+                debug_assert_eq!(inputs.full_gcs.len(), c.jvm.events().len());
+                inputs.peak_old_used = c.jvm.peak_old_used();
+                if let Some(noise) = &mut summary.noise {
+                    let mut peak_heap_used = c.jvm.peak_heap_used();
+                    corrupt_container(
+                        noise,
+                        &c.jvm,
+                        &mut peak_heap_used,
+                        &mut inputs.peak_old_used,
+                        &mut inputs.full_gcs,
+                    );
+                }
+                inputs
+            })
+            .collect();
+        StatsInputs {
+            config: self.config,
+            cpu_avg: summary.cpu_avg,
+            disk_avg: summary.disk_avg,
+            cache_hit_ratio: summary.cache_hit_ratio,
+            spill_fraction: summary.spill_fraction,
+            containers,
+        }
     }
+}
+
+// Profile corruption degrades a collected profile the way a flaky
+// monitoring stack does: summary statistics drift (clock skew, partial
+// sample windows) and individual GC events go missing (log rotation,
+// dropped scrapes). The perturbation is multiplicative and clamped into
+// each statistic's valid range, so downstream consumers get a *plausible*
+// but wrong profile — exactly the failure mode white-box tuning must
+// survive. Both runs take the same draws in the same order: five
+// profile-level factors (`Summary::corrupt`), then per container one
+// factor and one coin per collection (`corrupt_container`).
+
+impl Summary {
+    /// The five profile-level corruption draws, when the plan corrupts
+    /// this run.
+    fn corrupt(&mut self) {
+        let Some(noise) = &mut self.noise else {
+            return;
+        };
+        self.cpu_avg = (self.cpu_avg * noise.factor()).clamp(0.0, 100.0);
+        self.disk_avg = (self.disk_avg * noise.factor()).clamp(0.0, 100.0);
+        self.cache_hit_ratio = (self.cache_hit_ratio * noise.factor()).clamp(0.0, 1.0);
+        self.spill_fraction = (self.spill_fraction * noise.factor()).clamp(0.0, 1.0);
+        self.gc_overhead = (self.gc_overhead * noise.factor()).clamp(0.0, 1.0);
+    }
+}
+
+/// One container's corruption draws: one factor for its peaks, then one
+/// coin per collection its final JVM ran, young ones included. `events[k]`
+/// stands for the event `jvm` logged `k`-th, so a run that kept only the
+/// full-GC events drops exactly the ones a timeline run drops.
+fn corrupt_container<E>(
+    noise: &mut ProfileNoise,
+    jvm: &JvmSim,
+    peak_heap_used: &mut Mem,
+    peak_old_used: &mut Mem,
+    events: &mut Vec<E>,
+) {
+    let f = noise.factor();
+    *peak_heap_used = *peak_heap_used * f;
+    *peak_old_used = (*peak_old_used * f).min(*peak_heap_used);
+    let collections = jvm.young_gc_count() + jvm.full_gc_count();
+    let dropped: Vec<bool> = (0..collections).map(|_| noise.chance(0.3)).collect();
+    let mut k = 0;
+    events.retain(|_| {
+        k += 1;
+        !dropped[jvm.event_position(k - 1) as usize]
+    });
 }
 
 #[cfg(test)]
@@ -967,6 +1149,47 @@ mod tests {
         map.cpu_ms_per_mb = 25.0;
         map.unmanaged_per_task = Mem::mb(180.0);
         AppSpec::new("simple", vec![map])
+    }
+
+    /// The per-call skew hash that [`StageHashes::skew_seed`] replaced:
+    /// FNV-1a over every coordinate, stage name included.
+    fn skew_hash(seed: u64, stage: &str, wave: u32, container: usize) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |b: u8| {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        };
+        for b in seed.to_le_bytes() {
+            eat(b);
+        }
+        for b in stage.bytes() {
+            eat(b);
+        }
+        for b in wave.to_le_bytes() {
+            eat(b);
+        }
+        for b in (container as u64).to_le_bytes() {
+            eat(b);
+        }
+        h
+    }
+
+    #[test]
+    fn stage_skew_prefix_matches_the_per_call_hash() {
+        let mut rng = Rng::new(3);
+        for stage in ["", "map", "reduceByKey", "stage-é日🦀"] {
+            for _ in 0..200 {
+                let seed = rng.next_u64();
+                let wave = rng.next_u64() as u32;
+                let container = rng.below(64);
+                let hashes = StageHashes::new(seed, stage, None);
+                assert_eq!(
+                    hashes.skew_seed(wave, container),
+                    skew_hash(seed, stage, wave, container),
+                    "seed {seed}, stage {stage:?}, wave {wave}, container {container}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! return exactly the `RunResult` of `Engine::run` and the statistics
 //! `derive_stats` reads off its profile, bit for bit — for every suite
 //! application and a TPC-H query, at random configurations and seeds,
-//! under fault plans that kill and replace containers and corrupt every
-//! profile.
+//! under fault plans that kill and replace containers, lose whole nodes,
+//! and corrupt every profile.
 
 use proptest::prelude::*;
 use relm_app::{AppSpec, Engine, RunResult};
@@ -47,17 +47,23 @@ fn workloads() -> Vec<(ClusterSpec, AppSpec)> {
     out
 }
 
-/// No faults, a mild uniform plan, and a plan that kills containers and
-/// corrupts every profile.
-fn fault_plans(seed: u64) -> [Option<FaultPlan>; 3] {
+/// No faults, a mild uniform plan, a plan that kills containers and
+/// corrupts every profile, and a plan that loses a whole node on half of
+/// all wave attempts, so one attempt replaces several containers at once.
+fn fault_plans(seed: u64) -> [Option<FaultPlan>; 4] {
     let always_corrupt = FaultConfig {
         profile_corruption_rate: 1.0,
         ..FaultConfig::uniform(0.2)
+    };
+    let node_losses = FaultConfig {
+        node_loss_rate: 0.5,
+        ..FaultConfig::off()
     };
     [
         None,
         Some(FaultPlan::new(seed, FaultConfig::uniform(0.1))),
         Some(FaultPlan::new(seed ^ 0x5A, always_corrupt)),
+        Some(FaultPlan::new(seed ^ 0xA5, node_losses)),
     ]
 }
 
@@ -108,7 +114,7 @@ fn the_corrupting_plan_replaces_containers_and_drops_full_gc_events() {
     let mut replaced = 0;
     let mut dropped = 0;
     for seed in 0..20u64 {
-        let [_, _, plan] = fault_plans(seed);
+        let [_, _, plan, _] = fault_plans(seed);
         let engine = engine(&cluster, plan);
         let (result, profile) = engine.run(&app, &config, seed);
         replaced += result.container_failures;
@@ -124,4 +130,25 @@ fn the_corrupting_plan_replaces_containers_and_drops_full_gc_events() {
     }
     assert!(replaced > 0, "no container was replaced");
     assert!(dropped > 0, "corruption dropped no full-GC event");
+}
+
+/// The node-loss plan takes down nodes that host several containers, and
+/// the statistics-only run still matches.
+#[test]
+fn the_node_loss_plan_loses_whole_nodes() {
+    let cluster = ClusterSpec::cluster_a();
+    let app = pagerank();
+    let config = ConfigSpace::for_app(&cluster, &app).decode(&[0.9, 0.9, 0.3, 0.9]);
+    assert!(config.containers_per_node > 1);
+    let mut lost = 0;
+    for seed in 0..20u64 {
+        let [_, _, _, plan] = fault_plans(seed);
+        let engine = engine(&cluster, plan);
+        let (result, profile) = engine.run(&app, &config, seed);
+        // Node losses are the only faults this plan injects.
+        lost += result.injected_faults;
+        let (_, stats) = engine.run_stats(&app, &config, seed);
+        assert_eq!(stats_bits(&stats), stats_bits(&derive_stats(&profile)));
+    }
+    assert!(lost > 0, "no node was lost");
 }

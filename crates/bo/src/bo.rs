@@ -154,6 +154,19 @@ impl BayesOpt {
         }
         f
     }
+
+    /// The tuner's surrogate-fit and acquisition histograms, named after
+    /// the lower-cased [`Tuner::name`].
+    fn metric_names(&self) -> (&'static str, &'static str) {
+        if self.guided {
+            ("gbo.fit_ms", "gbo.acq_ms")
+        } else {
+            match self.cfg.surrogate {
+                SurrogateKind::GaussianProcess => ("bo.fit_ms", "bo.acq_ms"),
+                SurrogateKind::RandomForest => ("bo-rf.fit_ms", "bo-rf.acq_ms"),
+            }
+        }
+    }
 }
 
 /// The acquisition adapter BO and GBO maximize EI through: a surrogate over
@@ -205,7 +218,7 @@ impl Tuner for BayesOpt {
         self.q_locked = false;
         let telemetry = env.obs().clone();
         let _session = telemetry.span("tuner.tune").with("policy", self.name());
-        let metric_prefix = self.name().to_ascii_lowercase();
+        let (fit_metric, acq_metric) = self.metric_names();
         let mut rng = Rng::new(self.seed);
         let space = env.space().clone();
         let dims = 4;
@@ -299,7 +312,7 @@ impl Tuner for BayesOpt {
                 }
             };
             let fit_ms = fit_started.elapsed().as_secs_f64() * 1e3;
-            telemetry.record(&format!("{metric_prefix}.fit_ms"), fit_ms);
+            telemetry.record(fit_metric, fit_ms);
             telemetry.record("surrogate.fit_ms", fit_ms);
             let stats = fitter.stats();
             telemetry.add(
@@ -330,10 +343,7 @@ impl Tuner for BayesOpt {
                 };
                 maximize_ei(&wrapped, dims, tau, &mut rng)
             };
-            telemetry.record(
-                &format!("{metric_prefix}.acq_ms"),
-                acq_started.elapsed().as_secs_f64() * 1e3,
-            );
+            telemetry.record(acq_metric, acq_started.elapsed().as_secs_f64() * 1e3);
 
             let config = space.decode(&x_next);
             let obs = env.evaluate(&config);
@@ -533,6 +543,24 @@ mod tests {
             sparse_total <= exact_total * 1.05,
             "aggregate regret: sparse {sparse_total} vs exact {exact_total}"
         );
+    }
+
+    #[test]
+    fn metric_names_follow_the_tuner_name() {
+        let rf = BoConfig {
+            surrogate: SurrogateKind::RandomForest,
+            ..BoConfig::default()
+        };
+        for bo in [
+            BayesOpt::new(1),
+            BayesOpt::guided(1),
+            BayesOpt::new(1).with_config(rf),
+        ] {
+            let prefix = bo.name().to_ascii_lowercase();
+            let (fit, acq) = bo.metric_names();
+            assert_eq!(fit, format!("{prefix}.fit_ms"));
+            assert_eq!(acq, format!("{prefix}.acq_ms"));
+        }
     }
 
     #[test]

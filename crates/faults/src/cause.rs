@@ -58,6 +58,18 @@ impl AbortCause {
         }
     }
 
+    /// The tuning environment's per-cause abort counter,
+    /// `env.aborts.<label>`.
+    pub fn aborts_counter(self) -> &'static str {
+        match self {
+            AbortCause::Oom => "env.aborts.oom",
+            AbortCause::RssKill => "env.aborts.rss_kill",
+            AbortCause::InjectedKill => "env.aborts.injected_kill",
+            AbortCause::NodeLoss => "env.aborts.node_loss",
+            AbortCause::Timeout => "env.aborts.timeout",
+        }
+    }
+
     /// Every cause, in a stable order (for histograms and reports).
     pub const ALL: [AbortCause; 5] = [
         AbortCause::Oom,
@@ -120,6 +132,13 @@ mod tests {
         assert_eq!(dedup.len(), labels.len());
         assert_eq!(AbortCause::NodeLoss.to_string(), "node_loss");
         assert_eq!(AbortClass::Infra.to_string(), "infra");
+    }
+
+    #[test]
+    fn aborts_counters_append_the_label() {
+        for cause in AbortCause::ALL {
+            assert_eq!(cause.aborts_counter(), format!("env.aborts.{cause}"));
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   site (container wave attempts, whole waves for node loss, the profile
 //!   assembly step) whether a fault fires. Sites are addressed by
 //!   `(run seed, stage, wave, container, attempt)`, so injections are
-//!   independent of evaluation order and survive checkpoint/resume.
+//!   independent of evaluation order and survive checkpoint/resume. A
+//!   stage's sites are hashed once ([`FaultPlan::stage_sites`]); each
+//!   decision then hashes only its wave, container and attempt.
 //! * [`AbortCause`] / [`AbortClass`] — the classification the retry layer
 //!   uses: injected kills are *transient* (retry helps), node loss is
 //!   *infrastructure* (retry on fresh containers helps), organic memory
@@ -33,11 +35,13 @@
 //!
 //! // Decisions are pure functions of (plan seed, site): asking twice
 //! // gives the same answer, and a sweep over many sites fires at
-//! // roughly the configured rate.
-//! let first = plan.container_kill(42, "map", 0, 3, 0);
-//! assert_eq!(first, plan.container_kill(42, "map", 0, 3, 0));
+//! // roughly the configured rate. Run 42's "map" stage hashes its sites
+//! // once; each decision adds its (wave, container, attempt).
+//! let map = plan.stage_sites(42, "map");
+//! let first = map.container_kill(0, 3, 0);
+//! assert_eq!(first, plan.stage_sites(42, "map").container_kill(0, 3, 0));
 //! let fired = (0..1000)
-//!     .filter(|&c| plan.container_kill(42, "map", 0, c, 0).is_some())
+//!     .filter(|&c| map.container_kill(0, c, 0).is_some())
 //!     .count();
 //! assert!((100..350).contains(&fired), "~20% of 1000 sites, got {fired}");
 //! ```
@@ -47,5 +51,5 @@ mod plan;
 mod worker;
 
 pub use cause::{AbortCause, AbortClass};
-pub use plan::{FaultConfig, FaultPlan, InjectedFault, ProfileNoise};
+pub use plan::{FaultConfig, FaultPlan, InjectedFault, ProfileNoise, StageSites};
 pub use worker::{WorkerFaultConfig, WorkerFaultPlan};

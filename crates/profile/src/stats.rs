@@ -1,5 +1,7 @@
 //! The Statistics Generator (§4.1): turns a [`Profile`] into the Table-6
-//! statistics that RelM's analytical models consume.
+//! statistics that RelM's analytical models consume. The formulas live in
+//! [`StatsInputs::derive`]; [`derive_stats`] first reduces a profile to
+//! those inputs, which a statistics-only engine run fills directly.
 //!
 //! The trickiest statistic is the Task Unmanaged memory `M_u`. The
 //! application does not track this pool, so it is reconstructed at each
@@ -11,7 +13,7 @@
 //! over-estimate whose consequences §6.4/Figure 22 studies.
 
 use crate::trace::Profile;
-use relm_common::{stats, Mem};
+use relm_common::{stats, Mem, MemoryConfig};
 use relm_jvm::GcKind;
 use serde::{Deserialize, Serialize};
 
@@ -45,89 +47,145 @@ pub struct DerivedStats {
     pub m_u_from_full_gc: bool,
 }
 
-/// Derives the Table-6 statistics from a profile.
+/// Derives the Table-6 statistics from a profile: resolves it into
+/// [`StatsInputs`], then computes them with [`StatsInputs::derive`].
 pub fn derive_stats(profile: &Profile) -> DerivedStats {
-    let m_i = Mem::mb(stats::percentile(
-        &profile
-            .containers
-            .iter()
-            .map(|c| c.code_overhead.as_mb())
-            .collect::<Vec<_>>(),
-        90.0,
-    ));
-
-    let m_c = Mem::mb(stats::percentile(
-        &profile
-            .containers
-            .iter()
-            .map(|c| c.max_cache_used().as_mb())
-            .collect::<Vec<_>>(),
-        90.0,
-    ));
-
     let p = profile.config.task_concurrency.max(1);
-
-    // Per-task shuffle: assume each running task contributes equally (§4.1).
-    let m_s = Mem::mb(stats::percentile(
-        &profile
-            .containers
-            .iter()
-            .map(|c| c.max_shuffle_used().as_mb() / p as f64)
-            .collect::<Vec<_>>(),
-        90.0,
-    ));
-
-    // Task Unmanaged from full-GC events.
-    let mut per_task_samples: Vec<f64> = Vec::new();
-    for container in &profile.containers {
-        for event in &container.gc_events {
-            if event.kind != GcKind::Full {
-                continue;
+    let containers = profile
+        .containers
+        .iter()
+        .map(|c| {
+            let full = c.gc_events.iter().filter(|e| e.kind == GcKind::Full);
+            let mut full_gcs = Vec::with_capacity(full.clone().count());
+            full_gcs.extend(full.map(|e| FullGcSample {
+                heap_used_after: e.heap_used_after,
+                cache_used: c.cache_used.at(e.time).unwrap_or(Mem::ZERO),
+                shuffle_used: c.shuffle_used.at(e.time).unwrap_or(Mem::ZERO),
+                running_tasks: c.running_tasks.at(e.time).unwrap_or(p),
+            }));
+            ContainerInputs {
+                code_overhead: c.code_overhead,
+                max_cache_used: c.max_cache_used(),
+                max_shuffle_used: c.max_shuffle_used(),
+                peak_old_used: c.peak_old_used,
+                full_gcs,
             }
-            let cache_at = container.cache_used.at(event.time).unwrap_or(Mem::ZERO);
-            let shuffle_at = container.shuffle_used.at(event.time).unwrap_or(Mem::ZERO);
-            let running = container.running_tasks.at(event.time).unwrap_or(p).max(1);
+        })
+        .collect();
+    StatsInputs {
+        config: profile.config,
+        cpu_avg: profile.cpu_avg,
+        disk_avg: profile.disk_avg,
+        cache_hit_ratio: profile.cache_hit_ratio,
+        spill_fraction: profile.spill_fraction,
+        containers,
+    }
+    .derive()
+}
+
+/// Everything the Table-6 statistics read from one run. [`derive_stats`]
+/// resolves a [`Profile`] into these inputs; a statistics-only engine run
+/// fills them while it simulates and never records a profile.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StatsInputs {
+    /// The configuration the run used.
+    pub config: MemoryConfig,
+    /// Average CPU usage, percent.
+    pub cpu_avg: f64,
+    /// Average disk usage, percent.
+    pub disk_avg: f64,
+    /// Cache Hit Ratio (H).
+    pub cache_hit_ratio: f64,
+    /// Data Spillage Fraction (S).
+    pub spill_fraction: f64,
+    /// One entry per container, in container order.
+    pub containers: Vec<ContainerInputs>,
+}
+
+/// One container's share of [`StatsInputs`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ContainerInputs {
+    /// Heap usage at the first task submission (`M_i`).
+    pub code_overhead: Mem,
+    /// Maximum observed Cache Storage usage.
+    pub max_cache_used: Mem,
+    /// Maximum observed Task Shuffle usage.
+    pub max_shuffle_used: Mem,
+    /// Peak Old-generation occupancy, read only when no container kept a
+    /// full-GC event.
+    pub peak_old_used: Mem,
+    /// The full-GC events the profile kept, in logged order.
+    pub full_gcs: Vec<FullGcSample>,
+}
+
+/// A full-GC event and the pool usage in effect when it was logged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FullGcSample {
+    /// Heap occupancy right after the collection.
+    pub heap_used_after: Mem,
+    /// Cache Storage usage.
+    pub cache_used: Mem,
+    /// Task Shuffle usage.
+    pub shuffle_used: Mem,
+    /// Concurrently running tasks.
+    pub running_tasks: u32,
+}
+
+impl StatsInputs {
+    /// Computes the Table-6 statistics.
+    pub fn derive(&self) -> DerivedStats {
+        let m_i = Mem::mb(self.percentile_90(|c| c.code_overhead.as_mb()));
+        let m_c = Mem::mb(self.percentile_90(|c| c.max_cache_used.as_mb()));
+
+        let p = self.config.task_concurrency.max(1);
+
+        // Per-task shuffle: assume each running task contributes equally (§4.1).
+        let m_s = Mem::mb(self.percentile_90(|c| c.max_shuffle_used.as_mb() / p as f64));
+
+        // Task Unmanaged from full-GC events.
+        let samples = self.containers.iter().map(|c| c.full_gcs.len()).sum();
+        let mut per_task_samples = Vec::with_capacity(samples);
+        per_task_samples.extend(self.containers.iter().flat_map(|c| &c.full_gcs).map(|s| {
             let task_mem =
-                (event.heap_used_after - m_i - cache_at - shuffle_at).clamp_non_negative();
-            per_task_samples.push(task_mem.as_mb() / running as f64);
+                (s.heap_used_after - m_i - s.cache_used - s.shuffle_used).clamp_non_negative();
+            task_mem.as_mb() / s.running_tasks.max(1) as f64
+        }));
+
+        let (m_u, from_full_gc) = if per_task_samples.is_empty() {
+            // Fallback (§4.1): base the calculation on the maximum Old-pool
+            // occupancy. Old holds the cached partitions and any promoted
+            // garbage alongside task objects, and without a full-GC event there
+            // is no way to tell them apart — which is exactly why the paper
+            // reports this estimate as off by up to two orders of magnitude on
+            // the high side, yielding sub-optimal (albeit reliable)
+            // recommendations.
+            let max_old = Mem::mb(self.percentile_90(|c| c.peak_old_used.as_mb()));
+            let estimate = (max_old - m_i).clamp_non_negative() / p as f64;
+            (estimate, false)
+        } else {
+            (Mem::mb(stats::percentile(&per_task_samples, 90.0)), true)
+        };
+
+        DerivedStats {
+            containers_per_node: self.config.containers_per_node,
+            heap: self.config.heap,
+            cpu_avg: self.cpu_avg,
+            disk_avg: self.disk_avg,
+            m_i,
+            m_c,
+            m_s,
+            m_u,
+            p,
+            h: self.cache_hit_ratio,
+            s: self.spill_fraction,
+            m_u_from_full_gc: from_full_gc,
         }
     }
 
-    let (m_u, from_full_gc) = if per_task_samples.is_empty() {
-        // Fallback (§4.1): base the calculation on the maximum Old-pool
-        // occupancy. Old holds the cached partitions and any promoted
-        // garbage alongside task objects, and without a full-GC event there
-        // is no way to tell them apart — which is exactly why the paper
-        // reports this estimate as off by up to two orders of magnitude on
-        // the high side, yielding sub-optimal (albeit reliable)
-        // recommendations.
-        let max_old = Mem::mb(stats::percentile(
-            &profile
-                .containers
-                .iter()
-                .map(|c| c.peak_old_used.as_mb())
-                .collect::<Vec<_>>(),
-            90.0,
-        ));
-        let estimate = (max_old - m_i).clamp_non_negative() / p as f64;
-        (estimate, false)
-    } else {
-        (Mem::mb(stats::percentile(&per_task_samples, 90.0)), true)
-    };
-
-    DerivedStats {
-        containers_per_node: profile.config.containers_per_node,
-        heap: profile.config.heap,
-        cpu_avg: profile.cpu_avg,
-        disk_avg: profile.disk_avg,
-        m_i,
-        m_c,
-        m_s,
-        m_u,
-        p,
-        h: profile.cache_hit_ratio,
-        s: profile.spill_fraction,
-        m_u_from_full_gc: from_full_gc,
+    /// The 90th percentile across containers of `mb`.
+    fn percentile_90(&self, mb: impl Fn(&ContainerInputs) -> f64) -> f64 {
+        let xs: Vec<f64> = self.containers.iter().map(mb).collect();
+        stats::percentile(&xs, 90.0)
     }
 }
 

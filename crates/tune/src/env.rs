@@ -317,7 +317,7 @@ impl TuningEnv {
         if let Some(cause) = result.abort_cause.filter(|_| result.aborted) {
             // Per-cause abort histogram; summed over causes this equals
             // env.retries + the number of censored observations.
-            self.obs.inc(&format!("env.aborts.{cause}"));
+            self.obs.inc(cause.aborts_counter());
         }
         if span.is_recording() {
             span.set("seed", seed);

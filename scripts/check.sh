@@ -165,6 +165,19 @@ diff "$surrogate_dir/t1.jsonl" "$surrogate_dir/t8.jsonl" \
 check_digest "$surrogate_dir/t1.jsonl" "$fig20_exact_sha" "surrogate smoke test"
 echo "surrogate OK: fig20 convergence byte-identical across 1/8 workers and to its pinned digest"
 
+echo "== training-overhead pin test =="
+# The pins above cover RelM, GBO and DDPG under faults (fig05) and BO/GBO
+# proposals (fig20), but no fault-free DDPG training run and no
+# exhaustive-search baseline. Fig. 16 runs RelM, GBO, BO, DDPG and the
+# exhaustive baseline through TuningEnv; its stdout must match a recorded
+# SHA-256 digest. The digest, not results/fig16_training_overheads.txt,
+# is the reference: that file predates later fixes.
+fig16_sha=cde0be899f15fc38606bb1140bcb2bbdd6f5fdb2f4f0309e259ff39c5112f62f
+cargo run --release -q -p relm-experiments --bin fig16_training_overheads \
+  > "$surrogate_dir/fig16.txt"
+check_digest "$surrogate_dir/fig16.txt" "$fig16_sha" "training-overhead pin test"
+echo "training-overhead OK: fig16 output matches its pinned digest"
+
 echo "== sparse surrogate smoke test =="
 # The large-n inducing-subset path holds the same determinism contract:
 # (1) below its threshold the sparse policy is bitwise-invisible (asserted
