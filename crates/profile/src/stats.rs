@@ -195,9 +195,11 @@ impl StatsInputs {
 /// A tuning session throws its profiles away once each observation is
 /// scored; this accumulator is the compact remainder that survives — the
 /// running sums needed to reconstruct a mean Table-6 statistics vector at
-/// any point, including after a checkpoint/drain when no live profile
-/// exists anymore. `relm-memory` fingerprints workloads from exactly this
-/// mean.
+/// any point, when no live profile exists anymore. `relm-memory`
+/// fingerprints workloads from exactly this mean. It survives a serve
+/// session's eviction and resume (the service keeps it beside the
+/// eviction checkpoint), but not a `SessionCheckpoint` saved and loaded
+/// in a new process: the checkpoint does not carry it.
 ///
 /// Both the live evaluation path and the cache-replay path feed the same
 /// per-observation stats in history order, so an accumulator restored

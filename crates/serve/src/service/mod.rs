@@ -83,6 +83,7 @@ use relm_common::{MemoryConfig, Rng};
 use relm_faults::FaultPlan;
 use relm_memory::{build_prior, normalize_label, MemoryStore, PriorBundle};
 use relm_obs::{trace, FlightEvent, FlightRecorder, Obs, DEFAULT_FLIGHT_CAPACITY};
+use relm_profile::StatsAccumulator;
 use relm_tune::{
     recommendation, session_export, CachedEval, ConfigSpace, EvalKey, RetryPolicy, TuningEnv,
 };
@@ -292,6 +293,11 @@ struct Session {
     /// Guided-proposal bookkeeping of an evicted session, enough to
     /// rebuild the fitter bit-identically at resume.
     frozen_guided: Option<FrozenGuided>,
+    /// Table-6 statistics aggregate of an evicted session. The eviction
+    /// checkpoint does not carry it, so it waits here and goes back into
+    /// the environment at resume; the drained digest then counts every
+    /// clean evaluation, not only those since the last resume.
+    frozen_stats: StatsAccumulator,
     /// Evaluation-cache hits accrued before the last eviction
     /// ([`TuningEnv::restore`] resets the live counter), keeping the
     /// status mirror monotone across evict/resume cycles.
@@ -760,6 +766,7 @@ impl Service {
                 evicted: false,
                 last_active: 0,
                 frozen_guided: None,
+                frozen_stats: StatsAccumulator::new(),
                 evalcache_hits_base: 0,
                 sampler,
                 space,

@@ -35,9 +35,11 @@ pub(super) fn evict_one_locked(
         shared.obs.inc("serve.evict_errors");
         return Err(format!("eviction checkpoint failed: {e}"));
     }
+    // The restored environment's cache-hit counter and Table-6 aggregate
+    // restart empty; bank what's accrued so the mirror stays monotone and
+    // the drained digest stays whole.
+    sess.frozen_stats = env.stats_accumulator().clone();
     sess.env = None;
-    // The restored environment's cache-hit counter restarts at zero; bank
-    // what's accrued so the mirror stays monotone.
     sess.evalcache_hits_base = sess.evalcache_hits;
     sess.frozen_guided = sess.guided.take().map(GuidedState::freeze);
     sess.evicted = true;
@@ -79,9 +81,9 @@ pub(super) fn maybe_evict_locked(shared: &Shared, state: &mut State) {
 /// Brings an evicted session home: loads its eviction checkpoint,
 /// rebuilds the engine from the retained spec, restores the environment
 /// (byte-identical history and seed chain — the [`SessionCheckpoint`]
-/// resume guarantee), re-applies the spec's retry policy and cache
-/// attachment (which `restore` resets), replays the guided fit schedule,
-/// and deletes the checkpoint file. No-op for live sessions. On error
+/// resume guarantee), re-applies the spec's retry policy, cache
+/// attachment and banked Table-6 aggregate (which `restore` resets),
+/// replays the guided fit schedule, and deletes the checkpoint file. No-op for live sessions. On error
 /// the session stays evicted and `serve.resume_errors` counts it; the
 /// caller decides whether to fail the session.
 pub(super) fn resume_session(shared: &Shared, state: &mut State, name: &str) -> Result<(), String> {
@@ -117,7 +119,7 @@ pub(super) fn resume_session(shared: &Shared, state: &mut State, name: &str) -> 
                 sess.guided = guided;
             }
             sess.frozen_guided = None;
-            sess.env = Some(env);
+            sess.env = Some(env.with_stats_accumulator(std::mem::take(&mut sess.frozen_stats)));
             sess.evicted = false;
             if let Some(dir) = shared.config.evict_dir() {
                 let _ = std::fs::remove_file(dir.join(format!("{name}.evict.json")));

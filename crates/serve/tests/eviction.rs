@@ -1,11 +1,13 @@
 //! Eviction/resume determinism regression: a session's observation
-//! history is **byte-identical** whether idle sessions are continually
-//! evicted to checkpoint and transparently resumed, or never evicted at
-//! all — at any worker count, with guided (surrogate-proposed) batches
-//! and fault injection in the mix. Eviction is a residency policy, not a
-//! behavior change.
+//! history, and the digest its drain ingests into the memory store, are
+//! **byte-identical** whether idle sessions are continually evicted to
+//! checkpoint and transparently resumed, or never evicted at all — at any
+//! worker count, with guided (surrogate-proposed) batches and fault
+//! injection in the mix. Eviction is a residency policy, not a behavior
+//! change.
 
 use relm_faults::FaultConfig;
+use relm_memory::MemoryStore;
 use relm_obs::Obs;
 use relm_serve::{Priority, Request, Response, ServeConfig, Service, SessionSpec};
 use std::collections::BTreeMap;
@@ -32,10 +34,12 @@ fn spec_for(i: u64) -> SessionSpec {
 /// Runs the fleet through interleaved sampled rounds, one guided round,
 /// and a final sampled round — joining between rounds so sessions go
 /// idle and (with `evict_after > 0`) get swept out to checkpoint while
-/// their neighbors advance the epoch clock. Returns serialized histories.
-fn run(workers: usize, evict_after: usize, tag: &str) -> BTreeMap<String, String> {
+/// their neighbors advance the epoch clock, then drains into a memory
+/// store. Returns each session's serialized history and ingested digest.
+fn run(workers: usize, evict_after: usize, tag: &str) -> BTreeMap<String, (String, String)> {
     let dir = std::env::temp_dir().join(format!("relm_serve_evict_{}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("memory.jsonl");
     let obs = Obs::enabled();
     let service = Service::start(
         ServeConfig {
@@ -45,6 +49,7 @@ fn run(workers: usize, evict_after: usize, tag: &str) -> BTreeMap<String, String
             global_queue_limit: 48,
             evict_after_evals: evict_after,
             evict_dir: Some(dir.clone()),
+            memory_store: Some(store.clone()),
             ..ServeConfig::default()
         },
         obs.clone(),
@@ -128,8 +133,30 @@ fn run(workers: usize, evict_after: usize, tag: &str) -> BTreeMap<String, String
         obs.counter_value("serve.evaluations"),
         (SESSIONS * 10) as f64
     );
+    match service.handle(&Request::Drain) {
+        Response::Drained { sessions, .. } => assert_eq!(sessions, SESSIONS as usize),
+        other => panic!("drain failed: {other:?}"),
+    }
+    let memory = MemoryStore::load(&store, Obs::disabled()).expect("drain saved the memory store");
+    let mut runs = BTreeMap::new();
+    for (i, name) in names.iter().enumerate() {
+        let base_seed = spec_for(i as u64).base_seed;
+        let digest = memory
+            .sessions()
+            .map(|(_, digest)| digest)
+            .find(|digest| digest.base_seed == base_seed)
+            .unwrap_or_else(|| panic!("drain ingested no digest for {name}"));
+        assert_eq!(digest.evaluations, 10, "digest of {name} lost evaluations");
+        runs.insert(
+            name.clone(),
+            (
+                histories.remove(name).expect("history collected above"),
+                serde_json::to_string(digest).unwrap(),
+            ),
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
-    histories
+    runs
 }
 
 #[test]
@@ -138,9 +165,9 @@ fn histories_survive_evict_resume_cycles_byte_identically() {
     assert_eq!(baseline.len(), SESSIONS as usize);
     for (workers, evict_after, tag) in [(1, 3, "w1-on"), (8, 0, "w8-off"), (8, 3, "w8-on")] {
         let other = run(workers, evict_after, tag);
-        for (name, history) in &baseline {
+        for (name, outcome) in &baseline {
             assert_eq!(
-                history, &other[name],
+                outcome, &other[name],
                 "session {name} diverged at workers={workers}, evict_after={evict_after}"
             );
         }

@@ -167,7 +167,10 @@ impl TuningEnv {
     /// Reconstructs an environment from checkpointed state (see
     /// `SessionCheckpoint` in the export module). The restored environment
     /// continues exactly where the captured one stopped: same seed chain,
-    /// same penalty baseline, same history.
+    /// same penalty baseline, same history. Everything else starts as in
+    /// [`TuningEnv::new`], the Table-6 aggregate included: the checkpoint
+    /// does not carry it ([`TuningEnv::with_stats_accumulator`] puts one
+    /// back).
     pub fn restore(
         engine: Engine,
         app: AppSpec,
@@ -176,22 +179,11 @@ impl TuningEnv {
         retry_time: Millis,
         history: Vec<Observation>,
     ) -> Self {
-        let space = ConfigSpace::for_app(engine.cluster(), &app);
-        let obs = engine.obs().clone();
         TuningEnv {
-            engine,
-            app,
-            space,
             history,
-            next_seed,
             worst_mins,
-            retry: RetryPolicy::standard(),
             retry_time,
-            obs,
-            cache: None,
-            cache_static_fp: None,
-            cache_hits: 0,
-            stats_acc: StatsAccumulator::new(),
+            ..TuningEnv::new(engine, app, next_seed)
         }
     }
 
@@ -234,6 +226,14 @@ impl TuningEnv {
     /// re-simulated: same history bytes, same counters, no engine time.
     pub fn with_cache(mut self, cache: EvalStore) -> Self {
         self.cache = Some(cache);
+        self
+    }
+
+    /// Replaces the Table-6 statistics aggregate — for a caller that
+    /// kept a session's [`TuningEnv::stats_accumulator`] across a
+    /// [`TuningEnv::restore`], which starts it empty.
+    pub fn with_stats_accumulator(mut self, stats: StatsAccumulator) -> Self {
+        self.stats_acc = stats;
         self
     }
 

@@ -197,7 +197,8 @@ impl SessionCheckpoint {
     /// Rebuilds a live environment on `engine` that continues where the
     /// captured session stopped. The engine should carry the same cluster,
     /// cost model, and fault plan as the original; the retry policy is
-    /// reset to the default and can be overridden afterwards.
+    /// reset to the default and can be overridden afterwards. The Table-6
+    /// statistics aggregate starts empty (see [`TuningEnv::restore`]).
     pub fn resume(self, engine: Engine) -> TuningEnv {
         TuningEnv::restore(
             engine,
