@@ -1,8 +1,11 @@
 //! Table 10: per-iteration algorithm overheads — statistics collection,
 //! model fitting, model probing — plus the model's storage footprint.
-//! These are actual wall-clock measurements of this implementation
-//! (the Criterion benches in `crates/bench` measure the same quantities
-//! with statistical rigor).
+//! These are single-shot wall-clock measurements of this implementation,
+//! so they vary from run to run. The cost ledger's traced run
+//! (`bench_ledger/`, `--trace 1`) reports medians of the same steps over
+//! many calls: `profile.derive_stats_us`, `bo.fit_ms`/`bo.acq_ms`,
+//! `gbo.fit_ms`/`gbo.acq_ms`, `ddpg.update_ms`/`ddpg.act_ms` and
+//! `core.recommend_us`.
 //!
 //! ```text
 //! tab10_overheads [--workers N]

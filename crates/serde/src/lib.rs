@@ -8,8 +8,8 @@
 //! deterministic (object keys keep insertion order), and fast enough for the
 //! profiles and telemetry this workspace serializes. The build environment
 //! has no access to crates.io, so the workspace resolves `serde`,
-//! `serde_json`, `proptest`, and `criterion` to these in-tree
-//! implementations via path dependencies.
+//! `serde_json` and `proptest` to these in-tree implementations via path
+//! dependencies.
 
 mod text;
 mod value;

@@ -32,7 +32,7 @@ fn eval_config() -> relm_common::MemoryConfig {
     )
 }
 
-/// The ISSUE's acceptance criterion: kill containers mid-evaluation via
+/// The flight recorder's headline contract: kill containers mid-evaluation via
 /// `relm-faults` with retries disabled, and the session's fault dump must
 /// contain the whole request trace.
 #[test]

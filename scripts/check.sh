@@ -179,18 +179,14 @@ check_digest "$surrogate_dir/fig16.txt" "$fig16_sha" "training-overhead pin test
 echo "training-overhead OK: fig16 output matches its pinned digest"
 
 echo "== sparse surrogate smoke test =="
-# The large-n inducing-subset path holds the same determinism contract:
-# (1) below its threshold the sparse policy is bitwise-invisible (asserted
-# in-process by --sparse-smoke), (2) the n=500 sparse posterior and EI
-# proposal repeat byte-identically run to run, and (3) the sparse fig20
-# trace is byte-identical across sharding workers — a different trace
-# than exact, but equally deterministic.
-cargo run --release -q -p relm-bench --bin bench_export -- \
-  --sparse-smoke --smoke-out "$surrogate_dir/s1.jsonl" >/dev/null
-cargo run --release -q -p relm-bench --bin bench_export -- \
-  --sparse-smoke --smoke-out "$surrogate_dir/s2.jsonl" >/dev/null
-diff "$surrogate_dir/s1.jsonl" "$surrogate_dir/s2.jsonl" \
-  || { echo "sparse smoke test FAILED: n=500 sparse posterior differs between runs" >&2; exit 1; }
+# The large-n inducing-subset path holds the same determinism contract.
+# The workspace tests above already pin two parts of it: below its
+# threshold the sparse policy is bitwise-invisible (gp and bo unit tests),
+# and the n=500 sparse posterior and EI proposal match a digest recorded
+# across versions (relm-surrogate's tests/sparse_pin.rs). Here the sparse
+# fig20 trace must be byte-identical across sharding workers — a
+# different trace than exact, but equally deterministic — and match its
+# own pinned digest.
 cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
   --sparse --workers 1 --out "$surrogate_dir/sp1.jsonl" >/dev/null
 cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
@@ -198,7 +194,7 @@ cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
 diff "$surrogate_dir/sp1.jsonl" "$surrogate_dir/sp8.jsonl" \
   || { echo "sparse smoke test FAILED: sparse convergence depends on workers" >&2; exit 1; }
 check_digest "$surrogate_dir/sp1.jsonl" "$fig20_sparse_sha" "sparse smoke test"
-echo "sparse OK: n=500 posterior repeats run to run, sparse fig20 trace byte-identical across 1/8 workers and to its pinned digest"
+echo "sparse OK: sparse fig20 trace byte-identical across 1/8 workers and to its pinned digest (the n=500 posterior is pinned across versions by the tier-1 test sparse_pin)"
 
 echo "== warm-start smoke test =="
 # Cross-session memory end to end through the serving layer: a cold
