@@ -83,9 +83,10 @@ pub(super) fn maybe_evict_locked(shared: &Shared, state: &mut State) {
 /// (byte-identical history and seed chain — the [`SessionCheckpoint`]
 /// resume guarantee), re-applies the spec's retry policy, cache
 /// attachment and banked Table-6 aggregate (which `restore` resets),
-/// replays the guided fit schedule, and deletes the checkpoint file. No-op for live sessions. On error
-/// the session stays evicted and `serve.resume_errors` counts it; the
-/// caller decides whether to fail the session.
+/// replays the guided fit schedule, and deletes the checkpoint file.
+/// No-op for live sessions. On error the session stays evicted and
+/// `serve.resume_errors` counts it; the caller decides whether to fail
+/// the session.
 pub(super) fn resume_session(shared: &Shared, state: &mut State, name: &str) -> Result<(), String> {
     let Some(sess) = state.sessions.get_mut(name) else {
         return Err(format!("unknown session `{name}`"));
