@@ -145,7 +145,8 @@ impl BayesOpt {
     /// Builds the surrogate's feature vector for a point: the raw
     /// coordinates, extended with model-Q metrics when guided.
     pub fn features(space: &ConfigSpace, q: Option<&QModel>, x: &[f64]) -> Vec<f64> {
-        let mut f = x.to_vec();
+        let mut f = Vec::with_capacity(x.len() + if q.is_some() { 3 } else { 0 });
+        f.extend_from_slice(x);
         if let Some(q) = q {
             let config = space.decode(x);
             let mut qv = [0.0; 3];
@@ -343,7 +344,9 @@ impl Tuner for BayesOpt {
                 };
                 maximize_ei(&wrapped, dims, tau, &mut rng)
             };
-            telemetry.record(acq_metric, acq_started.elapsed().as_secs_f64() * 1e3);
+            let acq_ms = acq_started.elapsed().as_secs_f64() * 1e3;
+            telemetry.record(acq_metric, acq_ms);
+            telemetry.record("surrogate.ei_ms", acq_ms);
 
             let config = space.decode(&x_next);
             let obs = env.evaluate(&config);

@@ -106,6 +106,11 @@ impl Fnv128 {
         self.write_bytes(s.as_bytes());
     }
 
+    /// Feeds one `u64` as its little-endian bytes.
+    pub fn write_u64(&mut self, x: u64) {
+        self.write_bytes(&x.to_le_bytes());
+    }
+
     /// The digest so far.
     pub fn finish(&self) -> u128 {
         self.0

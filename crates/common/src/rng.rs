@@ -32,6 +32,13 @@ impl Rng {
         Rng::new(mixed)
     }
 
+    /// The raw 64-bit state. Two generators with equal states draw
+    /// identical streams from here on, so the state identifies the
+    /// stream's position (content-addressed memo keys hash it).
+    pub fn state(&self) -> u64 {
+        self.state
+    }
+
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -111,6 +118,17 @@ mod tests {
         let mut a = Rng::new(1);
         let mut b = Rng::new(2);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn state_tracks_the_stream_position() {
+        let mut a = Rng::new(42);
+        let start = a.state();
+        a.next_u64();
+        assert_ne!(a.state(), start, "a draw advances the state");
+        let mut b = a.clone();
+        assert_eq!(a.state(), b.state());
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

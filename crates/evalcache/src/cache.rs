@@ -2,7 +2,6 @@
 
 use crate::key::EvalKey;
 use relm_obs::Obs;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -52,8 +51,10 @@ struct Inner<V> {
 /// `Arc<V>` — a hit never copies the cached payload.
 ///
 /// Lookup/insert totals are mirrored into the attached [`Obs`] handle as
-/// `evalcache.{hits,misses,inserts,bytes}` counters plus an
-/// `evalcache.hit_ratio` gauge (see [`EvalCache::instrumented`]).
+/// `evalcache.{hits,misses,inserts}` counters plus an
+/// `evalcache.hit_ratio` gauge (see [`EvalCache::instrumented`]); the
+/// [`store`](crate::store) adds the store files it writes and reads to
+/// `evalcache.bytes`.
 #[derive(Debug)]
 pub struct EvalCache<V> {
     inner: Arc<Inner<V>>,
@@ -162,17 +163,11 @@ impl<V> EvalCache<V> {
     pub fn obs(&self) -> &Obs {
         &self.inner.obs
     }
-}
 
-impl<V: Serialize> EvalCache<V> {
     /// Inserts (or replaces) one entry and returns the shared handle to
-    /// it. When instrumentation is on, `evalcache.bytes` advances by the
-    /// entry's serialized size — the cost of persisting it.
+    /// it. Nothing is serialized: `evalcache.bytes` counts store files as
+    /// [`store`](crate::store) writes and reads them.
     pub fn insert(&self, key: EvalKey, value: V) -> Arc<V> {
-        if self.inner.obs.is_enabled() {
-            let bytes = serde_json::to_string(&value).map(|s| s.len()).unwrap_or(0);
-            self.inner.obs.add("evalcache.bytes", bytes as f64);
-        }
         self.inner.inserts.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.inc("evalcache.inserts");
         let value = Arc::new(value);
@@ -260,7 +255,6 @@ mod tests {
         assert_eq!(obs.counter_value("evalcache.hits"), 1.0);
         assert_eq!(obs.counter_value("evalcache.misses"), 1.0);
         assert_eq!(obs.counter_value("evalcache.inserts"), 1.0);
-        assert!(obs.counter_value("evalcache.bytes") > 0.0);
     }
 
     #[test]

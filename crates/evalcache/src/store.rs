@@ -29,14 +29,17 @@ pub const STORE_VERSION: u32 = 2;
 /// The `kind` tag every store file starts with.
 pub const STORE_KIND: &str = "relm-evalcache";
 
-/// Writes the cache to `path` atomically (header + key-sorted entries).
+/// Writes the cache to `path` atomically (header + key-sorted entries)
+/// and adds the file's size to `evalcache.bytes`.
 pub fn save<V: Serialize>(cache: &EvalCache<V>, path: &Path) -> io::Result<()> {
     let records = cache
         .entries()
         .into_iter()
         .map(|(key, value)| (key.hex(), value.as_ref().to_value()));
     let text = render_records(STORE_KIND, STORE_VERSION.into(), records);
-    write_atomic(path, text.as_bytes())
+    write_atomic(path, text.as_bytes())?;
+    cache.obs().add("evalcache.bytes", text.len() as f64);
+    Ok(())
 }
 
 /// Reads a store file and returns its verified entries in file order.
@@ -106,6 +109,25 @@ mod tests {
         }
         // Restores are not inserts.
         assert_eq!(restored.stats().inserts, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `evalcache.bytes` counts store files, not inserts: nothing moves
+    /// until a save, which adds the written file's size, and a load adds
+    /// the size of the file it read.
+    #[test]
+    fn saves_and_loads_count_file_bytes() {
+        let path = tmp_path("bytes");
+        let obs = relm_obs::Obs::enabled();
+        let cache: EvalCache<Vec<f64>> = EvalCache::instrumented(obs.clone());
+        cache.insert(KeyBuilder::new("t").field("n", &1u64).finish(), vec![0.5]);
+        assert_eq!(obs.counter_value("evalcache.bytes"), 0.0);
+        save(&cache, &path).unwrap();
+        let size = std::fs::metadata(&path).unwrap().len() as f64;
+        assert!(size > 0.0);
+        assert_eq!(obs.counter_value("evalcache.bytes"), size);
+        load(&cache, &path).unwrap();
+        assert_eq!(obs.counter_value("evalcache.bytes"), 2.0 * size);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -4,8 +4,9 @@
 //! three `serve_load` smokes (plain+guided, fleet with a kill, soak with
 //! eviction), every tuner policy driven in-process, a
 //! memory-store build/warm-start cycle, and an in-process overload +
-//! session-lifecycle pass (admission pushback, cancel, cache probes) —
-//! then fails on any mismatch in either direction:
+//! session-lifecycle pass (admission pushback, cancel, cache probes, a
+//! replayed guided step) — then fails on any mismatch in either
+//! direction:
 //!
 //! - an emitted counter/gauge/histogram with no catalog row is an
 //!   **undocumented metric** (the failure prints a ready-to-paste row);
@@ -237,8 +238,8 @@ fn memory_snapshot(tmp: &Path) -> MetricsSnapshot {
 /// Deterministically triggers the admission/lifecycle counters the load
 /// smokes don't: per-class pushback (a batch larger than the low and
 /// normal class shares of a tiny global queue is always rejected),
-/// session cancellation, and eval-cache probes (first probes always
-/// miss).
+/// session cancellation, eval-cache probes (first probes always miss),
+/// and a guided step replayed from the proposal memo.
 fn overload_and_lifecycle_snapshot() -> MetricsSnapshot {
     let obs = Obs::enabled();
     let service = Service::start(
@@ -290,6 +291,29 @@ fn overload_and_lifecycle_snapshot() -> MetricsSnapshot {
         Response::Cancelled { .. } => {}
         other => panic!("cancel failed: {other:?}"),
     }
+    // One cache-opted spec run twice through a guided step: the second
+    // session replays the first one's EI search from the proposal memo.
+    for _ in 0..2 {
+        let session = create(Priority::High, 303, true);
+        let auto = Request::StepAuto {
+            session: session.clone(),
+            evals: 2,
+        };
+        let guided = Request::StepGuided {
+            session: session.clone(),
+            evals: 1,
+        };
+        for step in [&auto, &auto, &guided] {
+            match service.handle(step) {
+                Response::Accepted { .. } => {}
+                other => panic!("step rejected: {other:?}"),
+            }
+            service.handle(&Request::Join {
+                session: session.clone(),
+            });
+        }
+    }
+    assert_eq!(obs.counter_value("serve.guided.replays"), 1.0);
     obs.metrics_snapshot()
 }
 

@@ -93,6 +93,16 @@ impl Priority {
             Priority::High => "high",
         }
     }
+
+    /// The class's pending-evaluation gauge,
+    /// `serve.queue.class.<label>`.
+    pub fn queue_gauge(self) -> &'static str {
+        match self {
+            Priority::Low => "serve.queue.class.low",
+            Priority::Normal => "serve.queue.class.normal",
+            Priority::High => "serve.queue.class.high",
+        }
+    }
 }
 
 /// What a session tunes: the application, the seed chain, and the
@@ -121,10 +131,13 @@ pub struct SessionSpec {
     pub retry: Option<RetryPolicy>,
     /// Opt the session into the service's shared evaluation cache:
     /// identical evaluations (same spec inputs, same seed-chain position)
-    /// replay a memoized outcome instead of re-simulating. Off by default
-    /// — the shared [`relm_obs::Obs`] handle means a replayed session's
-    /// counter deltas are approximate when other sessions run
-    /// concurrently, so caching is something a client asks for.
+    /// replay a memoized outcome instead of re-simulating, and a guided
+    /// step whose fitted GP, EI threshold and RNG state were seen before
+    /// takes that EI search's result from the service's proposal memo.
+    /// Off by default — the shared [`relm_obs::Obs`] handle means a
+    /// replayed session's counter deltas are approximate when other
+    /// sessions run concurrently, so caching is something a client asks
+    /// for.
     pub use_cache: bool,
     /// Warm-start the session from the service's cross-session memory
     /// store: retrieve the nearest past sessions by workload fingerprint
@@ -311,25 +324,41 @@ impl Request {
     /// Endpoint label used for per-endpoint metrics
     /// (`serve.endpoint.<label>_ms`).
     pub fn endpoint(&self) -> &'static str {
+        self.metric_names().0
+    }
+
+    /// The endpoint label, its request counter `serve.requests.<label>`
+    /// and its handler-latency histogram `serve.endpoint.<label>_ms`,
+    /// spelled out at compile time so the request path formats no name.
+    pub fn metric_names(&self) -> (&'static str, &'static str, &'static str) {
+        macro_rules! names {
+            ($label:literal) => {
+                (
+                    $label,
+                    concat!("serve.requests.", $label),
+                    concat!("serve.endpoint.", $label, "_ms"),
+                )
+            };
+        }
         match self {
-            Request::Ping => "ping",
-            Request::CreateSession { .. } => "create_session",
-            Request::Step { .. } => "step",
-            Request::StepAuto { .. } => "step_auto",
-            Request::StepGuided { .. } => "step_guided",
-            Request::Status { .. } => "status",
-            Request::Join { .. } => "join",
-            Request::Result { .. } => "result",
-            Request::Cancel { .. } => "cancel",
-            Request::Evict { .. } => "evict",
-            Request::Drain => "drain",
-            Request::Metrics => "metrics",
-            Request::Trace { .. } => "trace",
-            Request::Dump { .. } => "dump",
-            Request::Register { .. } => "register",
-            Request::Heartbeat { .. } => "heartbeat",
-            Request::Ack { .. } => "ack",
-            Request::Complete { .. } => "complete",
+            Request::Ping => names!("ping"),
+            Request::CreateSession { .. } => names!("create_session"),
+            Request::Step { .. } => names!("step"),
+            Request::StepAuto { .. } => names!("step_auto"),
+            Request::StepGuided { .. } => names!("step_guided"),
+            Request::Status { .. } => names!("status"),
+            Request::Join { .. } => names!("join"),
+            Request::Result { .. } => names!("result"),
+            Request::Cancel { .. } => names!("cancel"),
+            Request::Evict { .. } => names!("evict"),
+            Request::Drain => names!("drain"),
+            Request::Metrics => names!("metrics"),
+            Request::Trace { .. } => names!("trace"),
+            Request::Dump { .. } => names!("dump"),
+            Request::Register { .. } => names!("register"),
+            Request::Heartbeat { .. } => names!("heartbeat"),
+            Request::Ack { .. } => names!("ack"),
+            Request::Complete { .. } => names!("complete"),
         }
     }
 
@@ -627,6 +656,25 @@ mod tests {
             assert!(!line.contains('\n'), "frames must be single-line");
             let back: Request = decode(&line, DEFAULT_MAX_FRAME_BYTES).unwrap();
             assert_eq!(req, back);
+        }
+    }
+
+    #[test]
+    fn metric_names_extend_the_endpoint_label() {
+        for req in [
+            Request::Ping,
+            Request::StepGuided {
+                session: "s-1".into(),
+                evals: 1,
+            },
+            Request::Join {
+                session: "s-1".into(),
+            },
+            Request::Drain,
+        ] {
+            let (label, requests, latency) = req.metric_names();
+            assert_eq!(requests, format!("serve.requests.{label}"));
+            assert_eq!(latency, format!("serve.endpoint.{label}_ms"));
         }
     }
 

@@ -1,12 +1,14 @@
 //! GP-guided proposals behind `StepGuided`: the per-session proposal
-//! state and its fit schedule, its frozen form across eviction, and the
-//! entry gate of the guided step.
+//! state and its fit schedule, its frozen form across eviction, the
+//! service-wide memo of EI searches, and the entry gate of the guided
+//! step.
 
 use super::{resume_session, Session, Shared, State};
 use crate::protocol::Response;
+use relm_common::hash::Fnv128;
 use relm_common::{MemoryConfig, Rng};
+use relm_evalcache::{EvalCache, EvalKey};
 use relm_memory::PriorBundle;
-use relm_obs::Obs;
 use relm_surrogate::{maximize_ei, Gp, GpFitter, SparsePolicy};
 use relm_tune::space::DIMS;
 use relm_tune::{ConfigSpace, Observation};
@@ -133,6 +135,66 @@ impl FrozenGuided {
     }
 }
 
+/// One memoized EI search: the point it returned and the RNG as it left
+/// it.
+pub(super) struct MemoizedSearch {
+    x: [f64; DIMS],
+    rng: Rng,
+}
+
+/// The service-wide memo of the guided step's EI searches, keyed by
+/// [`memo_key`]. Only cache-opted sessions read and fill it.
+pub(super) type ProposalMemo = EvalCache<MemoizedSearch>;
+
+/// Namespace of [`memo_key`]; its version changes whenever what the key
+/// covers does.
+const MEMO_NAMESPACE: &str = "serve.guided.ei/v1";
+
+/// The memo key of one `maximize_ei(gp, DIMS, tau, rng)` call. The search
+/// reads the GP only through its predictions, which
+/// [`Gp::fingerprint`] pins, and reads nothing else besides `tau` and
+/// the RNG; so equal keys mean equal results, point and RNG alike.
+fn memo_key(fingerprint: u128, tau: f64, rng: &Rng) -> EvalKey {
+    let mut h = Fnv128::new();
+    h.write_str(MEMO_NAMESPACE);
+    h.write_bytes(&fingerprint.to_le_bytes());
+    h.write_u64(tau.to_bits());
+    h.write_u64(rng.state());
+    let digest = h.finish();
+    EvalKey::from_halves((digest >> 64) as u64, digest as u64)
+}
+
+/// One EI search from `rng`. With a fingerprint (a cache-opted session)
+/// the search is looked up first: a hit returns the memoized point and
+/// moves `rng` to where the search would have left it, counting
+/// `serve.guided.replays`; a miss searches and inserts. Without one, no
+/// key is computed.
+fn propose(
+    shared: &Shared,
+    gp: &Gp,
+    fingerprint: Option<u128>,
+    tau: f64,
+    rng: &mut Rng,
+) -> [f64; DIMS] {
+    let key = fingerprint.map(|fp| memo_key(fp, tau, rng));
+    if let Some(hit) = key.and_then(|key| shared.proposals.get(&key)) {
+        *rng = hit.rng.clone();
+        shared.obs.inc("serve.guided.replays");
+        return hit.x;
+    }
+    let started = Instant::now();
+    let (x, _ei) = maximize_ei(gp, DIMS, tau, rng);
+    shared
+        .obs
+        .record("surrogate.ei_ms", started.elapsed().as_secs_f64() * 1e3);
+    let x: [f64; DIMS] = x.try_into().expect("maximize_ei returns DIMS coordinates");
+    if let Some(key) = key {
+        let rng = rng.clone();
+        shared.proposals.insert(key, MemoizedSearch { x, rng });
+    }
+    x
+}
+
 /// One guided batch in the making: everything it is computed from,
 /// copied out of an idle session under the state lock so that the fit
 /// and EI can run without it.
@@ -147,6 +209,9 @@ pub(super) struct Proposal {
     /// The prior's best point, proposed first by a warm session that has
     /// no history yet.
     incumbent: Option<Vec<f64>>,
+    /// Whether the session opted into the shared cache, and with it into
+    /// the proposal memo.
+    memoize: bool,
 }
 
 impl Proposal {
@@ -198,12 +263,16 @@ impl Proposal {
             } else {
                 None
             },
+            memoize: sess.spec.use_cache,
         })
     }
 
     /// Runs the next fit of the schedule and proposes `evals`
-    /// configurations by maximizing EI, advancing the copy's RNG.
-    pub(super) fn run(&mut self, obs: &Obs, evals: u32) -> Result<Vec<MemoryConfig>, String> {
+    /// configurations by maximizing EI, advancing the copy's RNG. A
+    /// cache-opted session takes each search it repeats from the memo
+    /// (see [`propose`]); the fit runs either way, since the key needs it.
+    pub(super) fn run(&mut self, shared: &Shared, evals: u32) -> Result<Vec<MemoryConfig>, String> {
+        let obs = &shared.obs;
         let guided = &mut self.guided;
         let before = guided.fitter.stats();
         let fit_started = Instant::now();
@@ -228,11 +297,12 @@ impl Proposal {
             (stats.chol_jitter_retries - before.chol_jitter_retries) as f64,
         );
         obs.inc("serve.guided.batches");
+        let fingerprint = self.memoize.then(|| gp.fingerprint());
         Ok((0..evals)
             .map(|i| match (i, &self.incumbent) {
                 (0, Some(x)) => self.space.decode(x),
                 _ => {
-                    let (x, _ei) = maximize_ei(&gp, DIMS, self.tau, &mut guided.rng);
+                    let x = propose(shared, &gp, fingerprint, self.tau, &mut guided.rng);
                     self.space.decode(&x)
                 }
             })
@@ -261,5 +331,33 @@ pub(super) fn guided_home_locked(
 pub(super) fn not_idle(session: &str) -> Response {
     Response::Error {
         message: format!("session `{session}` must be idle for guided steps (join first)"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every input of an EI search moves its memo key: the threshold, the
+    /// RNG state, and the GP (one more observation).
+    #[test]
+    fn memo_key_covers_every_input_of_the_search() {
+        let mut fitter = GpFitter::default();
+        let mut data = Rng::new(5);
+        for i in 0..6 {
+            let x = (0..DIMS).map(|_| data.uniform()).collect();
+            fitter.observe(x, 1.0 + 0.1 * f64::from(i)).unwrap();
+        }
+        let gp = fitter.fit_full(1).unwrap();
+        let (tau, rng) = (1.0, Rng::new(9));
+        let key = memo_key(gp.fingerprint(), tau, &rng);
+        assert_eq!(key, memo_key(gp.fingerprint(), tau, &rng.clone()));
+        assert_ne!(key, memo_key(gp.fingerprint(), 0.5, &rng), "tau");
+        let mut drawn = rng.clone();
+        drawn.next_u64();
+        assert_ne!(key, memo_key(gp.fingerprint(), tau, &drawn), "RNG state");
+        fitter.observe(vec![0.5; DIMS], 2.0).unwrap();
+        let grown = fitter.refit().unwrap();
+        assert_ne!(key, memo_key(grown.fingerprint(), tau, &rng), "observation");
     }
 }

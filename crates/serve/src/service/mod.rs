@@ -65,7 +65,8 @@
 //! the request handlers and the worker loop; each policy lives in a
 //! private submodule under the one state lock: `scheduler` (ready queues,
 //! DWRR, admission gate), `residency` (eviction and resume), `guided`
-//! (GP proposal state) and `drain` (graceful shutdown).
+//! (GP proposal state and the memo of EI searches) and `drain` (graceful
+//! shutdown).
 
 mod drain;
 mod guided;
@@ -76,7 +77,7 @@ use crate::protocol::{
     Priority, Request, Response, SessionSpec, SessionStatus, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::slo::SloTracker;
-use guided::{guided_home_locked, not_idle, FrozenGuided, GuidedState, Proposal};
+use guided::{guided_home_locked, not_idle, FrozenGuided, GuidedState, Proposal, ProposalMemo};
 use relm_app::{AppSpec, Engine, EngineCostModel};
 use relm_cluster::ClusterSpec;
 use relm_common::{MemoryConfig, Rng};
@@ -399,6 +400,12 @@ struct Shared {
     /// (`SessionSpec::use_cache`). Instrumented on the service's obs
     /// handle (`evalcache.*`).
     cache: relm_tune::EvalStore,
+    /// Memoized EI searches of cache-opted sessions' guided steps: a
+    /// repeated step takes its proposal and its post-search RNG from here
+    /// instead of searching again. Uninstrumented, so `evalcache.*` keeps
+    /// counting evaluations only; it lives as long as the service, like
+    /// `cache`, and a session adds one small entry per guided proposal.
+    proposals: ProposalMemo,
     state: Mutex<State>,
     /// Windowed SLO instruments fed by the evaluation path.
     slo: SloTracker,
@@ -454,6 +461,7 @@ impl Service {
             },
             obs,
             cache,
+            proposals: ProposalMemo::new(),
             state: Mutex::new(State {
                 sessions: BTreeMap::new(),
                 sched,
@@ -559,7 +567,7 @@ impl Service {
     /// request lifecycle into the session's flight recorder.
     pub fn handle(&self, request: &Request) -> Response {
         let start = Instant::now();
-        let endpoint = request.endpoint();
+        let (endpoint, requests_counter, latency_histogram) = request.metric_names();
         let obs = &self.shared.obs;
         let (trace_id, flight) = self.begin_trace(request);
         let _scope = trace::enter(trace_id);
@@ -577,11 +585,8 @@ impl Service {
             span.set("session", session);
         }
         let response = self.dispatch(request);
-        obs.inc(&format!("serve.requests.{endpoint}"));
-        obs.record(
-            &format!("serve.endpoint.{endpoint}_ms"),
-            start.elapsed().as_secs_f64() * 1e3,
-        );
+        obs.inc(requests_counter);
+        obs.record(latency_histogram, start.elapsed().as_secs_f64() * 1e3);
         if matches!(response, Response::Overloaded { .. }) {
             obs.inc("serve.rejected.overloaded");
             obs.inc(&format!("serve.rejected.overloaded.{endpoint}"));
@@ -944,7 +949,9 @@ impl Service {
     /// second admits the batch only if the session is still idle on the
     /// same history and fit count, and otherwise refuses it as not idle.
     /// The proposal state commits only on admission, so a rejected or
-    /// discarded batch leaves the stream untouched.
+    /// discarded batch leaves the stream untouched. A cache-opted session
+    /// takes each EI search it repeats from the service's proposal memo,
+    /// which returns exactly what the search would compute.
     fn step_guided(&self, session: &str, evals: u32) -> Response {
         if evals == 0 {
             return Response::Error {
@@ -978,7 +985,7 @@ impl Service {
         // What the proposal is computed from; the batch is admitted only
         // if the session still stands here.
         let (fed, fits) = (proposal.guided.fed, proposal.guided.feeds.len());
-        let configs = match proposal.run(&shared.obs, evals) {
+        let configs = match proposal.run(shared, evals) {
             Ok(configs) => configs,
             Err(message) => return Response::Error { message },
         };

@@ -167,10 +167,7 @@ impl Scheduler {
         obs.gauge("serve.queue.global", self.global_pending as f64);
         obs.gauge("serve.workers.busy", self.running as f64);
         for p in Priority::ALL {
-            obs.gauge(
-                &format!("serve.queue.class.{}", p.as_str()),
-                self.pending_by_class[p.index()] as f64,
-            );
+            obs.gauge(p.queue_gauge(), self.pending_by_class[p.index()] as f64);
         }
     }
 }
@@ -195,6 +192,13 @@ mod tests {
             "high-4", "high-5", "high-6", "high-7", "normal-2", "normal-3", "low-1",
         ];
         assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn queue_gauges_append_the_class_label() {
+        for p in Priority::ALL {
+            assert_eq!(p.queue_gauge(), format!("serve.queue.class.{}", p.as_str()));
+        }
     }
 
     /// A class that runs dry mid-round forfeits the rest of its credit:

@@ -156,6 +156,68 @@ fn cached_sessions_replay_identically_and_report_hits() {
     );
 }
 
+/// Runs one session of `spec` the way the cost ledger's serve workloads
+/// do: a 4-evaluation auto bootstrap, then 20 joined `StepGuided{1}`.
+/// Returns its serialized history and the `serve.guided.replays` it
+/// added.
+fn run_guided(service: &Service, spec: &SessionSpec) -> (String, f64) {
+    let replays = || service.obs().counter_value("serve.guided.replays");
+    let before = replays();
+    let name = match service.handle(&Request::CreateSession { spec: spec.clone() }) {
+        Response::SessionCreated { session } => session,
+        other => panic!("create failed: {other:?}"),
+    };
+    let mut steps = vec![Request::StepAuto {
+        session: name.clone(),
+        evals: 4,
+    }];
+    steps.extend((0..20).map(|_| Request::StepGuided {
+        session: name.clone(),
+        evals: 1,
+    }));
+    for step in steps {
+        match service.handle(&step) {
+            Response::Accepted { .. } => {}
+            other => panic!("step rejected: {other:?}"),
+        }
+        service.handle(&Request::Join {
+            session: name.clone(),
+        });
+    }
+    match service.handle(&Request::Result { session: name }) {
+        Response::ResultReady { history, .. } => {
+            assert_eq!(history.len(), 24);
+            (serde_json::to_string(&history).unwrap(), replays() - before)
+        }
+        other => panic!("result failed: {other:?}"),
+    }
+}
+
+/// A cache-opted session that repeats another's guided steps takes every
+/// proposal from the proposal memo and still matches it byte for byte;
+/// the first session, and an uncached one with the same spec, never
+/// replay.
+#[test]
+fn cached_guided_sessions_replay_their_proposals() {
+    let service = Service::start(ServeConfig::default(), Obs::enabled());
+    let spec = spec_for(3).with_cache();
+    let (first, first_replays) = run_guided(&service, &spec);
+    let (second, second_replays) = run_guided(&service, &spec);
+    assert_eq!(
+        first, second,
+        "replayed proposals must match the searched ones"
+    );
+    assert_eq!(first_replays, 0.0);
+    assert_eq!(second_replays, 20.0);
+
+    let (uncached, uncached_replays) = run_guided(&service, &spec_for(3));
+    assert_eq!(uncached, first);
+    assert_eq!(
+        uncached_replays, 0.0,
+        "an uncached session never reads the memo"
+    );
+}
+
 /// Builds a memory store at `store` by running one session per workload
 /// and draining (drain extracts the digests and persists the store).
 fn build_store(store: &std::path::Path) {

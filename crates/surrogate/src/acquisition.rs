@@ -5,11 +5,13 @@
 //! [`maximize_ei`] scores the 128-point candidate set as one fused
 //! [`Surrogate::predict_batch`] pass (scratch buffers reused across the
 //! pool) rather than one `predict` call per candidate, then runs four
-//! local hill climbs from the best candidates. A climb move that the clamp
-//! to `[0, 1]` sends back onto the current point is skipped without a
-//! prediction: the candidate is the current point bit for bit, scores the
-//! current EI exactly, and can never pass the strict `fc > fx` test, so
-//! skipping it changes no accepted move, returned value or RNG draw.
+//! local hill climbs from the best candidates, each starting from its
+//! candidate's scored EI rather than a second prediction. A climb move
+//! that the clamp to `[0, 1]` sends back onto the current point is
+//! skipped without a prediction: the candidate is the current point bit
+//! for bit, scores the current EI exactly, and can never pass the strict
+//! `fc > fx` test, so skipping it changes no accepted move, returned value
+//! or RNG draw.
 
 use crate::lhs::latin_hypercube;
 use crate::Surrogate;
@@ -79,9 +81,10 @@ pub fn maximize_ei<S: Surrogate + ?Sized>(
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN EI"));
 
     let mut best = scored[0].clone();
-    for (_, start) in scored.into_iter().take(4) {
-        let mut x = start;
-        let mut fx = ei_at(&x);
+    // A climb starts from its candidate's scored EI: `predict_batch`
+    // equals `predict` bit for bit, so predicting the start again would
+    // only repeat it.
+    for (mut fx, mut x) in scored.into_iter().take(4) {
         let mut step = 0.12;
         while step > 0.005 {
             let mut improved = false;

@@ -36,6 +36,7 @@ use crate::gram::GramCache;
 use crate::linalg::{dot, Cholesky, Matrix};
 use crate::sparse::{select_inducing, SparsePolicy};
 use crate::Surrogate;
+use relm_common::hash::Fnv128;
 use relm_common::{Error, Result, Rng};
 
 /// Kernel + noise hyperparameters, stored in log space.
@@ -256,6 +257,35 @@ impl Gp {
             self.y_mean + self.y_scale * mean_std,
             var_std * self.y_scale * self.y_scale,
         )
+    }
+
+    /// A 128-bit FNV-1a digest of everything the prediction kernel reads:
+    /// `n` and the dimensionality, then the raw bits of the training
+    /// inputs, the factor's lower triangle (the upper one is zero and never
+    /// read), `alpha`, the exponentiated lengthscales, `y_mean`, `y_scale`,
+    /// the signal variance and the noise, each word fed as its
+    /// little-endian bytes. Two GPs with equal fingerprints predict
+    /// identically, bit for bit (barring a 128-bit collision), so anything
+    /// computed from a GP's predictions alone can be memoized under its
+    /// fingerprint. `params` is left out: the kernel reads it only through
+    /// the hoisted values.
+    pub fn fingerprint(&self) -> u128 {
+        let n = self.len();
+        let mut h = Fnv128::new();
+        h.write_u64(n as u64);
+        h.write_u64(self.ls.len() as u64);
+        let lower = (0..n).flat_map(|j| &self.lc[j * n + j..(j + 1) * n]);
+        let words = self
+            .xt
+            .iter()
+            .chain(lower)
+            .chain(&self.alpha)
+            .chain(&self.ls)
+            .chain([&self.y_mean, &self.y_scale, &self.sv, &self.noise]);
+        for v in words {
+            h.write_u64(v.to_bits());
+        }
+        h.finish()
     }
 
     /// The selected hyperparameters.
@@ -937,6 +967,74 @@ mod tests {
 
     fn bits((m, v): (f64, f64)) -> (u64, u64) {
         (m.to_bits(), v.to_bits())
+    }
+
+    /// The fingerprint covers every field the kernel reads, so equal
+    /// fingerprints across constructors check the refit invariant field
+    /// by field: `fit_full`, then `refit` after more observations, digest
+    /// exactly like `fit_with_params` on the same data and parameters.
+    #[test]
+    fn refit_fingerprint_equals_a_fixed_params_fit() {
+        for (seed, n0, appends) in [(1u64, 5usize, 1usize), (8, 9, 3), (42, 14, 6)] {
+            let grown = n0 + appends;
+            let (xs, ys) = random_dataset(grown + 1, 4, seed);
+            let mut fitter = GpFitter::default();
+            for (x, y) in xs[..n0].iter().zip(&ys) {
+                fitter.observe(x.clone(), *y).unwrap();
+            }
+            let full = fitter.fit_full(seed).unwrap();
+            let params = full.params().clone();
+            let fixed = |upto: usize| {
+                Gp::fit_with_params(xs[..upto].to_vec(), &ys[..upto], params.clone())
+                    .unwrap()
+                    .fingerprint()
+            };
+            assert_eq!(full.fingerprint(), fixed(n0), "fit_full, seed {seed}");
+            for (x, y) in xs[n0..grown].iter().zip(&ys[n0..grown]) {
+                fitter.observe(x.clone(), *y).unwrap();
+            }
+            let refit = fitter.refit().unwrap();
+            assert_eq!(refit.fingerprint(), fixed(grown), "refit, seed {seed}");
+            fitter.observe(xs[grown].clone(), ys[grown]).unwrap();
+            assert_ne!(
+                fitter.refit().unwrap().fingerprint(),
+                refit.fingerprint(),
+                "one more observation, seed {seed}"
+            );
+        }
+    }
+
+    /// Flipping the lowest bit of any value the prediction kernel reads
+    /// moves the fingerprint; the factor's upper triangle, which it never
+    /// reads, is left out.
+    #[test]
+    fn fingerprint_covers_every_value_the_kernel_reads() {
+        let (xs, ys) = random_dataset(6, 3, 4);
+        let gp = Gp::fit(xs, &ys, 4).unwrap();
+        let base = gp.fingerprint();
+        let n = gp.len();
+        for field in [
+            "xt", "lc", "alpha", "y_mean", "y_scale", "ls", "sv", "noise",
+        ] {
+            let mut moved = gp.clone();
+            let value = match field {
+                "xt" => &mut moved.xt[2 * n + 1],
+                "lc" => &mut moved.lc[n + 2], // L[2][1]
+                "alpha" => &mut moved.alpha[3],
+                "y_mean" => &mut moved.y_mean,
+                "y_scale" => &mut moved.y_scale,
+                "ls" => &mut moved.ls[1],
+                "sv" => &mut moved.sv,
+                _ => &mut moved.noise,
+            };
+            *value = f64::from_bits(value.to_bits() ^ 1);
+            assert_ne!(moved.fingerprint(), base, "{field}");
+        }
+        let mut upper = gp.clone();
+        upper.lc[n] = 1.0; // L[0][1], above the diagonal
+        assert_eq!(upper.fingerprint(), base);
+        let probe = [0.3, 0.6, 0.9];
+        assert_eq!(bits(upper.predict(&probe)), bits(gp.predict(&probe)));
     }
 
     #[test]
