@@ -5,8 +5,8 @@
 //! eviction), every tuner policy driven in-process, a
 //! memory-store build/warm-start cycle, and an in-process overload +
 //! session-lifecycle pass (admission pushback, cancel, cache probes, a
-//! replayed guided step) — then fails on any mismatch in either
-//! direction:
+//! replayed guided step and a rebuilt fitter) — then fails on any
+//! mismatch in either direction:
 //!
 //! - an emitted counter/gauge/histogram with no catalog row is an
 //!   **undocumented metric** (the failure prints a ready-to-paste row);
@@ -239,7 +239,8 @@ fn memory_snapshot(tmp: &Path) -> MetricsSnapshot {
 /// smokes don't: per-class pushback (a batch larger than the low and
 /// normal class shares of a tiny global queue is always rejected),
 /// session cancellation, eval-cache probes (first probes always miss),
-/// and a guided step replayed from the proposal memo.
+/// a guided step replayed from the proposal memo, and a fitter rebuilt
+/// after it.
 fn overload_and_lifecycle_snapshot() -> MetricsSnapshot {
     let obs = Obs::enabled();
     let service = Service::start(
@@ -292,8 +293,10 @@ fn overload_and_lifecycle_snapshot() -> MetricsSnapshot {
         other => panic!("cancel failed: {other:?}"),
     }
     // One cache-opted spec run twice through a guided step: the second
-    // session replays the first one's EI search from the proposal memo.
-    for _ in 0..2 {
+    // session replays the first one's EI search from the proposal memo
+    // without a fit, so a further guided step, which the memo does not
+    // hold, rebuilds its fitter from the recorded fit schedule.
+    for guided_steps in [1, 2] {
         let session = create(Priority::High, 303, true);
         let auto = Request::StepAuto {
             session: session.clone(),
@@ -303,7 +306,8 @@ fn overload_and_lifecycle_snapshot() -> MetricsSnapshot {
             session: session.clone(),
             evals: 1,
         };
-        for step in [&auto, &auto, &guided] {
+        let guided_steps = std::iter::repeat_n(&guided, guided_steps);
+        for step in [&auto, &auto].into_iter().chain(guided_steps) {
             match service.handle(step) {
                 Response::Accepted { .. } => {}
                 other => panic!("step rejected: {other:?}"),
@@ -314,6 +318,7 @@ fn overload_and_lifecycle_snapshot() -> MetricsSnapshot {
         }
     }
     assert_eq!(obs.counter_value("serve.guided.replays"), 1.0);
+    assert_eq!(obs.counter_value("serve.guided.rebuilds"), 1.0);
     obs.metrics_snapshot()
 }
 

@@ -244,7 +244,8 @@ pub enum Request {
     /// Liveness probe.
     Ping,
     /// Registers a new tuning session. Rejected with
-    /// [`Response::Overloaded`] when the session table is full.
+    /// [`Response::Overloaded`] when the session table is full (it counts
+    /// sessions not cancelled).
     CreateSession { spec: SessionSpec },
     /// Enqueues explicit configurations for evaluation, in order.
     /// All-or-nothing: if the batch would overflow the session's or the
@@ -272,8 +273,10 @@ pub enum Request {
     /// The session's evaluation history and, once at least one evaluation
     /// completed, its exported recommendation.
     Result { session: String },
-    /// Discards the session's pending evaluations. The in-flight
-    /// evaluation (if any) completes; completed history is kept.
+    /// Discards the session's pending evaluations and frees its slot in
+    /// the session table. The in-flight evaluation (if any) completes;
+    /// completed history is kept, and `Status`, `Result` and `Drain`
+    /// still see the session.
     Cancel { session: String },
     /// Checkpoints the session to the eviction directory and unloads its
     /// environment — the operator-initiated form of the idle-session

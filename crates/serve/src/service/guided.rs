@@ -1,7 +1,6 @@
 //! GP-guided proposals behind `StepGuided`: the per-session proposal
-//! state and its fit schedule, its frozen form across eviction, the
-//! service-wide memo of EI searches, and the entry gate of the guided
-//! step.
+//! state, its fit schedule and the fitter rebuilt from it on demand, the
+//! service-wide memo of proposals, and the entry gate of the guided step.
 
 use super::{resume_session, Session, Shared, State};
 use crate::protocol::Response;
@@ -11,7 +10,8 @@ use relm_evalcache::{EvalCache, EvalKey};
 use relm_memory::PriorBundle;
 use relm_surrogate::{maximize_ei, Gp, GpFitter, SparsePolicy};
 use relm_tune::space::DIMS;
-use relm_tune::{ConfigSpace, Observation};
+use relm_tune::ConfigSpace;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Completed evaluations a session needs before `StepGuided` can fit its
@@ -22,116 +22,100 @@ const GUIDED_MIN_HISTORY: usize = 4;
 /// (bit-identical to a from-scratch fit at the retained hyperparameters).
 const GUIDED_REFIT_PERIOD: usize = 4;
 
+/// One settled observation as the fitter sees it: the configuration
+/// encoded into the space's unit hypercube, and its score.
+type Row = ([f64; DIMS], f64);
+
 /// Deterministic GP proposal state behind `StepGuided`.
 ///
-/// A pure function of the session spec and the *settled* history: the
-/// fitter ingests encoded observations in history order, and the RNG
+/// A pure function of the session spec and the *settled* history: the RNG
 /// advances only when a batch is admitted (clone-compute-commit, exactly
 /// like the auto sampler) — so rejected requests never shift the stream.
+/// The fitter is derived from the rest: absent until a search needs the
+/// GP, and dropped again at eviction, at cancel and after a batch answered
+/// wholly from the proposal memo, it is rebuilt from the prior, the
+/// settled history and the recorded fit schedule, bit for bit.
 #[derive(Clone)]
 pub(super) struct GuidedState {
-    fitter: GpFitter,
+    /// The prior's observations, the history up to the schedule's last
+    /// entry, and every fit of the schedule; `None` until a search needs
+    /// it.
+    fitter: Option<GpFitter>,
     rng: Rng,
-    /// How many *history* observations the fitter has ingested. Tracked
-    /// separately from `fitter.len()` because a warm-started fitter also
-    /// holds prior observations that are not part of this session's
-    /// history.
-    pub(super) fed: usize,
-    /// The fit schedule: `feeds[i]` is how much history the fitter had
-    /// ingested when fit `i` ran, so `feeds.len()` is the number of fits
-    /// so far. An evicted session's fitter is rebuilt by replaying
-    /// exactly this schedule ([`FrozenGuided::thaw`]), which reproduces
-    /// the full-vs-incremental refit sequence — and therefore the
-    /// proposal stream — bit for bit.
+    /// The fit schedule: `feeds[i]` is how much history fit `i` saw, so
+    /// `feeds.len()` is the number of fits so far, counting those a batch
+    /// answered wholly from the memo skipped. Replaying it reproduces the
+    /// full-vs-incremental refit sequence — and therefore the proposal
+    /// stream — bit for bit.
     pub(super) feeds: Vec<usize>,
 }
 
 impl GuidedState {
-    /// A fresh proposal state whose fitter holds the warm-start prior and
-    /// no history yet. Prior points are part of the fitter but never of
-    /// `fed`, which indexes history alone.
-    fn new(prior: &PriorBundle, rng: Rng) -> relm_common::Result<Self> {
-        // Long-lived sessions can accumulate histories in the hundreds;
-        // the large-n policy keeps per-step fit cost flat there while
-        // leaving smaller histories (below the sparse threshold)
-        // byte-identical to the exact path.
-        let mut fitter = GpFitter::default().with_policy(SparsePolicy::large_n());
-        for (x, y) in &prior.gp_obs {
-            fitter.observe(x.clone(), *y)?;
-        }
-        Ok(GuidedState {
-            fitter,
-            rng,
-            fed: 0,
+    /// A fresh proposal state: no fits yet, and no fitter until the first
+    /// search.
+    pub(super) fn new(seed: u64) -> Self {
+        GuidedState {
+            fitter: None,
+            rng: Rng::new(seed),
             feeds: Vec::new(),
-        })
-    }
-
-    /// Feeds the fitter the observations of `history` it has not seen
-    /// yet, in history order, encoded into the space's unit hypercube.
-    fn feed(&mut self, space: &ConfigSpace, history: &[Observation]) -> relm_common::Result<()> {
-        for obs in &history[self.fed..] {
-            self.fitter
-                .observe(space.encode(&obs.config).to_vec(), obs.score_mins)?;
-        }
-        self.fed = history.len();
-        Ok(())
-    }
-
-    /// Runs the next fit of the schedule and records it: every
-    /// [`GUIDED_REFIT_PERIOD`]-th fit (and the first) re-tunes from
-    /// scratch, seeded by `seed` and the fit count; the fits in between
-    /// are incremental.
-    fn fit(&mut self, seed: u64) -> relm_common::Result<Gp> {
-        let fits = self.feeds.len();
-        let gp = if !self.fitter.has_fit() || fits.is_multiple_of(GUIDED_REFIT_PERIOD) {
-            self.fitter.fit_full(seed ^ ((fits as u64) << 8))?
-        } else {
-            self.fitter.refit()?
-        };
-        self.feeds.push(self.fed);
-        Ok(gp)
-    }
-
-    /// What survives eviction: the fitter is dropped, the schedule and
-    /// the RNG are kept.
-    pub(super) fn freeze(self) -> FrozenGuided {
-        FrozenGuided {
-            rng: self.rng,
-            feeds: self.feeds,
         }
     }
-}
 
-/// What survives of a [`GuidedState`] across eviction: the fitter (the
-/// memory-heavy part — Gram matrices and Cholesky factors) is dropped and
-/// rebuilt at resume by replaying the recorded fit schedule against the
-/// resumed history; the RNG and schedule carry over verbatim, so the
-/// proposal stream continues bit-identically.
-pub(super) struct FrozenGuided {
-    rng: Rng,
-    feeds: Vec<usize>,
-}
+    /// Drops the fitter, the memory-heavy part (Gram differences and a
+    /// Cholesky factor); the next search that needs the GP rebuilds it.
+    pub(super) fn drop_fitter(&mut self) {
+        self.fitter = None;
+    }
 
-impl FrozenGuided {
-    /// Rebuilds the proposal state by replaying the recorded fit schedule
-    /// against the resumed history: same prior, same observation order,
-    /// same full-vs-incremental refit sequence, same seeds — so the
-    /// fitter (and with the carried-over RNG, the proposal stream) comes
-    /// back bit-identical.
-    pub(super) fn thaw(
-        &self,
+    /// Runs the schedule's last fit and returns its GP and how many
+    /// recorded fits a rebuild replayed first. A present fitter holds
+    /// every earlier fit, so only the last runs. An absent one is rebuilt
+    /// from the prior, replaying the schedule from its last full fit on: a
+    /// full fit reads only the data and its seed, while every refit after
+    /// it must see exactly the rows it saw before (a failed row append
+    /// falls back to a refactorization whose jitter depends on how the
+    /// rows were grouped). Every [`GUIDED_REFIT_PERIOD`]-th fit (the first
+    /// included) re-tunes from scratch, seeded by `seed` and the fit's
+    /// index; the fits in between are incremental.
+    fn fit(
+        &mut self,
         prior: &PriorBundle,
-        space: &ConfigSpace,
-        guided_seed: u64,
-        history: &[Observation],
-    ) -> relm_common::Result<GuidedState> {
-        let mut guided = GuidedState::new(prior, self.rng.clone())?;
-        for &upto in &self.feeds {
-            guided.feed(space, &history[..upto])?;
-            guided.fit(guided_seed)?;
+        rows: &[Row],
+        seed: u64,
+    ) -> relm_common::Result<(Gp, usize)> {
+        let last = self.feeds.len() - 1;
+        let (mut fitter, first) = match self.fitter.take() {
+            Some(fitter) => (fitter, last),
+            None => {
+                // Long-lived sessions can accumulate histories in the
+                // hundreds; the large-n policy keeps per-step fit cost
+                // flat there while leaving smaller histories (below the
+                // sparse threshold) byte-identical to the exact path.
+                let mut fitter = GpFitter::default().with_policy(SparsePolicy::large_n());
+                for (x, y) in &prior.gp_obs {
+                    fitter.observe(x.clone(), *y)?;
+                }
+                (fitter, last - last % GUIDED_REFIT_PERIOD)
+            }
+        };
+        let mut fed = fitter.len() - prior.gp_obs.len();
+        let mut gp = None;
+        for (fit, &upto) in self.feeds.iter().enumerate().skip(first) {
+            for (x, y) in &rows[fed..upto] {
+                fitter.observe(x.to_vec(), *y)?;
+            }
+            fed = upto;
+            gp = Some(if fit.is_multiple_of(GUIDED_REFIT_PERIOD) {
+                fitter.fit_full(seed ^ ((fit as u64) << 8))?
+            } else {
+                fitter.refit()?
+            });
         }
-        Ok(guided)
+        self.fitter = Some(fitter);
+        Ok((
+            gp.expect("the schedule holds this step's entry"),
+            last - first,
+        ))
     }
 }
 
@@ -146,62 +130,64 @@ pub(super) struct MemoizedSearch {
 /// [`memo_key`]. Only cache-opted sessions read and fill it.
 pub(super) type ProposalMemo = EvalCache<MemoizedSearch>;
 
-/// Namespace of [`memo_key`]; its version changes whenever what the key
-/// covers does.
-const MEMO_NAMESPACE: &str = "serve.guided.ei/v1";
+/// Namespace of [`memo_key`]. Its version changes whenever what the key
+/// covers does, or a constant the fit reads ([`GUIDED_REFIT_PERIOD`],
+/// [`SparsePolicy::large_n`]).
+const MEMO_NAMESPACE: &str = "serve.guided.ei/v2";
 
-/// The memo key of one `maximize_ei(gp, DIMS, tau, rng)` call. The search
-/// reads the GP only through its predictions, which
-/// [`Gp::fingerprint`] pins, and reads nothing else besides `tau` and
-/// the RNG; so equal keys mean equal results, point and RNG alike.
-fn memo_key(fingerprint: u128, tau: f64, rng: &Rng) -> EvalKey {
+/// A digest of everything a guided step's fit reads: the guided seed, the
+/// prior's observations, the settled history as the fitter sees it, and
+/// the fit schedule through this step's entry. The fitted GP is a
+/// deterministic function of these and of the constants
+/// [`MEMO_NAMESPACE`] pins. It costs O((prior + history) · DIMS), where a
+/// digest of the fitted GP would cost O(n²) and need the fit first.
+fn fit_inputs(seed: u64, prior: &[(Vec<f64>, f64)], rows: &[Row], feeds: &[usize]) -> u128 {
+    let mut h = Fnv128::new();
+    h.write_u64(seed);
+    h.write_u64(prior.len() as u64);
+    for (x, y) in prior {
+        h.write_u64(x.len() as u64);
+        for v in x.iter().chain([y]) {
+            h.write_u64(v.to_bits());
+        }
+    }
+    h.write_u64(rows.len() as u64);
+    for (x, y) in rows {
+        for v in x.iter().chain([y]) {
+            h.write_u64(v.to_bits());
+        }
+    }
+    h.write_u64(feeds.len() as u64);
+    for &fed in feeds {
+        h.write_u64(fed as u64);
+    }
+    h.finish()
+}
+
+/// The memo key of one `maximize_ei(gp, DIMS, tau, rng)` call on the GP
+/// fitted from [`fit_inputs`]. The search reads nothing besides the GP,
+/// `tau` and the RNG; so equal keys mean equal results, point and RNG
+/// alike, and a batch whose every key hits needs no GP at all.
+fn memo_key(fit_inputs: u128, tau: f64, rng: &Rng) -> EvalKey {
     let mut h = Fnv128::new();
     h.write_str(MEMO_NAMESPACE);
-    h.write_bytes(&fingerprint.to_le_bytes());
+    h.write_bytes(&fit_inputs.to_le_bytes());
     h.write_u64(tau.to_bits());
     h.write_u64(rng.state());
     let digest = h.finish();
     EvalKey::from_halves((digest >> 64) as u64, digest as u64)
 }
 
-/// One EI search from `rng`. With a fingerprint (a cache-opted session)
-/// the search is looked up first: a hit returns the memoized point and
-/// moves `rng` to where the search would have left it, counting
-/// `serve.guided.replays`; a miss searches and inserts. Without one, no
-/// key is computed.
-fn propose(
-    shared: &Shared,
-    gp: &Gp,
-    fingerprint: Option<u128>,
-    tau: f64,
-    rng: &mut Rng,
-) -> [f64; DIMS] {
-    let key = fingerprint.map(|fp| memo_key(fp, tau, rng));
-    if let Some(hit) = key.and_then(|key| shared.proposals.get(&key)) {
-        *rng = hit.rng.clone();
-        shared.obs.inc("serve.guided.replays");
-        return hit.x;
-    }
-    let started = Instant::now();
-    let (x, _ei) = maximize_ei(gp, DIMS, tau, rng);
-    shared
-        .obs
-        .record("surrogate.ei_ms", started.elapsed().as_secs_f64() * 1e3);
-    let x: [f64; DIMS] = x.try_into().expect("maximize_ei returns DIMS coordinates");
-    if let Some(key) = key {
-        let rng = rng.clone();
-        shared.proposals.insert(key, MemoizedSearch { x, rng });
-    }
-    x
-}
-
 /// One guided batch in the making: everything it is computed from,
 /// copied out of an idle session under the state lock so that the fit
 /// and EI can run without it.
 pub(super) struct Proposal {
-    /// A copy of the session's proposal state, fed the settled history;
-    /// it replaces the session's own only if the batch is admitted.
+    /// A copy of the session's proposal state; it replaces the session's
+    /// own only if the batch is admitted.
     pub(super) guided: GuidedState,
+    /// The settled history, encoded as the fitter sees it.
+    rows: Vec<Row>,
+    prior: Arc<PriorBundle>,
     space: ConfigSpace,
     seed: u64,
     /// The EI threshold.
@@ -216,8 +202,8 @@ pub(super) struct Proposal {
 
 impl Proposal {
     /// Reads an idle session: checks it has enough history (or prior) to
-    /// fit, and feeds a copy of its proposal state — built on first use —
-    /// the settled history.
+    /// fit, and copies its proposal state, its prior and its settled
+    /// history.
     pub(super) fn prepare(sess: &Session) -> Result<Self, String> {
         let history = sess
             .env
@@ -235,16 +221,13 @@ impl Proposal {
                 history.len()
             ));
         }
-        let fit_failed = |e: relm_common::Error| format!("guided fit failed: {e}");
-        let mut guided = match &sess.guided {
-            Some(g) => g.clone(),
-            None => {
-                GuidedState::new(&sess.prior, Rng::new(sess.guided_seed)).map_err(fit_failed)?
-            }
-        };
-        guided.feed(&sess.space, history).map_err(fit_failed)?;
         Ok(Proposal {
-            guided,
+            guided: sess.guided.clone(),
+            rows: history
+                .iter()
+                .map(|obs| (sess.space.encode(&obs.config), obs.score_mins))
+                .collect(),
+            prior: Arc::clone(&sess.prior),
             space: sess.space.clone(),
             seed: sess.guided_seed,
             // The EI threshold folds in the prior's best score, so the
@@ -267,23 +250,103 @@ impl Proposal {
         })
     }
 
-    /// Runs the next fit of the schedule and proposes `evals`
-    /// configurations by maximizing EI, advancing the copy's RNG. A
-    /// cache-opted session takes each search it repeats from the memo
-    /// (see [`propose`]); the fit runs either way, since the key needs it.
+    /// How much settled history the batch is computed from.
+    pub(super) fn fed(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Records this step's fit in the schedule and proposes `evals`
+    /// configurations by maximizing EI on it, advancing the copy's RNG. A
+    /// cache-opted session looks each search up in the memo first; the
+    /// fit runs at the first miss, and also for a batch that holds only a
+    /// warm session's incumbent. A batch answered wholly from the memo
+    /// runs no fit and leaves the fitter absent, since it now lags the
+    /// schedule.
     pub(super) fn run(&mut self, shared: &Shared, evals: u32) -> Result<Vec<MemoryConfig>, String> {
+        self.guided.feeds.push(self.rows.len());
+        let inputs = self.memoize.then(|| {
+            fit_inputs(
+                self.seed,
+                &self.prior.gp_obs,
+                &self.rows,
+                &self.guided.feeds,
+            )
+        });
+        let mut gp = None;
+        let mut replayed = 0;
+        let mut configs = Vec::with_capacity(evals as usize);
+        for i in 0..evals {
+            if let (0, Some(x)) = (i, &self.incumbent) {
+                configs.push(self.space.decode(x));
+                continue;
+            }
+            let key = inputs.map(|inputs| memo_key(inputs, self.tau, &self.guided.rng));
+            let x = match key.and_then(|key| shared.proposals.get(&key)) {
+                Some(hit) => {
+                    self.guided.rng = hit.rng.clone();
+                    replayed += 1;
+                    hit.x
+                }
+                None => {
+                    if gp.is_none() {
+                        gp = Some(self.fit(shared)?);
+                    }
+                    let gp = gp.as_ref().expect("fitted above");
+                    let x = search(shared, gp, self.tau, &mut self.guided.rng);
+                    if let Some(key) = key {
+                        let rng = self.guided.rng.clone();
+                        shared.proposals.insert(key, MemoizedSearch { x, rng });
+                    }
+                    x
+                }
+            };
+            configs.push(self.space.decode(&x));
+        }
+        if gp.is_none() {
+            if replayed == 0 {
+                // Only the incumbent was proposed: the fit runs as it
+                // would without the memo, so a fit error surfaces here.
+                self.fit(shared)?;
+            } else {
+                // Every search came from the memo: no fit ran, and a
+                // fitter carried in now lags the schedule.
+                self.guided.drop_fitter();
+            }
+        }
+        if replayed > 0 {
+            shared.obs.add("serve.guided.replays", replayed as f64);
+        }
+        shared.obs.inc("serve.guided.batches");
+        Ok(configs)
+    }
+
+    /// Runs this step's fit ([`GuidedState::fit`]) and records it:
+    /// `surrogate.fit_ms` covers any rebuild, the `surrogate.*` counters
+    /// take the fitter's deltas, and `serve.guided.rebuilds` counts a
+    /// rebuild that replayed a recorded fit.
+    fn fit(&mut self, shared: &Shared) -> Result<Gp, String> {
         let obs = &shared.obs;
-        let guided = &mut self.guided;
-        let before = guided.fitter.stats();
-        let fit_started = Instant::now();
-        let gp = guided
-            .fit(self.seed)
+        let before = self
+            .guided
+            .fitter
+            .as_ref()
+            .map(GpFitter::stats)
+            .unwrap_or_default();
+        let started = Instant::now();
+        let (gp, replayed) = self
+            .guided
+            .fit(&self.prior, &self.rows, self.seed)
             .map_err(|e| format!("guided fit failed: {e}"))?;
-        obs.record(
-            "surrogate.fit_ms",
-            fit_started.elapsed().as_secs_f64() * 1e3,
-        );
-        let stats = guided.fitter.stats();
+        obs.record("surrogate.fit_ms", started.elapsed().as_secs_f64() * 1e3);
+        if replayed > 0 {
+            obs.inc("serve.guided.rebuilds");
+        }
+        let stats = self
+            .guided
+            .fitter
+            .as_ref()
+            .expect("a fit leaves its fitter in place")
+            .stats();
         obs.add(
             "surrogate.gram_reuse",
             (stats.gram_reused_dims - before.gram_reused_dims) as f64,
@@ -296,18 +359,18 @@ impl Proposal {
             "surrogate.chol_jitter_retries",
             (stats.chol_jitter_retries - before.chol_jitter_retries) as f64,
         );
-        obs.inc("serve.guided.batches");
-        let fingerprint = self.memoize.then(|| gp.fingerprint());
-        Ok((0..evals)
-            .map(|i| match (i, &self.incumbent) {
-                (0, Some(x)) => self.space.decode(x),
-                _ => {
-                    let x = propose(shared, &gp, fingerprint, self.tau, &mut guided.rng);
-                    self.space.decode(&x)
-                }
-            })
-            .collect())
+        Ok(gp)
     }
+}
+
+/// One EI search from `rng`, timed as `surrogate.ei_ms`.
+fn search(shared: &Shared, gp: &Gp, tau: f64, rng: &mut Rng) -> [f64; DIMS] {
+    let started = Instant::now();
+    let (x, _ei) = maximize_ei(gp, DIMS, tau, rng);
+    shared
+        .obs
+        .record("surrogate.ei_ms", started.elapsed().as_secs_f64() * 1e3);
+    x.try_into().expect("maximize_ei returns DIMS coordinates")
 }
 
 /// The guided step's entry gate, run at both of its lock acquisitions: the
@@ -338,26 +401,46 @@ pub(super) fn not_idle(session: &str) -> Response {
 mod tests {
     use super::*;
 
-    /// Every input of an EI search moves its memo key: the threshold, the
-    /// RNG state, and the GP (one more observation).
+    /// Every input of the search moves the memo key, the GP through what
+    /// its fit reads: the guided seed, a prior observation, a history
+    /// score, the fit schedule, the EI threshold and the RNG state.
     #[test]
     fn memo_key_covers_every_input_of_the_search() {
-        let mut fitter = GpFitter::default();
         let mut data = Rng::new(5);
-        for i in 0..6 {
-            let x = (0..DIMS).map(|_| data.uniform()).collect();
-            fitter.observe(x, 1.0 + 0.1 * f64::from(i)).unwrap();
-        }
-        let gp = fitter.fit_full(1).unwrap();
-        let (tau, rng) = (1.0, Rng::new(9));
-        let key = memo_key(gp.fingerprint(), tau, &rng);
-        assert_eq!(key, memo_key(gp.fingerprint(), tau, &rng.clone()));
-        assert_ne!(key, memo_key(gp.fingerprint(), 0.5, &rng), "tau");
+        let mut row = || -> Row { (std::array::from_fn(|_| data.uniform()), data.uniform()) };
+        let prior = vec![(row().0.to_vec(), 1.5), (row().0.to_vec(), 2.5)];
+        let rows: Vec<Row> = (0..6).map(|_| row()).collect();
+        let feeds = [4, 5, 6];
+        let (seed, tau, rng) = (3, 1.0, Rng::new(9));
+        let key =
+            |seed, prior: &[(Vec<f64>, f64)], rows: &[Row], feeds: &[usize], tau, rng: &Rng| {
+                memo_key(fit_inputs(seed, prior, rows, feeds), tau, rng)
+            };
+        let base = key(seed, &prior, &rows, &feeds, tau, &rng);
+        assert_eq!(base, key(seed, &prior, &rows, &feeds, tau, &rng.clone()));
+        assert_ne!(
+            base,
+            key(seed ^ 1, &prior, &rows, &feeds, tau, &rng),
+            "seed"
+        );
+        let mut moved = prior.clone();
+        moved[1].1 = 2.0;
+        assert_ne!(base, key(seed, &moved, &rows, &feeds, tau, &rng), "prior");
+        let mut moved = rows.clone();
+        moved[2].1 = f64::from_bits(moved[2].1.to_bits() ^ 1);
+        assert_ne!(base, key(seed, &prior, &moved, &feeds, tau, &rng), "score");
+        assert_ne!(
+            base,
+            key(seed, &prior, &rows, &[4, 6, 6], tau, &rng),
+            "schedule"
+        );
+        assert_ne!(base, key(seed, &prior, &rows, &feeds, 0.5, &rng), "tau");
         let mut drawn = rng.clone();
         drawn.next_u64();
-        assert_ne!(key, memo_key(gp.fingerprint(), tau, &drawn), "RNG state");
-        fitter.observe(vec![0.5; DIMS], 2.0).unwrap();
-        let grown = fitter.refit().unwrap();
-        assert_ne!(key, memo_key(grown.fingerprint(), tau, &rng), "observation");
+        assert_ne!(
+            base,
+            key(seed, &prior, &rows, &feeds, tau, &drawn),
+            "RNG state"
+        );
     }
 }

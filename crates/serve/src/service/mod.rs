@@ -54,10 +54,11 @@
 //! wall time: a session is cold once `evict_after_evals` service-wide
 //! completions have passed since it last finished one. An evicted
 //! session resumes transparently from its
-//! checkpoint on the next request that needs its environment; the guided
-//! proposal state is rebuilt by replaying the exact fit schedule, so
-//! histories and proposals stay byte-identical across any number of
-//! evict/resume cycles (`serve.evictions` / `serve.resumes` count them).
+//! checkpoint on the next request that needs its environment. Eviction
+//! drops the session's GP fitter, which the next guided search that needs
+//! it rebuilds by replaying the exact fit schedule, so histories and
+//! proposals stay byte-identical across any number of evict/resume cycles
+//! (`serve.evictions` / `serve.resumes` count them).
 //!
 //! ## Layout
 //!
@@ -77,7 +78,7 @@ use crate::protocol::{
     Priority, Request, Response, SessionSpec, SessionStatus, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::slo::SloTracker;
-use guided::{guided_home_locked, not_idle, FrozenGuided, GuidedState, Proposal, ProposalMemo};
+use guided::{guided_home_locked, not_idle, GuidedState, Proposal, ProposalMemo};
 use relm_app::{AppSpec, Engine, EngineCostModel};
 use relm_cluster::ClusterSpec;
 use relm_common::{MemoryConfig, Rng};
@@ -118,7 +119,9 @@ pub struct ServeConfig {
     /// [`Service::start`]. At least 1 (ignored in [`Execution::External`]
     /// mode, which spawns none).
     pub workers: usize,
-    /// Maximum registered sessions.
+    /// Maximum sessions not cancelled. `Cancel` frees a slot; the
+    /// cancelled session stays registered, so `Status`, `Result` and
+    /// `Drain` still see it.
     pub max_sessions: usize,
     /// Pending-evaluation bound per session.
     pub session_queue_limit: usize,
@@ -291,9 +294,6 @@ struct Session {
     /// Eviction clock: the service-wide evaluation count when this
     /// session last completed an evaluation.
     last_active: usize,
-    /// Guided-proposal bookkeeping of an evicted session, enough to
-    /// rebuild the fitter bit-identically at resume.
-    frozen_guided: Option<FrozenGuided>,
     /// Table-6 statistics aggregate of an evicted session. The eviction
     /// checkpoint does not carry it, so it waits here and goes back into
     /// the environment at resume; the drained digest then counts every
@@ -309,8 +309,8 @@ struct Session {
     /// The tuned space, cloned out of the environment so `StepAuto` can
     /// decode samples while the environment is on a worker.
     space: ConfigSpace,
-    /// GP proposal state for `StepGuided`, built on first use.
-    guided: Option<GuidedState>,
+    /// GP proposal state for `StepGuided`.
+    guided: GuidedState,
     /// Seed of the guided proposal stream, folded from the session spec.
     guided_seed: u64,
     /// Normalized workload label, the memory store's retrieval key and
@@ -320,8 +320,9 @@ struct Session {
     base_seed: u64,
     /// Warm-start prior retrieved at creation; empty for cold sessions
     /// and on retrieval miss. A pure function of the spec and the store
-    /// contents at creation, so warm sessions stay deterministic.
-    prior: PriorBundle,
+    /// contents at creation, so warm sessions stay deterministic. Shared
+    /// with each guided proposal computed from it.
+    prior: Arc<PriorBundle>,
     pending: VecDeque<QueuedEval>,
     /// Whether the session currently sits in the ready queue.
     queued: bool,
@@ -371,6 +372,9 @@ impl Session {
 /// Mutable service state behind the lock.
 struct State {
     sessions: BTreeMap<String, Session>,
+    /// Registered sessions not cancelled: what the session-table bound
+    /// ([`ServeConfig::max_sessions`]) counts.
+    open_sessions: usize,
     /// Ready queues, queue and running counts, and the admission gate.
     sched: Scheduler,
     /// Total evaluations completed across all sessions (lifetime) — also
@@ -464,6 +468,7 @@ impl Service {
             proposals: ProposalMemo::new(),
             state: Mutex::new(State {
                 sessions: BTreeMap::new(),
+                open_sessions: 0,
                 sched,
                 evaluations: 0,
                 evictions: 0,
@@ -741,7 +746,7 @@ impl Service {
                 message: "service is draining".into(),
             };
         }
-        if state.sessions.len() >= self.shared.config.max_sessions {
+        if state.open_sessions >= self.shared.config.max_sessions {
             return Response::Overloaded {
                 reason: format!(
                     "session table full ({} sessions)",
@@ -770,16 +775,15 @@ impl Service {
                 env: Some(env),
                 evicted: false,
                 last_active: 0,
-                frozen_guided: None,
                 frozen_stats: StatsAccumulator::new(),
                 evalcache_hits_base: 0,
                 sampler,
                 space,
-                guided: None,
+                guided: GuidedState::new(guided_seed),
                 guided_seed,
                 workload_label,
                 base_seed: spec.base_seed,
-                prior,
+                prior: Arc::new(prior),
                 pending: VecDeque::new(),
                 queued: false,
                 running: false,
@@ -795,6 +799,7 @@ impl Service {
                 queue_wait_ms: 0.0,
             },
         );
+        state.open_sessions += 1;
         self.shared.obs.inc("serve.sessions.created");
         self.shared.refresh_gauges(&state);
         Response::SessionCreated { session: name }
@@ -945,13 +950,14 @@ impl Service {
     /// whether the pool has 1 worker or 8, and however the request
     /// interleaves with other sessions. The GP fit and EI run without the
     /// state lock, between two acquisitions: the first checks the session
-    /// and feeds a copy of its proposal state the settled history; the
-    /// second admits the batch only if the session is still idle on the
-    /// same history and fit count, and otherwise refuses it as not idle.
-    /// The proposal state commits only on admission, so a rejected or
+    /// and copies its proposal state and its settled history; the second
+    /// admits the batch only if the session is still idle on the same
+    /// history and fit count, and otherwise refuses it as not idle. The
+    /// proposal state commits only on admission, so a rejected or
     /// discarded batch leaves the stream untouched. A cache-opted session
     /// takes each EI search it repeats from the service's proposal memo,
-    /// which returns exactly what the search would compute.
+    /// which returns exactly what the search would compute; a batch
+    /// answered wholly from it runs no fit either.
     fn step_guided(&self, session: &str, evals: u32) -> Response {
         if evals == 0 {
             return Response::Error {
@@ -984,7 +990,7 @@ impl Service {
         };
         // What the proposal is computed from; the batch is admitted only
         // if the session still stands here.
-        let (fed, fits) = (proposal.guided.fed, proposal.guided.feeds.len());
+        let (fed, fits) = (proposal.fed(), proposal.guided.feeds.len());
         let configs = match proposal.run(shared, evals) {
             Ok(configs) => configs,
             Err(message) => return Response::Error { message },
@@ -999,7 +1005,7 @@ impl Service {
             sess.running
                 || !sess.pending.is_empty()
                 || sess.env.as_ref().map(|env| env.history().len()) != Some(fed)
-                || sess.guided.as_ref().map_or(0, |g| g.feeds.len()) != fits
+                || sess.guided.feeds.len() != fits
         });
         if moved {
             return not_idle(session);
@@ -1010,7 +1016,7 @@ impl Service {
                 .sessions
                 .get_mut(session)
                 .expect("admitted session is registered");
-            sess.guided = Some(proposal.guided);
+            sess.guided = proposal.guided;
             drop(state);
             shared.work.notify_all();
         }
@@ -1502,15 +1508,21 @@ fn attach_spec(shared: &Shared, spec: &SessionSpec, mut env: TuningEnv) -> Tunin
 }
 
 /// Cancels a session: its pending work is discarded (so the global
-/// queue and joiners move on), it leaves the ready queue, and new steps
-/// are refused. Shared by `Cancel` and a permanently failed eviction
-/// resume. Returns how many evaluations were discarded, or `None` for an
-/// unknown session.
+/// queue and joiners move on), it leaves the ready queue, new steps are
+/// refused, its GP fitter is dropped, and its slot in the session table
+/// is freed (once, however often it is cancelled). Its history and flight
+/// ring stay for `Status`, `Result` and `Drain`. Shared by `Cancel` and a
+/// permanently failed eviction resume. Returns how many evaluations were
+/// discarded, or `None` for an unknown session.
 fn discard_locked(shared: &Shared, state: &mut State, name: &str) -> Option<usize> {
     let sess = state.sessions.get_mut(name)?;
     let discarded = sess.pending.len();
     sess.pending.clear();
+    if !sess.cancelled {
+        state.open_sessions -= 1;
+    }
     sess.cancelled = true;
+    sess.guided.drop_fitter();
     sess.queued = false;
     state.sched.discard(sess.priority, name, discarded);
     shared.obs.inc("serve.sessions.cancelled");
@@ -1754,6 +1766,68 @@ mod tests {
                 assert_eq!(st.completed + discarded, 8);
             }
             other => panic!("join failed: {other:?}"),
+        }
+    }
+
+    /// The session table bounds open sessions: a default service refuses
+    /// a 65th while 64 are open, takes one once they are cancelled, and
+    /// frees one slot per cancelled session however often it is
+    /// cancelled. Cancelled sessions stay visible to `Status`, `Result`
+    /// and `Drain`.
+    #[test]
+    fn cancel_frees_a_session_table_slot() {
+        let service = svc(2);
+        let limit = service.config().max_sessions;
+        assert_eq!(limit, 64);
+        let spec = |seed: usize| SessionSpec::named("WordCount", seed as u64);
+        let open = |seeds: std::ops::Range<usize>| -> Vec<String> {
+            seeds.map(|seed| create(&service, spec(seed))).collect()
+        };
+        let full = |seed: usize| {
+            matches!(
+                service.handle(&Request::CreateSession { spec: spec(seed) }),
+                Response::Overloaded { .. }
+            )
+        };
+        let finished = open(0..limit);
+        for session in &finished {
+            service.handle(&Request::StepAuto {
+                session: session.clone(),
+                evals: 1,
+            });
+            service.handle(&Request::Join {
+                session: session.clone(),
+            });
+        }
+        assert!(full(limit), "64 open sessions fill the table");
+        for session in &finished {
+            for _ in 0..2 {
+                let reply = service.handle(&Request::Cancel {
+                    session: session.clone(),
+                });
+                assert!(matches!(reply, Response::Cancelled { .. }), "{reply:?}");
+            }
+        }
+        // Exactly 64 slots came free, not 128.
+        let reopened = open(limit..2 * limit);
+        assert!(full(2 * limit));
+        match service.handle(&Request::Status {
+            session: finished[0].clone(),
+        }) {
+            Response::Status(st) => assert!(st.cancelled && st.completed == 1, "{st:?}"),
+            other => panic!("status failed: {other:?}"),
+        }
+        match service.handle(&Request::Result {
+            session: finished[0].clone(),
+        }) {
+            Response::ResultReady { history, .. } => assert_eq!(history.len(), 1),
+            other => panic!("result failed: {other:?}"),
+        }
+        match service.handle(&Request::Drain) {
+            Response::Drained { sessions, .. } => {
+                assert_eq!(sessions, finished.len() + reopened.len())
+            }
+            other => panic!("drain failed: {other:?}"),
         }
     }
 

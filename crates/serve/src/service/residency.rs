@@ -2,12 +2,13 @@
 //! evaluation-count sweep that picks them, and the transparent resume
 //! that brings them home.
 
-use super::{attach_spec, build_engine, GuidedState, Shared, State};
+use super::{attach_spec, build_engine, Shared, State};
 use relm_tune::{SessionCheckpoint, TuningEnv};
 
 /// Checkpoints one idle session to `<dir>/<name>.evict.json` and unloads
-/// its environment (and the memory-heavy part of its guided state). On
-/// any failure the session is left exactly as it was, environment home.
+/// its environment and its GP fitter (the next guided search that needs
+/// the fitter rebuilds it from the recorded fit schedule). On any failure
+/// the session is left exactly as it was, environment home.
 pub(super) fn evict_one_locked(
     shared: &Shared,
     state: &mut State,
@@ -41,7 +42,7 @@ pub(super) fn evict_one_locked(
     sess.frozen_stats = env.stats_accumulator().clone();
     sess.env = None;
     sess.evalcache_hits_base = sess.evalcache_hits;
-    sess.frozen_guided = sess.guided.take().map(GuidedState::freeze);
+    sess.guided.drop_fitter();
     sess.evicted = true;
     state.evictions += 1;
     shared.obs.inc("serve.evictions");
@@ -82,11 +83,11 @@ pub(super) fn maybe_evict_locked(shared: &Shared, state: &mut State) {
 /// rebuilds the engine from the retained spec, restores the environment
 /// (byte-identical history and seed chain — the [`SessionCheckpoint`]
 /// resume guarantee), re-applies the spec's retry policy, cache
-/// attachment and banked Table-6 aggregate (which `restore` resets),
-/// replays the guided fit schedule, and deletes the checkpoint file.
-/// No-op for live sessions. On error the session stays evicted and
-/// `serve.resume_errors` counts it; the caller decides whether to fail
-/// the session.
+/// attachment and banked Table-6 aggregate (which `restore` resets), and
+/// deletes the checkpoint file. The GP fitter stays absent until a guided
+/// search needs it. No-op for live sessions. On error the session stays
+/// evicted and `serve.resume_errors` counts it; the caller decides
+/// whether to fail the session.
 pub(super) fn resume_session(shared: &Shared, state: &mut State, name: &str) -> Result<(), String> {
     let Some(sess) = state.sessions.get_mut(name) else {
         return Err(format!("unknown session `{name}`"));
@@ -94,7 +95,7 @@ pub(super) fn resume_session(shared: &Shared, state: &mut State, name: &str) -> 
     if !sess.evicted {
         return Ok(());
     }
-    let result = (|| -> Result<(TuningEnv, Option<GuidedState>), String> {
+    let result = (|| -> Result<TuningEnv, String> {
         let dir = shared
             .config
             .evict_dir()
@@ -103,23 +104,10 @@ pub(super) fn resume_session(shared: &Shared, state: &mut State, name: &str) -> 
         let ckpt = SessionCheckpoint::load(&path)
             .map_err(|e| format!("cannot load eviction checkpoint: {e}"))?;
         let engine = build_engine(shared, &sess.spec);
-        let env = attach_spec(shared, &sess.spec, ckpt.resume(engine));
-        let guided = match &sess.frozen_guided {
-            Some(frozen) => Some(
-                frozen
-                    .thaw(&sess.prior, &sess.space, sess.guided_seed, env.history())
-                    .map_err(|e| format!("guided rebuild failed: {e}"))?,
-            ),
-            None => None,
-        };
-        Ok((env, guided))
+        Ok(attach_spec(shared, &sess.spec, ckpt.resume(engine)))
     })();
     match result {
-        Ok((env, guided)) => {
-            if guided.is_some() {
-                sess.guided = guided;
-            }
-            sess.frozen_guided = None;
+        Ok(env) => {
             sess.env = Some(env.with_stats_accumulator(std::mem::take(&mut sess.frozen_stats)));
             sess.evicted = false;
             if let Some(dir) = shared.config.evict_dir() {

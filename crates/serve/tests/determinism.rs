@@ -157,10 +157,10 @@ fn cached_sessions_replay_identically_and_report_hits() {
 }
 
 /// Runs one session of `spec` the way the cost ledger's serve workloads
-/// do: a 4-evaluation auto bootstrap, then 20 joined `StepGuided{1}`.
-/// Returns its serialized history and the `serve.guided.replays` it
-/// added.
-fn run_guided(service: &Service, spec: &SessionSpec) -> (String, f64) {
+/// do: a 4-evaluation auto bootstrap, then `guided` joined
+/// `StepGuided{1}` (the ledger runs 20). Returns its serialized history
+/// and the `serve.guided.replays` it added.
+fn run_guided(service: &Service, spec: &SessionSpec, guided: usize) -> (String, f64) {
     let replays = || service.obs().counter_value("serve.guided.replays");
     let before = replays();
     let name = match service.handle(&Request::CreateSession { spec: spec.clone() }) {
@@ -171,7 +171,7 @@ fn run_guided(service: &Service, spec: &SessionSpec) -> (String, f64) {
         session: name.clone(),
         evals: 4,
     }];
-    steps.extend((0..20).map(|_| Request::StepGuided {
+    steps.extend((0..guided).map(|_| Request::StepGuided {
         session: name.clone(),
         evals: 1,
     }));
@@ -186,36 +186,140 @@ fn run_guided(service: &Service, spec: &SessionSpec) -> (String, f64) {
     }
     match service.handle(&Request::Result { session: name }) {
         Response::ResultReady { history, .. } => {
-            assert_eq!(history.len(), 24);
+            assert_eq!(history.len(), 4 + guided);
             (serde_json::to_string(&history).unwrap(), replays() - before)
         }
         other => panic!("result failed: {other:?}"),
     }
 }
 
+/// Samples recorded so far in the histogram `name`.
+fn samples(service: &Service, name: &str) -> u64 {
+    service.obs().histogram(name).map_or(0, |h| h.count())
+}
+
 /// A cache-opted session that repeats another's guided steps takes every
-/// proposal from the proposal memo and still matches it byte for byte;
-/// the first session, and an uncached one with the same spec, never
-/// replay.
+/// proposal from the proposal memo, runs no GP fit and no EI search, and
+/// still matches it byte for byte; the first session, and an uncached
+/// one with the same spec, never replay.
 #[test]
 fn cached_guided_sessions_replay_their_proposals() {
     let service = Service::start(ServeConfig::default(), Obs::enabled());
     let spec = spec_for(3).with_cache();
-    let (first, first_replays) = run_guided(&service, &spec);
-    let (second, second_replays) = run_guided(&service, &spec);
+    let (first, first_replays) = run_guided(&service, &spec, 20);
+    let (fits, searches) = (
+        samples(&service, "surrogate.fit_ms"),
+        samples(&service, "surrogate.ei_ms"),
+    );
+    let (second, second_replays) = run_guided(&service, &spec, 20);
     assert_eq!(
         first, second,
         "replayed proposals must match the searched ones"
     );
     assert_eq!(first_replays, 0.0);
     assert_eq!(second_replays, 20.0);
+    assert_eq!(
+        samples(&service, "surrogate.fit_ms"),
+        fits,
+        "a replayed session runs no GP fit"
+    );
+    assert_eq!(
+        samples(&service, "surrogate.ei_ms"),
+        searches,
+        "a replayed session runs no EI search"
+    );
 
-    let (uncached, uncached_replays) = run_guided(&service, &spec_for(3));
+    let (uncached, uncached_replays) = run_guided(&service, &spec_for(3), 20);
     assert_eq!(uncached, first);
     assert_eq!(
         uncached_replays, 0.0,
         "an uncached session never reads the memo"
     );
+}
+
+/// A cache-opted session that outruns the memo takes its first 10
+/// guided proposals from it without a fit, then rebuilds its fitter
+/// once, at the 11th, by replaying the recorded fit schedule; its
+/// history matches an uncached run byte for byte.
+#[test]
+fn a_session_that_outruns_the_memo_rebuilds_its_fitter_once() {
+    let service = Service::start(ServeConfig::default(), Obs::enabled());
+    let rebuilds = || service.obs().counter_value("serve.guided.rebuilds");
+    let spec = spec_for(4).with_cache();
+    let (short, _) = run_guided(&service, &spec, 10);
+    assert_eq!(rebuilds(), 0.0, "a fitter built once needs no rebuild");
+    let fits = samples(&service, "surrogate.fit_ms");
+    let (long, replays) = run_guided(&service, &spec, 20);
+    assert_eq!(replays, 10.0);
+    assert_eq!(rebuilds(), 1.0);
+    assert_eq!(
+        samples(&service, "surrogate.fit_ms") - fits,
+        10,
+        "only the 10 steps past the memo fit"
+    );
+    let (uncached, _) = run_guided(&service, &spec_for(4), 20);
+    assert_eq!(long, uncached);
+    assert!(
+        long.starts_with(&short[..short.len() - 1]),
+        "the longer run extends the shorter one"
+    );
+}
+
+/// Two cache-opted sessions of one spec take turns leading its guided
+/// steps: the follower's step is a memo hit on the leader's search,
+/// which runs no fit and leaves the follower's fitter behind the
+/// schedule, and its next step, as leader, misses and rebuilds the
+/// fitter, across full fits as well as incremental ones. Both histories
+/// match an uncached run byte for byte.
+#[test]
+fn sessions_taking_turns_at_the_memo_match_an_uncached_run() {
+    let service = Service::start(ServeConfig::default(), Obs::enabled());
+    let spec = spec_for(1).with_cache();
+    let step = |request: Request| {
+        let session = request.session().expect("a session step").to_string();
+        match service.handle(&request) {
+            Response::Accepted { .. } => {}
+            other => panic!("step rejected: {other:?}"),
+        }
+        service.handle(&Request::Join { session });
+    };
+    let sessions: Vec<String> = (0..2)
+        .map(
+            |_| match service.handle(&Request::CreateSession { spec: spec.clone() }) {
+                Response::SessionCreated { session } => session,
+                other => panic!("create failed: {other:?}"),
+            },
+        )
+        .collect();
+    for session in &sessions {
+        step(Request::StepAuto {
+            session: session.clone(),
+            evals: 4,
+        });
+    }
+    for turn in 0..12 {
+        let leader = turn % 2;
+        for session in [&sessions[leader], &sessions[1 - leader]] {
+            step(Request::StepGuided {
+                session: session.clone(),
+                evals: 1,
+            });
+        }
+    }
+    let obs = service.obs();
+    assert_eq!(obs.counter_value("serve.guided.replays"), 12.0);
+    // Every lead after the first rebuilds, and replays a recorded fit
+    // unless its own fit is a full one (fits 4 and 8).
+    assert_eq!(obs.counter_value("serve.guided.rebuilds"), 9.0);
+    let (uncached, _) = run_guided(&service, &spec_for(1), 12);
+    for session in sessions {
+        match service.handle(&Request::Result { session }) {
+            Response::ResultReady { history, .. } => {
+                assert_eq!(serde_json::to_string(&history).unwrap(), uncached);
+            }
+            other => panic!("result failed: {other:?}"),
+        }
+    }
 }
 
 /// Builds a memory store at `store` by running one session per workload

@@ -2,9 +2,9 @@
 //! history, and the digest its drain ingests into the memory store, are
 //! **byte-identical** whether idle sessions are continually evicted to
 //! checkpoint and transparently resumed, or never evicted at all — at any
-//! worker count, with guided (surrogate-proposed) batches and fault
-//! injection in the mix. Eviction is a residency policy, not a behavior
-//! change.
+//! worker count, with guided (surrogate-proposed) batches, the proposal
+//! memo and fault injection in the mix. Eviction is a residency policy,
+//! not a behavior change.
 
 use relm_faults::FaultConfig;
 use relm_memory::MemoryStore;
@@ -14,6 +14,8 @@ use std::collections::BTreeMap;
 
 const WORKLOADS: [&str; 5] = ["WordCount", "SortByKey", "K-means", "SVM", "PageRank"];
 const SESSIONS: u64 = 6;
+/// Evaluations per session: five rounds of two.
+const EVALS: usize = 12;
 
 /// A spec that is a pure function of the session index, cycling priority
 /// classes so the deficit-weighted scheduler interleaves with eviction.
@@ -31,16 +33,25 @@ fn spec_for(i: u64) -> SessionSpec {
     spec
 }
 
-/// Runs the fleet through interleaved sampled rounds, one guided round,
+/// Runs the fleet through interleaved sampled rounds, two guided rounds,
 /// and a final sampled round — joining between rounds so sessions go
 /// idle and (with `evict_after > 0`) get swept out to checkpoint while
 /// their neighbors advance the epoch clock, then drains into a memory
-/// store. Returns each session's serialized history and ingested digest.
-fn run(workers: usize, evict_after: usize, tag: &str) -> BTreeMap<String, (String, String)> {
+/// store. With `cached`, the sessions opt into the shared cache and the
+/// fleet runs twice, the second pass taking every guided proposal from
+/// the first pass's memo entries. Returns each spec's serialized history
+/// and ingested digest, keyed by spec index.
+fn run(
+    workers: usize,
+    evict_after: usize,
+    cached: bool,
+    tag: &str,
+) -> BTreeMap<u64, (String, String)> {
     let dir = std::env::temp_dir().join(format!("relm_serve_evict_{}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = dir.join("memory.jsonl");
     let obs = Obs::enabled();
+    let passes = if cached { 2 } else { 1 };
     let service = Service::start(
         ServeConfig {
             workers,
@@ -54,103 +65,159 @@ fn run(workers: usize, evict_after: usize, tag: &str) -> BTreeMap<String, (Strin
         },
         obs.clone(),
     );
-    let mut names = Vec::new();
-    for i in 0..SESSIONS {
-        match service.handle(&Request::CreateSession { spec: spec_for(i) }) {
-            Response::SessionCreated { session } => names.push(session),
-            other => panic!("create failed: {other:?}"),
-        }
-    }
-    let step_round = |guided: bool| {
-        for name in &names {
-            let req = if guided {
-                Request::StepGuided {
-                    session: name.clone(),
-                    evals: 2,
-                }
+    let mut histories = BTreeMap::new();
+    for pass in 0..passes {
+        let fits = obs.histogram("surrogate.fit_ms").map_or(0, |h| h.count());
+        let replays = obs.counter_value("serve.guided.replays");
+        let mut names = Vec::new();
+        for i in 0..SESSIONS {
+            let spec = if cached {
+                spec_for(i).with_cache()
             } else {
-                Request::StepAuto {
-                    session: name.clone(),
-                    evals: 2,
-                }
+                spec_for(i)
             };
-            match service.handle(&req) {
-                Response::Accepted { enqueued, .. } => assert_eq!(enqueued, 2),
-                other => panic!("step rejected: {other:?}"),
+            match service.handle(&Request::CreateSession { spec }) {
+                Response::SessionCreated { session } => names.push(session),
+                other => panic!("create failed: {other:?}"),
             }
         }
-        for name in &names {
-            match service.handle(&Request::Join {
+        let step_round = |guided: bool| {
+            for name in &names {
+                let req = if guided {
+                    Request::StepGuided {
+                        session: name.clone(),
+                        evals: 2,
+                    }
+                } else {
+                    Request::StepAuto {
+                        session: name.clone(),
+                        evals: 2,
+                    }
+                };
+                match service.handle(&req) {
+                    Response::Accepted { enqueued, .. } => assert_eq!(enqueued, 2),
+                    other => panic!("step rejected: {other:?}"),
+                }
+            }
+            for name in &names {
+                match service.handle(&Request::Join {
+                    session: name.clone(),
+                }) {
+                    Response::Status(_) => {}
+                    other => panic!("join failed: {other:?}"),
+                }
+            }
+        };
+        // Three sampled rounds build the guided fit minimum. Each joined
+        // round leaves its earliest finishers idle long enough to be swept
+        // out, so the second guided round resumes some sessions whose
+        // fitter the eviction dropped, and the final sampled round runs on
+        // state that crossed an eviction.
+        for guided in [false, false, false, true, true, false] {
+            step_round(guided);
+        }
+        for (i, name) in names.iter().enumerate() {
+            // `Result` transparently resumes sessions evicted after their
+            // last round.
+            match service.handle(&Request::Result {
                 session: name.clone(),
             }) {
-                Response::Status(_) => {}
-                other => panic!("join failed: {other:?}"),
+                Response::ResultReady { history, .. } => {
+                    assert_eq!(history.len(), EVALS, "lost evaluations on {name}");
+                    let history = serde_json::to_string(&history).unwrap();
+                    if pass > 0 {
+                        assert_eq!(histories[&(i as u64)], history, "replay of {name}");
+                    }
+                    histories.insert(i as u64, history);
+                }
+                other => panic!("result failed: {other:?}"),
+            }
+            // Cancelling frees the fill pass's table slots for the replay
+            // pass; the drain still sees the cancelled sessions.
+            if pass + 1 < passes {
+                service.handle(&Request::Cancel {
+                    session: name.clone(),
+                });
             }
         }
-    };
-    // Three sampled rounds build the guided fit minimum, the guided
-    // round exercises surrogate freeze/thaw across eviction, and the
-    // final sampled round runs on thawed state.
-    for _ in 0..3 {
-        step_round(false);
-    }
-    step_round(true);
-    step_round(false);
-    let mut histories = BTreeMap::new();
-    for name in &names {
-        // `Result` transparently resumes sessions evicted after their
-        // last round.
-        match service.handle(&Request::Result {
-            session: name.clone(),
-        }) {
-            Response::ResultReady { history, .. } => {
-                assert_eq!(history.len(), 10, "lost evaluations on {name}");
-                histories.insert(name.clone(), serde_json::to_string(&history).unwrap());
-            }
-            other => panic!("result failed: {other:?}"),
+        if pass > 0 {
+            // Every guided proposal of a repeated pass, evicted or not,
+            // comes from the memo, with no fit and no rebuild.
+            assert_eq!(
+                obs.counter_value("serve.guided.replays") - replays,
+                (SESSIONS * 2 * 2) as f64,
+                "a repeated guided proposal missed the memo"
+            );
+            assert_eq!(
+                obs.histogram("surrogate.fit_ms").map_or(0, |h| h.count()),
+                fits,
+                "a repeated guided step ran a fit"
+            );
         }
     }
-    let evictions = obs.counter_value("serve.evictions");
-    let resumes = obs.counter_value("serve.resumes");
+    let rebuilds = obs.counter_value("serve.guided.rebuilds");
     if evict_after > 0 {
-        // Every joined round leaves its earliest finisher idle for more
-        // than the window, so the sweep must have fired.
+        // Every joined round leaves its earliest finishers idle for more
+        // than the window, so the sweep must have fired, and a session
+        // evicted between the guided rounds rebuilt its fitter from the
+        // recorded fit schedule.
         assert!(
-            evictions >= 1.0,
+            obs.counter_value("serve.evictions") >= 1.0,
             "no evictions despite a {evict_after}-epoch window"
         );
-        assert_eq!(
-            evictions, resumes,
-            "every eviction must resume exactly once"
-        );
+        assert!(rebuilds >= 1.0, "no guided rebuild after an eviction");
     } else {
-        assert_eq!(evictions, 0.0, "evictions without a window");
-        assert_eq!(resumes, 0.0, "resumes without a window");
+        assert_eq!(rebuilds, 0.0, "rebuilds without an eviction");
+    }
+    match service.handle(&Request::Drain) {
+        Response::Drained {
+            sessions,
+            evaluations,
+            evictions,
+            resumes,
+            ..
+        } => {
+            assert_eq!(sessions, passes * SESSIONS as usize);
+            assert_eq!(evaluations, passes * SESSIONS as usize * EVALS);
+            // The drain resumes the sessions still evicted, the cancelled
+            // fill pass's among them.
+            assert_eq!(
+                evictions, resumes,
+                "every eviction must resume exactly once"
+            );
+            if evict_after == 0 {
+                assert_eq!(evictions, 0, "evictions without a window");
+            }
+            // A cache replay adds again the counter deltas its live run
+            // captured, other sessions' increments included, so only an
+            // uncached run's counters reconcile exactly.
+            if !cached {
+                assert_eq!(obs.counter_value("serve.evaluations"), evaluations as f64);
+                assert_eq!(obs.counter_value("serve.evictions"), evictions as f64);
+                assert_eq!(obs.counter_value("serve.resumes"), resumes as f64);
+            }
+        }
+        other => panic!("drain failed: {other:?}"),
     }
     assert_eq!(obs.counter_value("serve.evict_errors"), 0.0);
     assert_eq!(obs.counter_value("serve.resume_errors"), 0.0);
-    assert_eq!(
-        obs.counter_value("serve.evaluations"),
-        (SESSIONS * 10) as f64
-    );
-    match service.handle(&Request::Drain) {
-        Response::Drained { sessions, .. } => assert_eq!(sessions, SESSIONS as usize),
-        other => panic!("drain failed: {other:?}"),
-    }
     let memory = MemoryStore::load(&store, Obs::disabled()).expect("drain saved the memory store");
     let mut runs = BTreeMap::new();
-    for (i, name) in names.iter().enumerate() {
-        let base_seed = spec_for(i as u64).base_seed;
+    for i in 0..SESSIONS {
+        let base_seed = spec_for(i).base_seed;
         let digest = memory
             .sessions()
             .map(|(_, digest)| digest)
             .find(|digest| digest.base_seed == base_seed)
-            .unwrap_or_else(|| panic!("drain ingested no digest for {name}"));
-        assert_eq!(digest.evaluations, 10, "digest of {name} lost evaluations");
+            .unwrap_or_else(|| panic!("drain ingested no digest for spec {i}"));
+        assert_eq!(
+            digest.evaluations, EVALS,
+            "digest of spec {i} lost evaluations"
+        );
         runs.insert(
-            name.clone(),
+            i,
             (
-                histories.remove(name).expect("history collected above"),
+                histories.remove(&i).expect("history collected above"),
                 serde_json::to_string(digest).unwrap(),
             ),
         );
@@ -161,14 +228,21 @@ fn run(workers: usize, evict_after: usize, tag: &str) -> BTreeMap<String, (Strin
 
 #[test]
 fn histories_survive_evict_resume_cycles_byte_identically() {
-    let baseline = run(1, 0, "w1-off");
+    let baseline = run(1, 0, false, "w1-off");
     assert_eq!(baseline.len(), SESSIONS as usize);
-    for (workers, evict_after, tag) in [(1, 3, "w1-on"), (8, 0, "w8-off"), (8, 3, "w8-on")] {
-        let other = run(workers, evict_after, tag);
-        for (name, outcome) in &baseline {
+    for (workers, evict_after, cached, tag) in [
+        (1, 3, false, "w1-on"),
+        (8, 0, false, "w8-off"),
+        (8, 3, false, "w8-on"),
+        (1, 3, true, "w1-on-cached"),
+        (8, 3, true, "w8-on-cached"),
+    ] {
+        let other = run(workers, evict_after, cached, tag);
+        for (spec, outcome) in &baseline {
             assert_eq!(
-                outcome, &other[name],
-                "session {name} diverged at workers={workers}, evict_after={evict_after}"
+                outcome, &other[spec],
+                "spec {spec} diverged at workers={workers}, evict_after={evict_after}, \
+                 cached={cached}"
             );
         }
     }

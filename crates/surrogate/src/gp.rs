@@ -36,7 +36,6 @@ use crate::gram::GramCache;
 use crate::linalg::{dot, Cholesky, Matrix};
 use crate::sparse::{select_inducing, SparsePolicy};
 use crate::Surrogate;
-use relm_common::hash::Fnv128;
 use relm_common::{Error, Result, Rng};
 
 /// Kernel + noise hyperparameters, stored in log space.
@@ -257,35 +256,6 @@ impl Gp {
             self.y_mean + self.y_scale * mean_std,
             var_std * self.y_scale * self.y_scale,
         )
-    }
-
-    /// A 128-bit FNV-1a digest of everything the prediction kernel reads:
-    /// `n` and the dimensionality, then the raw bits of the training
-    /// inputs, the factor's lower triangle (the upper one is zero and never
-    /// read), `alpha`, the exponentiated lengthscales, `y_mean`, `y_scale`,
-    /// the signal variance and the noise, each word fed as its
-    /// little-endian bytes. Two GPs with equal fingerprints predict
-    /// identically, bit for bit (barring a 128-bit collision), so anything
-    /// computed from a GP's predictions alone can be memoized under its
-    /// fingerprint. `params` is left out: the kernel reads it only through
-    /// the hoisted values.
-    pub fn fingerprint(&self) -> u128 {
-        let n = self.len();
-        let mut h = Fnv128::new();
-        h.write_u64(n as u64);
-        h.write_u64(self.ls.len() as u64);
-        let lower = (0..n).flat_map(|j| &self.lc[j * n + j..(j + 1) * n]);
-        let words = self
-            .xt
-            .iter()
-            .chain(lower)
-            .chain(&self.alpha)
-            .chain(&self.ls)
-            .chain([&self.y_mean, &self.y_scale, &self.sv, &self.noise]);
-        for v in words {
-            h.write_u64(v.to_bits());
-        }
-        h.finish()
     }
 
     /// The selected hyperparameters.
@@ -719,6 +689,7 @@ mod tests {
     use super::*;
     use crate::lhs::latin_hypercube;
     use proptest::prelude::*;
+    use relm_common::hash::Fnv128;
 
     fn grid_1d(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
@@ -967,6 +938,37 @@ mod tests {
 
     fn bits((m, v): (f64, f64)) -> (u64, u64) {
         (m.to_bits(), v.to_bits())
+    }
+
+    impl Gp {
+        /// A 128-bit FNV-1a digest of everything the prediction kernel
+        /// reads: `n` and the dimensionality, then the raw bits of the
+        /// training inputs, the factor's lower triangle (the upper one is
+        /// zero and never read), `alpha`, the exponentiated lengthscales,
+        /// `y_mean`, `y_scale`, the signal variance and the noise, each
+        /// word fed as its little-endian bytes. Two GPs with equal
+        /// fingerprints predict identically, bit for bit (barring a
+        /// 128-bit collision), which makes it the tests' bitwise
+        /// comparison of two fits. `params` is left out: the kernel reads
+        /// it only through the hoisted values.
+        fn fingerprint(&self) -> u128 {
+            let n = self.len();
+            let mut h = Fnv128::new();
+            h.write_u64(n as u64);
+            h.write_u64(self.ls.len() as u64);
+            let lower = (0..n).flat_map(|j| &self.lc[j * n + j..(j + 1) * n]);
+            let words = self
+                .xt
+                .iter()
+                .chain(lower)
+                .chain(&self.alpha)
+                .chain(&self.ls)
+                .chain([&self.y_mean, &self.y_scale, &self.sv, &self.noise]);
+            for v in words {
+                h.write_u64(v.to_bits());
+            }
+            h.finish()
+        }
     }
 
     /// The fingerprint covers every field the kernel reads, so equal

@@ -224,9 +224,10 @@ echo "== history pin test =="
 # print the recorded fingerprint of its fixed session prefix. It also
 # fails when a workspace API change breaks the ledger's build. The
 # serve_replay leg is also the end-to-end gate for replayed guided
-# proposals: every timed session there takes its proposals from the
-# service's proposal memo, and its output checks require each timed
-# history to equal the fill pass's history of the same spec.
+# proposals and replayed fits: every timed session there takes its
+# proposals from the service's proposal memo and runs no GP fit, and its
+# output checks require each timed history to equal the fill pass's
+# history of the same spec.
 # Building the ledger makes cargo rewrite bench_ledger/Cargo.lock; the
 # committed lock is saved first and put back on exit, so the gate leaves
 # the tree as it found it.
