@@ -67,8 +67,8 @@ impl GuidedState {
         self.fitter = None;
     }
 
-    /// Runs the schedule's last fit and returns its GP and how many
-    /// recorded fits a rebuild replayed first. A present fitter holds
+    /// Runs the schedule's last fit and returns its GP and whether a
+    /// rebuild replayed a recorded fit first. A present fitter holds
     /// every earlier fit, so only the last runs. An absent one is rebuilt
     /// from the prior, replaying the schedule from its last full fit on: a
     /// full fit reads only the data and its seed, while every refit after
@@ -82,7 +82,7 @@ impl GuidedState {
         prior: &PriorBundle,
         rows: &[Row],
         seed: u64,
-    ) -> relm_common::Result<(Gp, usize)> {
+    ) -> relm_common::Result<(Gp, bool)> {
         let last = self.feeds.len() - 1;
         let (mut fitter, first) = match self.fitter.take() {
             Some(fitter) => (fitter, last),
@@ -114,7 +114,7 @@ impl GuidedState {
         self.fitter = Some(fitter);
         Ok((
             gp.expect("the schedule holds this step's entry"),
-            last - first,
+            first < last,
         ))
     }
 }
@@ -338,7 +338,7 @@ impl Proposal {
             .fit(&self.prior, &self.rows, self.seed)
             .map_err(|e| format!("guided fit failed: {e}"))?;
         obs.record("surrogate.fit_ms", started.elapsed().as_secs_f64() * 1e3);
-        if replayed > 0 {
+        if replayed {
             obs.inc("serve.guided.rebuilds");
         }
         let stats = self
