@@ -1,5 +1,5 @@
-//! Durable files: the one atomic write and the one versioned, checksummed
-//! record codec behind every on-disk format in the workspace.
+//! Durable files: the one atomic write and the two versioned, checksummed
+//! layouts behind every on-disk format in the workspace.
 //!
 //! [`write_atomic`] writes a sibling temporary file and renames it into
 //! place. That is atomic against process death: a reader sees the old file
@@ -19,6 +19,15 @@
 //! `check` is FNV-1a 64 over the value's canonical JSON ([`canonicalize`]).
 //! [`parse_records`] re-canonicalizes and verifies every line, and the
 //! caller's [`BadLine`] policy decides what a line that fails does.
+//!
+//! The single-record formats, session checkpoints and flight dumps, hold
+//! one payload line whose raw bytes the header's `check` covers
+//! ([`render_checked`], verified by [`parse_checked`]):
+//!
+//! ```text
+//! {"kind":"relm-checkpoint","version":2,"check":<fnv64>}
+//! {...}
+//! ```
 
 use crate::hash::fnv1a64_str;
 use serde::{Map, Number, Value};
@@ -104,6 +113,35 @@ pub fn check_header(line: Option<&str>, kind: &str, version: u64) -> io::Result<
         )));
     }
     Ok(map)
+}
+
+/// Renders a single-record file: the header line `head` (a [`header`]
+/// plus any fields the format adds, kept in insertion order) with `check`,
+/// the FNV-1a 64 of `payload`'s bytes, appended last; then the payload
+/// line.
+pub fn render_checked(mut head: Map, payload: &str) -> String {
+    head.insert("check", Value::Number(Number::U64(fnv1a64_str(payload))));
+    format!("{}\n{payload}\n", Value::Object(head))
+}
+
+/// Reads a file rendered by [`render_checked`] and returns its payload
+/// line. A header that does not match `kind` and `version`, a missing
+/// `check` or payload line, and a payload that fails its checksum are each
+/// an `InvalidData` error.
+pub fn parse_checked<'a>(text: &'a str, kind: &str, version: u64) -> io::Result<&'a str> {
+    let mut lines = text.lines();
+    let head = check_header(lines.next(), kind, version)?;
+    let check = head
+        .get("check")
+        .and_then(Value::as_u64)
+        .ok_or_else(|| invalid(format!("{kind} header has no check")))?;
+    let payload = lines
+        .next()
+        .ok_or_else(|| invalid(format!("{kind} file has no payload line")))?;
+    if fnv1a64_str(payload) != check {
+        return Err(invalid(format!("{kind} payload checksum mismatch")));
+    }
+    Ok(payload)
 }
 
 /// What [`parse_records`] does with a record line that fails to parse,
@@ -288,6 +326,56 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let header = check_header(text.lines().next(), "relm-test", 3).unwrap();
         assert_eq!(header.get("version").and_then(Value::as_u64), Some(3));
+    }
+
+    #[test]
+    fn checked_files_round_trip_and_refuse_damage() {
+        let mut head = header("relm-test", 2);
+        head.insert("session", Value::String("s-0001".into()));
+        head.insert("zone", Value::String("a".into()));
+        let payload = "{\"b\":1,\"a\":[0.5,-2]}";
+        let text = render_checked(head, payload);
+        // Extra fields stay between the version and the checksum, in the
+        // order the format added them.
+        let check = fnv1a64_str(payload);
+        assert_eq!(
+            text,
+            format!(
+                "{{\"kind\":\"relm-test\",\"version\":2,\"session\":\"s-0001\",\
+                 \"zone\":\"a\",\"check\":{check}}}\n{payload}\n"
+            )
+        );
+        let dir = temp_dir("checked");
+        let path = dir.join("file.json");
+        write_atomic(&path, text.as_bytes()).unwrap();
+        let read = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(parse_checked(&read, "relm-test", 2).unwrap(), payload);
+        std::fs::remove_dir_all(&dir).ok();
+
+        let refused = |text: &str, kind: &str, version: u64, why: &str| {
+            let err = parse_checked(text, kind, version).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(why), "{err}");
+        };
+        refused(&text, "relm-other", 2, "kind");
+        refused(&text, "relm-test", 1, "version");
+        refused(&text, "relm-test", 3, "version");
+        refused(&text.replacen("0.5", "0.6", 1), "relm-test", 2, "checksum");
+        refused(
+            &text.replacen(&check.to_string(), "1", 1),
+            "relm-test",
+            2,
+            "checksum",
+        );
+        refused(text.lines().next().unwrap(), "relm-test", 2, "payload line");
+        let unchecked = Value::Object(header("relm-test", 2));
+        refused(
+            &format!("{unchecked}\n{payload}\n"),
+            "relm-test",
+            2,
+            "no check",
+        );
+        refused("", "relm-test", 2, "missing header");
     }
 
     /// The rendered file with its second record's value altered and a

@@ -7,7 +7,7 @@
 //!            [--clients N] [--out PATH] [--checkpoint-dir PATH]
 //!            [--scrape] [--flightrec-dir PATH]
 //!            [--fleet N] [--fleet-kill K]
-//!            [--soak] [--evict-after N] [--evict-dir PATH]
+//!            [--soak] [--evict-after N]
 //!            [--slo-p99-ms F] [--metrics-out PATH]
 //! ```
 //!
@@ -16,11 +16,11 @@
 //! separated phases — (A) drive the first half of the sessions to
 //! completion, (B) flood the second half so the evaluation-count epoch
 //! clock advances far enough that every phase-A session is evicted to
-//! its checkpoint (`--evict-after` epochs idle), then (C) collect
-//! `Result` for *every* session, transparently resuming the evicted
-//! ones. Sessions cycle priority classes (normal/high/low by index), so
-//! graduated admission pushes the low class back first while the
-//! deficit-weighted scheduler keeps high-priority work moving. The run
+//! its checkpoint in `--checkpoint-dir` (`--evict-after` epochs idle),
+//! then (C) collect `Result` for *every* session, transparently resuming
+//! the evicted ones. Sessions cycle priority classes (normal/high/low by
+//! index), so graduated admission pushes the low class back first while
+//! the deficit-weighted scheduler keeps high-priority work moving. The run
 //! then reconciles exactly: zero lost sessions, `evictions == resumes >=
 //! sessions/2`, drain tallies equal to the `serve.evictions` /
 //! `serve.resumes` counters, per-class rejection counters summing to
@@ -135,7 +135,6 @@ struct Args {
     fleet_kill: usize,
     soak: bool,
     evict_after: usize,
-    evict_dir: Option<PathBuf>,
     slo_p99_ms: f64,
     metrics_out: Option<PathBuf>,
 }
@@ -155,7 +154,6 @@ fn parse_args() -> Args {
         fleet_kill: 0,
         soak: false,
         evict_after: 0,
-        evict_dir: None,
         slo_p99_ms: 0.0,
         metrics_out: None,
     };
@@ -179,7 +177,6 @@ fn parse_args() -> Args {
             "--fleet-kill" => args.fleet_kill = value().parse().expect("--fleet-kill"),
             "--soak" => args.soak = true,
             "--evict-after" => args.evict_after = value().parse().expect("--evict-after"),
-            "--evict-dir" => args.evict_dir = Some(PathBuf::from(value())),
             "--slo-p99-ms" => args.slo_p99_ms = value().parse().expect("--slo-p99-ms"),
             "--metrics-out" => args.metrics_out = Some(PathBuf::from(value())),
             other => panic!("unknown flag {other}"),
@@ -203,8 +200,8 @@ fn parse_args() -> Args {
             "--soak needs --evict-after (the idle epoch window)"
         );
         assert!(
-            args.evict_dir.is_some() || args.checkpoint_dir.is_some(),
-            "--soak needs --evict-dir (or --checkpoint-dir) for eviction checkpoints"
+            args.checkpoint_dir.is_some(),
+            "--soak needs --checkpoint-dir for eviction checkpoints"
         );
         // Phase B must advance the epoch clock past the idle window for
         // every phase-A session, or the eviction guarantee goes soft.
@@ -548,7 +545,6 @@ fn main() {
             global_queue_limit: (args.steps as usize) * (args.sessions as usize).min(64),
             checkpoint_dir: args.checkpoint_dir.clone(),
             evict_after_evals: args.evict_after,
-            evict_dir: args.evict_dir.clone(),
             flightrec_dir: args.flightrec_dir.clone(),
             ..ServeConfig::default()
         },

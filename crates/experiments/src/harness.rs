@@ -101,11 +101,6 @@ pub fn aborted_count(results: &[RunResult]) -> usize {
     results.iter().filter(|r| r.aborted).count()
 }
 
-/// Formats a fraction as a percentage string.
-pub fn pct(x: f64) -> String {
-    format!("{:.0}%", x * 100.0)
-}
-
 /// The exhaustive-search baseline for an application: every grid
 /// observation, the best score, and the top-5-percentile threshold the
 /// paper trains black-box policies toward (§6.2).

@@ -396,7 +396,7 @@ fn catalog_matches_emitted_metrics_exactly() {
                 "4",
                 "--slo-p99-ms",
                 "60000",
-                "--evict-dir",
+                "--checkpoint-dir",
                 evict.to_str().unwrap(),
             ],
         ),

@@ -129,11 +129,6 @@ impl Center {
         &self.service
     }
 
-    /// The liveness policy workers are told at registration.
-    pub fn monitor_config(&self) -> MonitorConfig {
-        self.monitor
-    }
-
     /// Stops the monitor thread (idempotent). Dropping the last `Arc`
     /// also stops it, one sweep interval later.
     pub fn stop(&self) {

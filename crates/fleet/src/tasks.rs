@@ -34,7 +34,6 @@ struct TaskEntry {
     /// Content-addressed dedup key — identical to the evalcache key the
     /// session env will look up on replay.
     key: EvalKey,
-    session: String,
     /// The owning session's scheduling class, snapshotted from the lease
     /// so priorities survive external execution: assignment order prefers
     /// higher classes exactly as the in-process pool runs them first.
@@ -66,7 +65,6 @@ impl TaskTable {
             id,
             TaskEntry {
                 key: lease.key,
-                session: lease.session.clone(),
                 priority: lease.priority,
                 lease: Some(lease),
                 attempt: 0,
@@ -152,11 +150,6 @@ impl TaskTable {
             .values()
             .filter(|e| e.state == TaskState::Queued)
             .count()
-    }
-
-    /// The session a task belongs to, if still in the table.
-    pub fn session_of(&self, id: u64) -> Option<&str> {
-        self.tasks.get(&id).map(|e| e.session.as_str())
     }
 
     /// Returns the task to the queue after its assignee died, bumping

@@ -34,7 +34,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use relm_app::Engine;
-use relm_common::Millis;
 use relm_faults::WorkerFaultPlan;
 use relm_obs::Obs;
 use relm_serve::{EvalOutcome, FleetTask, Request, Response};
@@ -319,16 +318,9 @@ pub fn evaluate_task(task: &FleetTask) -> EvalOutcome {
         engine = engine.with_faults(plan.clone());
     }
     let store = EvalStore::new();
-    let mut env = TuningEnv::restore(
-        engine,
-        task.app.clone(),
-        task.seed,
-        0.0,
-        Millis::ZERO,
-        Vec::new(),
-    )
-    .with_retry_policy(task.retry)
-    .with_cache(store.clone());
+    let mut env = TuningEnv::new(engine, task.app.clone(), task.seed)
+        .with_retry_policy(task.retry)
+        .with_cache(store.clone());
     let key = env.eval_key(&task.config);
     let _ = env.evaluate(&task.config);
     let eval = store

@@ -603,12 +603,6 @@ impl JvmSim {
             peak_rss: self.peak_rss,
         }
     }
-
-    /// Whether any full collection has happened (RelM's profile-quality
-    /// check: estimating `M_u` needs full-GC events).
-    pub fn had_full_gc(&self) -> bool {
-        self.full_gcs > 0
-    }
 }
 
 #[cfg(test)]

@@ -21,10 +21,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a 64 of each saved file, recorded before the formats shared one
-/// write path.
+/// write path. The checkpoint's pin was recorded again for its version 2,
+/// which adds the checksummed header, the Table-6 aggregate and the
+/// cache-hit count.
 const EVALCACHE_FNV: u64 = 0xeddb_96f6_a2f2_c37c;
 const MEMORY_FNV: u64 = 0x6fd4_6ef8_c2ba_8195;
-const CHECKPOINT_FNV: u64 = 0x0eea_18dc_c53d_d3db;
+const CHECKPOINT_FNV: u64 = 0x955b_a147_e798_de8e;
 const FLIGHT_DUMP_FNV: u64 = 0x6c07_844d_6c05_5e0a;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -243,10 +245,9 @@ fn load_damaged<T>(
 }
 
 /// Torn and mutated files load as `Ok` or `Err`, never a panic. Whatever
-/// loads from a checksummed format carries values the save wrote, and the
-/// memory store counts every entry line it drops in `skipped()`. The
-/// checkpoint has no checksum, so a mutated digit can load as a different
-/// number; for it, the test asserts only that no truncation loads.
+/// loads from a format carries values the save wrote (every format is
+/// checksummed), and the memory store counts every entry line it drops in
+/// `skipped()`.
 #[test]
 fn torn_and_mutated_files_never_panic() {
     let dir = temp_dir("damage");
@@ -285,17 +286,16 @@ fn torn_and_mutated_files_never_panic() {
     );
     assert!(loaded > 0, "damaged entry lines are skipped, not fatal");
 
+    let ckpt = checkpoint();
     let ckpt_path = dir.join("s-0001.ckpt.json");
-    checkpoint().save(&ckpt_path).unwrap();
-    let saved_ckpt = std::fs::read(&ckpt_path).unwrap();
-    load_damaged(&ckpt_path, 3, SessionCheckpoint::load, |bytes, _| {
-        let truncated = bytes.len() < saved_ckpt.len() && saved_ckpt.starts_with(bytes);
-        assert!(
-            !truncated,
-            "a checkpoint cut at {} bytes loaded",
-            bytes.len()
-        );
+    ckpt.save(&ckpt_path).unwrap();
+    let loaded = load_damaged(&ckpt_path, 3, SessionCheckpoint::load, |_, back| {
+        assert_eq!(back, ckpt)
     });
+    assert!(
+        loaded > 0,
+        "a checkpoint cut after its payload still verifies"
+    );
 
     let dump = flight_dump();
     let dump_path = save_dump(dir.join("flightrec"), &dump).unwrap();

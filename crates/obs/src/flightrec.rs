@@ -22,14 +22,16 @@
 //! {"session":"s-0001","reason":"fault", ...}
 //! ```
 //!
-//! The header is [`relm_common::durable::header`] plus `session` and
-//! `check`, the FNV-1a hash of the payload line's raw bytes; [`read_dump`]
-//! refuses kind/version mismatches and corrupt payloads.
+//! This is the single-record layout of [`relm_common::durable`] that
+//! session checkpoints share: the header is
+//! [`relm_common::durable::header`] plus `session`, then `check`, the
+//! FNV-1a hash of the payload line's raw bytes ([`render_checked`]);
+//! [`read_dump`] refuses kind/version mismatches and corrupt payloads
+//! ([`parse_checked`]).
 
 use crate::span::SpanRecord;
-use relm_common::durable::{check_header, header, write_atomic};
-use relm_common::hash::fnv1a64_str;
-use serde::{Deserialize, Number, Serialize, Value};
+use relm_common::durable::{header, parse_checked, render_checked, write_atomic};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -182,40 +184,22 @@ pub fn save_dump(dir: impl AsRef<Path>, dump: &FlightDump) -> io::Result<PathBuf
     let payload = serde_json::to_string(dump).map_err(|e| io::Error::other(e.to_string()))?;
     let mut head = header(KIND, FLIGHTREC_VERSION);
     head.insert("session", Value::String(dump.session.clone()));
-    head.insert("check", Value::Number(Number::U64(fnv1a64_str(&payload))));
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let path = dir.as_ref().join(format!(
         "{}-{}-{seq}.flight.json",
         safe_name(&dump.session),
         safe_name(&dump.reason)
     ));
-    write_atomic(
-        &path,
-        format!("{}\n{payload}\n", Value::Object(head)).as_bytes(),
-    )?;
+    write_atomic(&path, render_checked(head, &payload).as_bytes())?;
     Ok(path)
-}
-
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Reads and verifies a dump written by [`save_dump`].
 pub fn read_dump(path: impl AsRef<Path>) -> io::Result<FlightDump> {
     let text = std::fs::read_to_string(path.as_ref())?;
-    let mut lines = text.lines();
-    let header = check_header(lines.next(), KIND, FLIGHTREC_VERSION)?;
-    let payload = lines
-        .next()
-        .ok_or_else(|| invalid("flight dump missing payload line"))?;
-    let check = header
-        .get("check")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| invalid("flight dump header missing check"))?;
-    if fnv1a64_str(payload) != check {
-        return Err(invalid("flight dump checksum mismatch"));
-    }
-    serde_json::from_str(payload).map_err(|e| invalid(&format!("bad payload: {e}")))
+    let payload = parse_checked(&text, KIND, FLIGHTREC_VERSION)?;
+    serde_json::from_str(payload)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad payload: {e}")))
 }
 
 #[cfg(test)]

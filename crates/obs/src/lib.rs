@@ -252,11 +252,6 @@ impl Obs {
         }
         write_jsonl_file(path, &self.snapshot())
     }
-
-    /// Human-readable summary of the current snapshot.
-    pub fn summary(&self) -> String {
-        summary_table(&self.snapshot())
-    }
 }
 
 // The serving layer hands one `Obs` to every worker thread; these

@@ -88,13 +88,6 @@ pub struct SpanRecord {
     pub fields: Vec<(String, FieldValue)>,
 }
 
-impl SpanRecord {
-    /// Span duration in milliseconds.
-    pub fn duration_ms(&self) -> f64 {
-        (self.end_us.saturating_sub(self.start_us)) as f64 / 1_000.0
-    }
-}
-
 /// Fixed-capacity ring of completed spans. When full, the oldest span is
 /// overwritten and `dropped` is incremented, so hot paths never grow the
 /// allocation.

@@ -278,12 +278,12 @@ pub enum Request {
     /// completed history is kept, and `Status`, `Result` and `Drain`
     /// still see the session.
     Cancel { session: String },
-    /// Checkpoints the session to the eviction directory and unloads its
-    /// environment — the operator-initiated form of the idle-session
-    /// eviction the service performs on its own epoch policy. Requires an
-    /// idle session; the session transparently resumes from the
+    /// Checkpoints the session to `<checkpoint_dir>/<session>.ckpt.json`
+    /// and unloads its environment — the operator-initiated form of the
+    /// idle-session eviction the service performs on its own epoch policy.
+    /// Requires an idle session; the session transparently resumes from the
     /// checkpoint on its next evaluation-bearing request. Answered with
-    /// [`Response::Evicted`] (idempotent on an already-evicted session).
+    /// [`Response::Evicted`]; an already-evicted session is an error.
     Evict { session: String },
     /// Graceful shutdown: stop admitting work, run every already-accepted
     /// evaluation to completion, checkpoint every session, dump every

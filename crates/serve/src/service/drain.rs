@@ -1,7 +1,7 @@
 //! Graceful shutdown: `Drain` runs the backlog dry, then checkpoints and
 //! dumps every session and feeds the memory store before the workers stop.
 
-use super::{resume_session, Service};
+use super::{checkpoint_path, resume_session, Service};
 use crate::protocol::Response;
 use relm_memory::SessionDigest;
 use relm_tune::SessionCheckpoint;
@@ -53,8 +53,7 @@ impl Service {
                 let Some(env) = sess.env.as_ref() else {
                     continue;
                 };
-                let path = dir.join(format!("{name}.ckpt.json"));
-                match SessionCheckpoint::capture(env).save(&path) {
+                match SessionCheckpoint::capture(env).save(&checkpoint_path(dir, name)) {
                     Ok(()) => {
                         checkpointed += 1;
                         shared.obs.inc("serve.checkpointed");

@@ -48,10 +48,12 @@
 //!
 //! A session that sits idle while others work is a memory liability, not
 //! a correctness hazard — so when [`ServeConfig::evict_after_evals`] is
-//! set, the service checkpoints idle sessions via the proven
-//! [`SessionCheckpoint`](relm_tune::SessionCheckpoint) path and unloads
-//! their environments. The idle clock is *evaluation-count epochs*, never
-//! wall time: a session is cold once `evict_after_evals` service-wide
+//! set, the service checkpoints idle sessions to the file `Drain` writes,
+//! `<checkpoint_dir>/<session>.ckpt.json`, and unloads their
+//! environments. The [`SessionCheckpoint`](relm_tune::SessionCheckpoint)
+//! carries the environment's whole state, so the session keeps nothing
+//! beside it. The idle clock is *evaluation-count epochs*, never wall
+//! time: a session is cold once `evict_after_evals` service-wide
 //! completions have passed since it last finished one. An evicted
 //! session resumes transparently from its
 //! checkpoint on the next request that needs its environment. Eviction
@@ -85,11 +87,10 @@ use relm_common::{MemoryConfig, Rng};
 use relm_faults::FaultPlan;
 use relm_memory::{build_prior, normalize_label, MemoryStore, PriorBundle};
 use relm_obs::{trace, FlightEvent, FlightRecorder, Obs, DEFAULT_FLIGHT_CAPACITY};
-use relm_profile::StatsAccumulator;
 use relm_tune::{
     recommendation, session_export, CachedEval, ConfigSpace, EvalKey, RetryPolicy, TuningEnv,
 };
-use residency::{evict_one_locked, maybe_evict_locked, resume_session};
+use residency::{checkpoint_path, evict_one_locked, maybe_evict_locked, resume_session};
 use scheduler::Scheduler;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -129,8 +130,10 @@ pub struct ServeConfig {
     pub global_queue_limit: usize,
     /// Frame bound for the wire protocol.
     pub max_frame_bytes: usize,
-    /// Where `Drain` writes one `SessionCheckpoint` per session; `None`
-    /// skips checkpointing.
+    /// Where session checkpoints (`<session>.ckpt.json`) land: eviction
+    /// writes one per evicted session and resume deletes it, and `Drain`
+    /// writes one per session. `None` skips checkpointing and disables
+    /// eviction.
     pub checkpoint_dir: Option<PathBuf>,
     /// Idle-session eviction threshold, in service-wide completed
     /// evaluations (an evaluation-count epoch clock — never wall time, so
@@ -138,13 +141,9 @@ pub struct ServeConfig {
     /// completed work but has seen `evict_after_evals` other completions
     /// since its own last one is checkpointed to disk and its environment
     /// unloaded. `0` (the default) disables eviction sweeps; explicit
-    /// [`Request::Evict`] still works whenever an eviction directory is
-    /// configured.
+    /// [`Request::Evict`] still works whenever
+    /// [`checkpoint_dir`](ServeConfig::checkpoint_dir) is set.
     pub evict_after_evals: usize,
-    /// Where eviction checkpoints (`<session>.evict.json`) land. `None`
-    /// falls back to [`checkpoint_dir`](ServeConfig::checkpoint_dir);
-    /// with neither set, eviction is disabled.
-    pub evict_dir: Option<PathBuf>,
     /// Where flight-recorder dumps land (`results/flightrec/` by
     /// convention): one per faulted evaluation, one per session on
     /// `Drain`, one per explicit `Dump` request. `None` disables dumping
@@ -175,20 +174,11 @@ impl Default for ServeConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             checkpoint_dir: None,
             evict_after_evals: 0,
-            evict_dir: None,
             flightrec_dir: None,
             memory_store: None,
             execution: Execution::InProcess,
             conn_idle_timeout: Some(Duration::from_secs(600)),
         }
-    }
-}
-
-impl ServeConfig {
-    /// Where eviction checkpoints live: `evict_dir`, falling back to
-    /// `checkpoint_dir`. `None` disables eviction entirely.
-    fn evict_dir(&self) -> Option<&PathBuf> {
-        self.evict_dir.as_ref().or(self.checkpoint_dir.as_ref())
     }
 }
 
@@ -288,21 +278,12 @@ struct Session {
     /// The environment, absent while one of its evaluations is on a
     /// worker — or while the session is evicted to disk.
     env: Option<TuningEnv>,
-    /// Whether the environment currently lives on disk as an eviction
-    /// checkpoint (`<name>.evict.json`) instead of in memory.
+    /// Whether the environment currently lives on disk as a checkpoint
+    /// (`<name>.ckpt.json`) instead of in memory.
     evicted: bool,
     /// Eviction clock: the service-wide evaluation count when this
     /// session last completed an evaluation.
     last_active: usize,
-    /// Table-6 statistics aggregate of an evicted session. The eviction
-    /// checkpoint does not carry it, so it waits here and goes back into
-    /// the environment at resume; the drained digest then counts every
-    /// clean evaluation, not only those since the last resume.
-    frozen_stats: StatsAccumulator,
-    /// Evaluation-cache hits accrued before the last eviction
-    /// ([`TuningEnv::restore`] resets the live counter), keeping the
-    /// status mirror monotone across evict/resume cycles.
-    evalcache_hits_base: u64,
     /// Deterministic sampler behind `StepAuto` — a pure function of the
     /// session spec, never of request timing.
     sampler: Rng,
@@ -775,8 +756,6 @@ impl Service {
                 env: Some(env),
                 evicted: false,
                 last_active: 0,
-                frozen_stats: StatsAccumulator::new(),
-                evalcache_hits_base: 0,
                 sampler,
                 space,
                 guided: GuidedState::new(guided_seed),
@@ -1443,9 +1422,9 @@ fn run_session_eval(
     });
     sess.stress_time_ms = stress_time_ms;
     sess.retries = retries;
-    // The environment's live counter resets on an evict/resume cycle;
-    // the base keeps the mirror monotone across any number of them.
-    sess.evalcache_hits = sess.evalcache_hits_base + evalcache_hits;
+    // The checkpoint carries the count, so it stays monotone across
+    // evict/resume cycles.
+    sess.evalcache_hits = evalcache_hits;
     sess.queue_wait_ms += wait_ms;
     sess.last_active = epoch;
     sess.env = Some(env);
@@ -1492,7 +1471,7 @@ fn build_env(shared: &Shared, spec: &SessionSpec) -> Result<TuningEnv, String> {
 
 /// Applies what a spec adds on top of a bare environment, in creation
 /// order: its retry policy, then the shared cache. Run at creation and
-/// again at resume, since [`TuningEnv::restore`] resets both.
+/// again at resume: a checkpoint carries session state, not the spec.
 fn attach_spec(shared: &Shared, spec: &SessionSpec, mut env: TuningEnv) -> TuningEnv {
     if let Some(retry) = spec.retry {
         env = env.with_retry_policy(retry);
@@ -2072,7 +2051,7 @@ mod tests {
         let service = Service::start(
             ServeConfig {
                 workers: 1,
-                evict_dir: Some(dir.clone()),
+                checkpoint_dir: Some(dir.clone()),
                 ..ServeConfig::default()
             },
             Obs::enabled(),

@@ -3,21 +3,30 @@
 //! that brings them home.
 
 use super::{attach_spec, build_engine, Shared, State};
-use relm_tune::{SessionCheckpoint, TuningEnv};
+use relm_tune::SessionCheckpoint;
+use std::path::{Path, PathBuf};
 
-/// Checkpoints one idle session to `<dir>/<name>.evict.json` and unloads
-/// its environment and its GP fitter (the next guided search that needs
-/// the fitter rebuilds it from the recorded fit schedule). On any failure
-/// the session is left exactly as it was, environment home.
+/// A session's one checkpoint file, `<dir>/<name>.ckpt.json`: eviction
+/// writes it, resume deletes it, and `Drain` writes it again.
+pub(super) fn checkpoint_path(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{name}.ckpt.json"))
+}
+
+/// Checkpoints one idle session to its checkpoint file and unloads its
+/// environment and its GP fitter (the next guided search that needs the
+/// fitter rebuilds it from the recorded fit schedule). The checkpoint
+/// carries the environment's whole state, Table-6 aggregate and cache-hit
+/// count included. On any failure the session is left exactly as it was,
+/// environment home.
 pub(super) fn evict_one_locked(
     shared: &Shared,
     state: &mut State,
     name: &str,
 ) -> Result<String, String> {
-    let Some(dir) = shared.config.evict_dir() else {
-        return Err("no eviction directory configured (set evict_dir or checkpoint_dir)".into());
+    let Some(dir) = &shared.config.checkpoint_dir else {
+        return Err("no checkpoint directory configured (set checkpoint_dir)".into());
     };
-    let path = dir.join(format!("{name}.evict.json"));
+    let path = checkpoint_path(dir, name);
     let Some(sess) = state.sessions.get_mut(name) else {
         return Err(format!("unknown session `{name}`"));
     };
@@ -36,12 +45,7 @@ pub(super) fn evict_one_locked(
         shared.obs.inc("serve.evict_errors");
         return Err(format!("eviction checkpoint failed: {e}"));
     }
-    // The restored environment's cache-hit counter and Table-6 aggregate
-    // restart empty; bank what's accrued so the mirror stays monotone and
-    // the drained digest stays whole.
-    sess.frozen_stats = env.stats_accumulator().clone();
     sess.env = None;
-    sess.evalcache_hits_base = sess.evalcache_hits;
     sess.guided.drop_fitter();
     sess.evicted = true;
     state.evictions += 1;
@@ -55,7 +59,7 @@ pub(super) fn evict_one_locked(
 /// Purely an epoch-clock policy — no wall time touches the decision.
 pub(super) fn maybe_evict_locked(shared: &Shared, state: &mut State) {
     let window = shared.config.evict_after_evals;
-    if window == 0 || shared.config.evict_dir().is_none() {
+    if window == 0 || shared.config.checkpoint_dir.is_none() {
         return;
     }
     let epoch = state.evaluations;
@@ -79,15 +83,14 @@ pub(super) fn maybe_evict_locked(shared: &Shared, state: &mut State) {
     }
 }
 
-/// Brings an evicted session home: loads its eviction checkpoint,
-/// rebuilds the engine from the retained spec, restores the environment
-/// (byte-identical history and seed chain — the [`SessionCheckpoint`]
-/// resume guarantee), re-applies the spec's retry policy, cache
-/// attachment and banked Table-6 aggregate (which `restore` resets), and
-/// deletes the checkpoint file. The GP fitter stays absent until a guided
-/// search needs it. No-op for live sessions. On error the session stays
-/// evicted and `serve.resume_errors` counts it; the caller decides
-/// whether to fail the session.
+/// Brings an evicted session home: loads its checkpoint, rebuilds the
+/// engine from the retained spec, resumes the environment (byte-identical
+/// history and seed chain — the [`SessionCheckpoint`] resume guarantee),
+/// re-applies the spec's retry policy and cache attachment, and deletes
+/// the checkpoint file. The GP fitter stays absent until a guided search
+/// needs it. No-op for live sessions. On error the session stays evicted
+/// and `serve.resume_errors` counts it; the caller decides whether to
+/// fail the session.
 pub(super) fn resume_session(shared: &Shared, state: &mut State, name: &str) -> Result<(), String> {
     let Some(sess) = state.sessions.get_mut(name) else {
         return Err(format!("unknown session `{name}`"));
@@ -95,24 +98,22 @@ pub(super) fn resume_session(shared: &Shared, state: &mut State, name: &str) -> 
     if !sess.evicted {
         return Ok(());
     }
-    let result = (|| -> Result<TuningEnv, String> {
-        let dir = shared
-            .config
-            .evict_dir()
-            .ok_or_else(|| "no eviction directory configured".to_string())?;
-        let path = dir.join(format!("{name}.evict.json"));
-        let ckpt = SessionCheckpoint::load(&path)
-            .map_err(|e| format!("cannot load eviction checkpoint: {e}"))?;
-        let engine = build_engine(shared, &sess.spec);
-        Ok(attach_spec(shared, &sess.spec, ckpt.resume(engine)))
-    })();
+    // Only a configured checkpoint directory evicts.
+    let Some(dir) = shared.config.checkpoint_dir.as_deref() else {
+        return Err("no checkpoint directory configured".into());
+    };
+    let path = checkpoint_path(dir, name);
+    let result = SessionCheckpoint::load(&path)
+        .map_err(|e| format!("cannot load eviction checkpoint: {e}"))
+        .map(|ckpt| {
+            let engine = build_engine(shared, &sess.spec);
+            attach_spec(shared, &sess.spec, ckpt.resume(engine))
+        });
     match result {
         Ok(env) => {
-            sess.env = Some(env.with_stats_accumulator(std::mem::take(&mut sess.frozen_stats)));
+            sess.env = Some(env);
             sess.evicted = false;
-            if let Some(dir) = shared.config.evict_dir() {
-                let _ = std::fs::remove_file(dir.join(format!("{name}.evict.json")));
-            }
+            let _ = std::fs::remove_file(&path);
             state.resumes += 1;
             shared.obs.inc("serve.resumes");
             Ok(())

@@ -1,10 +1,10 @@
 //! Eviction/resume determinism regression: a session's observation
-//! history, and the digest its drain ingests into the memory store, are
-//! **byte-identical** whether idle sessions are continually evicted to
-//! checkpoint and transparently resumed, or never evicted at all — at any
-//! worker count, with guided (surrogate-proposed) batches, the proposal
-//! memo and fault injection in the mix. Eviction is a residency policy,
-//! not a behavior change.
+//! history, the digest its drain ingests into the memory store, and its
+//! reported cache hits are **byte-identical** whether idle sessions are
+//! continually evicted to checkpoint and transparently resumed, or never
+//! evicted at all — at any worker count, with guided (surrogate-proposed)
+//! batches, the proposal memo and fault injection in the mix. Eviction is
+//! a residency policy, not a behavior change.
 
 use relm_faults::FaultConfig;
 use relm_memory::MemoryStore;
@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 const WORKLOADS: [&str; 5] = ["WordCount", "SortByKey", "K-means", "SVM", "PageRank"];
 const SESSIONS: u64 = 6;
-/// Evaluations per session: five rounds of two.
+/// Evaluations per session: six rounds of two.
 const EVALS: usize = 12;
 
 /// A spec that is a pure function of the session index, cycling priority
@@ -40,15 +40,17 @@ fn spec_for(i: u64) -> SessionSpec {
 /// store. With `cached`, the sessions opt into the shared cache and the
 /// fleet runs twice, the second pass taking every guided proposal from
 /// the first pass's memo entries. Returns each spec's serialized history
-/// and ingested digest, keyed by spec index.
+/// and ingested digest, keyed by spec index, and every session's final
+/// `Status.evalcache_hits` in creation order.
 fn run(
     workers: usize,
     evict_after: usize,
     cached: bool,
     tag: &str,
-) -> BTreeMap<u64, (String, String)> {
+) -> (BTreeMap<u64, (String, String)>, Vec<u64>) {
     let dir = std::env::temp_dir().join(format!("relm_serve_evict_{}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let ckpt_dir = dir.join("ckpt");
     let store = dir.join("memory.jsonl");
     let obs = Obs::enabled();
     let passes = if cached { 2 } else { 1 };
@@ -59,13 +61,15 @@ fn run(
             session_queue_limit: 8,
             global_queue_limit: 48,
             evict_after_evals: evict_after,
-            evict_dir: Some(dir.clone()),
+            checkpoint_dir: Some(ckpt_dir.clone()),
             memory_store: Some(store.clone()),
             ..ServeConfig::default()
         },
         obs.clone(),
     );
     let mut histories = BTreeMap::new();
+    let mut all_names = Vec::new();
+    let mut hits = Vec::new();
     for pass in 0..passes {
         let fits = obs.histogram("surrogate.fit_ms").map_or(0, |h| h.count());
         let replays = obs.counter_value("serve.guided.replays");
@@ -132,6 +136,12 @@ fn run(
                 }
                 other => panic!("result failed: {other:?}"),
             }
+            match service.handle(&Request::Status {
+                session: name.clone(),
+            }) {
+                Response::Status(status) => hits.push(status.evalcache_hits),
+                other => panic!("status failed: {other:?}"),
+            }
             // Cancelling frees the fill pass's table slots for the replay
             // pass; the drain still sees the cancelled sessions.
             if pass + 1 < passes {
@@ -140,6 +150,7 @@ fn run(
                 });
             }
         }
+        all_names.extend(names);
         if pass > 0 {
             // Every guided proposal of a repeated pass, evicted or not,
             // comes from the memo, with no fit and no rebuild.
@@ -201,6 +212,17 @@ fn run(
     }
     assert_eq!(obs.counter_value("serve.evict_errors"), 0.0);
     assert_eq!(obs.counter_value("serve.resume_errors"), 0.0);
+    // Eviction and the drain write the same file: every eviction
+    // checkpoint was consumed by its resume, and the drain left exactly
+    // one checkpoint per session.
+    let mut files: Vec<String> = std::fs::read_dir(&ckpt_dir)
+        .expect("the drain wrote the checkpoint directory")
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut want: Vec<String> = all_names.iter().map(|n| format!("{n}.ckpt.json")).collect();
+    want.sort();
+    assert_eq!(files, want, "checkpoint directory after the drain");
     let memory = MemoryStore::load(&store, Obs::disabled()).expect("drain saved the memory store");
     let mut runs = BTreeMap::new();
     for i in 0..SESSIONS {
@@ -223,13 +245,21 @@ fn run(
         );
     }
     std::fs::remove_dir_all(&dir).ok();
-    runs
+    (runs, hits)
 }
 
 #[test]
 fn histories_survive_evict_resume_cycles_byte_identically() {
-    let baseline = run(1, 0, false, "w1-off");
+    let (baseline, _) = run(1, 0, false, "w1-off");
     assert_eq!(baseline.len(), SESSIONS as usize);
+    // The cached runs' cache hits are held to a never-evicted cached run:
+    // the checkpoint carries the count across every evict/resume cycle.
+    let (cached_baseline, cached_hits) = run(8, 0, true, "w8-off-cached");
+    assert_eq!(cached_baseline, baseline, "the cache changed a history");
+    assert!(
+        cached_hits.iter().any(|&h| h > 0),
+        "no cache hits to compare"
+    );
     for (workers, evict_after, cached, tag) in [
         (1, 3, false, "w1-on"),
         (8, 0, false, "w8-off"),
@@ -237,12 +267,18 @@ fn histories_survive_evict_resume_cycles_byte_identically() {
         (1, 3, true, "w1-on-cached"),
         (8, 3, true, "w8-on-cached"),
     ] {
-        let other = run(workers, evict_after, cached, tag);
+        let (other, hits) = run(workers, evict_after, cached, tag);
         for (spec, outcome) in &baseline {
             assert_eq!(
                 outcome, &other[spec],
                 "spec {spec} diverged at workers={workers}, evict_after={evict_after}, \
                  cached={cached}"
+            );
+        }
+        if cached {
+            assert_eq!(
+                hits, cached_hits,
+                "cache hits diverged at workers={workers}, evict_after={evict_after}"
             );
         }
     }

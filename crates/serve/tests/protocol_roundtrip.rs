@@ -241,7 +241,7 @@ proptest! {
             },
             Response::Evicted {
                 session: session.clone(),
-                path: format!("results/ckpt/{session}.evict.json"),
+                path: format!("results/ckpt/{session}.ckpt.json"),
             },
             Response::Metrics { snapshot, expo },
             Response::Trace {

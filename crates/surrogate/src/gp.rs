@@ -424,11 +424,6 @@ impl GpFitter {
         self.y.is_empty()
     }
 
-    /// True once a full fit has run, i.e. [`GpFitter::refit`] is available.
-    pub fn has_fit(&self) -> bool {
-        self.last.is_some()
-    }
-
     /// Counter snapshot (includes the Gram-cache counters).
     pub fn stats(&self) -> GpFitStats {
         GpFitStats {

@@ -2,6 +2,7 @@
 //! bookkeeping shared by every tuning policy.
 
 use crate::cache::{counter_deltas, CachedEval, EvalStore};
+use crate::export::SessionCheckpoint;
 use crate::space::ConfigSpace;
 use relm_app::{AppSpec, Engine, RunResult};
 use relm_common::{Mem, MemoryConfig, Millis};
@@ -164,26 +165,19 @@ impl TuningEnv {
         }
     }
 
-    /// Reconstructs an environment from checkpointed state (see
-    /// `SessionCheckpoint` in the export module). The restored environment
-    /// continues exactly where the captured one stopped: same seed chain,
-    /// same penalty baseline, same history. Everything else starts as in
-    /// [`TuningEnv::new`], the Table-6 aggregate included: the checkpoint
-    /// does not carry it ([`TuningEnv::with_stats_accumulator`] puts one
-    /// back).
-    pub fn restore(
-        engine: Engine,
-        app: AppSpec,
-        next_seed: u64,
-        worst_mins: f64,
-        retry_time: Millis,
-        history: Vec<Observation>,
-    ) -> Self {
+    /// Rebuilds on `engine` the environment a [`SessionCheckpoint`]
+    /// captured: the same seed chain, penalty baseline, retry time,
+    /// history, Table-6 aggregate and cache-hit count. The retry policy,
+    /// the cache and the observability handle start as in
+    /// [`TuningEnv::new`]: they belong to the caller, not to the session.
+    pub(crate) fn from_checkpoint(engine: Engine, ckpt: SessionCheckpoint) -> Self {
         TuningEnv {
-            history,
-            worst_mins,
-            retry_time,
-            ..TuningEnv::new(engine, app, next_seed)
+            history: ckpt.history,
+            worst_mins: ckpt.worst_mins,
+            retry_time: Millis::ms(ckpt.retry_time_ms),
+            cache_hits: ckpt.cache_hits,
+            stats_acc: ckpt.stats,
+            ..TuningEnv::new(engine, ckpt.app, ckpt.next_seed)
         }
     }
 
@@ -226,14 +220,6 @@ impl TuningEnv {
     /// re-simulated: same history bytes, same counters, no engine time.
     pub fn with_cache(mut self, cache: EvalStore) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Replaces the Table-6 statistics aggregate — for a caller that
-    /// kept a session's [`TuningEnv::stats_accumulator`] across a
-    /// [`TuningEnv::restore`], which starts it empty.
-    pub fn with_stats_accumulator(mut self, stats: StatsAccumulator) -> Self {
-        self.stats_acc = stats;
         self
     }
 
@@ -521,14 +507,15 @@ impl TuningEnv {
         self.history.iter().map(|o| o.retries).sum()
     }
 
-    /// Evaluations answered from the shared cache instead of run live.
+    /// Evaluations answered from the shared cache instead of run live
+    /// (checkpoint state).
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits
     }
 
     /// The running aggregate of clean evaluations' Table-6 statistics —
     /// the compact per-session remainder `relm-memory` fingerprints a
-    /// workload from.
+    /// workload from (checkpoint state).
     pub fn stats_accumulator(&self) -> &StatsAccumulator {
         &self.stats_acc
     }

@@ -11,9 +11,10 @@ use crate::env::{Observation, TuningEnv};
 use crate::tuner::Recommendation;
 use relm_app::{AppSpec, Engine};
 use relm_cluster::ClusterSpec;
-use relm_common::{MemoryConfig, Millis};
+use relm_common::{durable, MemoryConfig};
 use relm_faults::AbortCause;
 use relm_obs::HistogramSummary;
+use relm_profile::StatsAccumulator;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -157,15 +158,18 @@ pub fn session_export(env: &TuningEnv, rec: &Recommendation) -> SessionExport {
 /// driver itself being preempted) should not forfeit the stress tests it
 /// already paid for. The checkpoint captures everything the environment
 /// needs to continue *exactly* where it stopped: the application spec, the
-/// evaluation history, the seed chain position, and the abort-penalty
-/// baseline. Because the engine's fault injection is site-addressed (not
-/// stateful), a resumed session replays into the same injected faults the
-/// uninterrupted one would have seen — resumed and uninterrupted histories
-/// are byte-identical.
+/// evaluation history, the seed chain position, the abort-penalty
+/// baseline, the retry time, the Table-6 statistics aggregate and the
+/// cache-hit count. Because the engine's fault injection is
+/// site-addressed (not stateful), a resumed session replays into the same
+/// injected faults the uninterrupted one would have seen — resumed and
+/// uninterrupted histories are byte-identical.
+///
+/// On disk it is the checksummed single-record layout of
+/// [`relm_common::durable`]: a `{"kind":"relm-checkpoint","version":2,
+/// "check":...}` header line, then this struct as one JSON line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
-    /// Format version, for forward compatibility.
-    pub version: u32,
     /// The application under tuning.
     pub app: AppSpec,
     /// The seed the next evaluation will run under.
@@ -176,38 +180,42 @@ pub struct SessionCheckpoint {
     pub retry_time_ms: f64,
     /// Every observation recorded so far, in order.
     pub history: Vec<Observation>,
+    /// Running aggregate of the clean evaluations' Table-6 statistics.
+    pub stats: StatsAccumulator,
+    /// Evaluations answered from the evaluation cache so far.
+    pub cache_hits: u64,
 }
 
-/// The checkpoint format version written by this build.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// The checkpoint format version written and read by this build.
+pub const CHECKPOINT_VERSION: u64 = 2;
+
+const CHECKPOINT_KIND: &str = "relm-checkpoint";
+
+fn invalid(e: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
 
 impl SessionCheckpoint {
     /// Captures the resumable state of a session in progress.
     pub fn capture(env: &TuningEnv) -> Self {
         SessionCheckpoint {
-            version: CHECKPOINT_VERSION,
             app: env.app().clone(),
             next_seed: env.next_seed(),
             worst_mins: env.worst_mins(),
             retry_time_ms: env.retry_time().as_ms(),
             history: env.history().to_vec(),
+            stats: env.stats_accumulator().clone(),
+            cache_hits: env.cache_hits(),
         }
     }
 
     /// Rebuilds a live environment on `engine` that continues where the
-    /// captured session stopped. The engine should carry the same cluster,
-    /// cost model, and fault plan as the original; the retry policy is
-    /// reset to the default and can be overridden afterwards. The Table-6
-    /// statistics aggregate starts empty (see [`TuningEnv::restore`]).
+    /// captured session stopped, every captured field restored. The engine
+    /// should carry the same cluster, cost model, and fault plan as the
+    /// original. The retry policy is reset to the default and no cache is
+    /// attached: both belong to the caller and can be set afterwards.
     pub fn resume(self, engine: Engine) -> TuningEnv {
-        TuningEnv::restore(
-            engine,
-            self.app,
-            self.next_seed,
-            self.worst_mins,
-            Millis::ms(self.retry_time_ms),
-            self.history,
-        )
+        TuningEnv::from_checkpoint(engine, self)
     }
 
     /// Writes the checkpoint to `path` through
@@ -215,26 +223,18 @@ impl SessionCheckpoint {
     /// death; not fsynced, so a power loss can leave an empty or stale
     /// file.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let json = serde_json::to_string(self)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        relm_common::durable::write_atomic(path, json.as_bytes())
+        let payload = serde_json::to_string(self).map_err(invalid)?;
+        let head = durable::header(CHECKPOINT_KIND, CHECKPOINT_VERSION);
+        durable::write_atomic(path, durable::render_checked(head, &payload).as_bytes())
     }
 
-    /// Loads a checkpoint written by [`SessionCheckpoint::save`].
+    /// Loads a checkpoint written by [`SessionCheckpoint::save`]. Another
+    /// kind, another version (version 1 included) and a payload that fails
+    /// its checksum are each an `InvalidData` error.
     pub fn load(path: &Path) -> io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
-        let ckpt: SessionCheckpoint = serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint version {} not supported (expected {})",
-                    ckpt.version, CHECKPOINT_VERSION
-                ),
-            ));
-        }
-        Ok(ckpt)
+        let payload = durable::parse_checked(&text, CHECKPOINT_KIND, CHECKPOINT_VERSION)?;
+        serde_json::from_str(payload).map_err(invalid)
     }
 }
 
@@ -332,6 +332,7 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_replays_identically() {
+        use crate::cache::EvalStore;
         use crate::env::TuningEnv;
         use relm_faults::{FaultConfig, FaultPlan};
         use relm_workloads::{max_resource_allocation, wordcount};
@@ -347,31 +348,55 @@ mod tests {
                 ..base
             })
             .collect();
+        // A cache holding the session's first four evaluations: each
+        // session below replays those and runs the last two live.
+        let filled_cache = || {
+            let cache = EvalStore::new();
+            let mut fill = TuningEnv::new(make_engine(), wordcount(), 42).with_cache(cache.clone());
+            for c in &configs[..4] {
+                fill.evaluate(c);
+            }
+            cache
+        };
 
         // The uninterrupted session.
-        let mut full = TuningEnv::new(make_engine(), wordcount(), 42);
+        let mut full = TuningEnv::new(make_engine(), wordcount(), 42).with_cache(filled_cache());
         for c in &configs {
             full.evaluate(c);
         }
+        assert_eq!(full.cache_hits(), 4);
 
-        // The same session, killed after 3 evaluations and resumed from a
-        // checkpoint on a fresh engine.
-        let mut half = TuningEnv::new(make_engine(), wordcount(), 42);
+        // The same session, killed after 3 evaluations, its checkpoint
+        // saved and loaded, and resumed on a fresh engine with its cache
+        // attached again.
+        let cache = filled_cache();
+        let mut half = TuningEnv::new(make_engine(), wordcount(), 42).with_cache(cache.clone());
         for c in &configs[..3] {
             half.evaluate(c);
         }
+        assert!(!half.stats_accumulator().is_empty(), "no clean evaluation");
         let ckpt = SessionCheckpoint::capture(&half);
-        let mut resumed = ckpt.resume(make_engine());
+        let path =
+            std::env::temp_dir().join(format!("relm_ckpt_resume_{}.json", std::process::id()));
+        ckpt.save(&path).unwrap();
+        let loaded = SessionCheckpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded, ckpt);
+        let mut resumed = loaded.resume(make_engine()).with_cache(cache);
         for c in &configs[3..] {
             resumed.evaluate(c);
         }
 
         // Byte-identical histories — including any injected faults,
-        // retries, and censored scores.
+        // retries, and censored scores — and the same Table-6 aggregate
+        // and cache-hit count.
         let a = serde_json::to_string(&full.history().to_vec()).unwrap();
         let b = serde_json::to_string(&resumed.history().to_vec()).unwrap();
         assert_eq!(a, b);
         assert_eq!(full.stress_time(), resumed.stress_time());
+        assert_eq!(full.stats_accumulator(), resumed.stats_accumulator());
+        assert_eq!(full.mean_stats(), resumed.mean_stats());
+        assert_eq!(full.cache_hits(), resumed.cache_hits());
     }
 
     #[test]
@@ -474,12 +499,25 @@ mod tests {
             wordcount(),
             7,
         );
-        let mut ckpt = SessionCheckpoint::capture(&env);
-        ckpt.version = 999;
         let path =
             std::env::temp_dir().join(format!("relm_ckpt_ver_test_{}.json", std::process::id()));
-        ckpt.save(&path).unwrap();
-        assert!(SessionCheckpoint::load(&path).is_err());
+        SessionCheckpoint::capture(&env).save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (head, payload) = text.split_once('\n').unwrap();
+        assert!(head.starts_with("{\"kind\":\"relm-checkpoint\",\"version\":2,\"check\":"));
+        // Each copy keeps the payload and its checksum; only the header's
+        // kind or version differs.
+        for refused in [
+            head.replace("\"version\":2", "\"version\":1"),
+            head.replace("\"version\":2", "\"version\":999"),
+            head.replace("relm-checkpoint", "relm-flightrec"),
+        ] {
+            std::fs::write(&path, format!("{refused}\n{payload}")).unwrap();
+            let err = SessionCheckpoint::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{refused}");
+        }
+        std::fs::write(&path, &text).unwrap();
+        assert!(SessionCheckpoint::load(&path).is_ok());
         std::fs::remove_file(&path).ok();
     }
 

@@ -132,11 +132,17 @@ cargo run --release -q -p relm-experiments --bin serve_load -- \
   --out "$serve_dir/soak_base.jsonl"
 cargo run --release -q -p relm-experiments --bin serve_load -- \
   --soak --workers 1 --clients 4 --sessions 8 --steps 4 \
-  --evict-after 6 --evict-dir "$serve_dir/evict" --slo-p99-ms 60000 \
+  --evict-after 6 --checkpoint-dir "$serve_dir/soak_ckpt" --slo-p99-ms 60000 \
   --out "$serve_dir/soak.jsonl"
 diff "$serve_dir/soak_base.jsonl" "$serve_dir/soak.jsonl" \
   || { echo "soak smoke test FAILED: histories depend on eviction or pool size" >&2; exit 1; }
-echo "soak OK: 8 sessions byte-identical under forced eviction on a 1-worker pool, SLO and drain books reconciled"
+# Eviction and the drain write the same file, one per session: every
+# eviction checkpoint was consumed by its resume and rewritten by the drain.
+files="$(ls "$serve_dir/soak_ckpt" | wc -l)"
+ckpts="$(ls "$serve_dir/soak_ckpt" | grep -c '\.ckpt\.json$')"
+[ "$files" -eq 8 ] && [ "$ckpts" -eq 8 ] \
+  || { echo "soak smoke test FAILED: expected 8 files, all *.ckpt.json; found $files files, $ckpts checkpoints" >&2; exit 1; }
+echo "soak OK: 8 sessions byte-identical under forced eviction on a 1-worker pool, SLO and drain books reconciled, one checkpoint per session"
 
 echo "== surrogate perf smoke test =="
 # The fast surrogate kernels must be invisible in the traces: the
