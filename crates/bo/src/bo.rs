@@ -2,9 +2,7 @@
 
 use relm_common::{MemoryConfig, Result, Rng};
 use relm_core::QModel;
-use relm_surrogate::{
-    maximize_ei, Forest, ForestParams, GpFitStats, GpFitter, SparsePolicy, Surrogate,
-};
+use relm_surrogate::{maximize_ei, Forest, ForestParams, GpFitter, SparsePolicy, Surrogate};
 use relm_tune::{recommendation, ConfigSpace, Recommendation, Tuner, TuningEnv};
 use serde::{Deserialize, Serialize};
 
@@ -278,11 +276,12 @@ impl Tuner for BayesOpt {
         // Persistent GP fitter: the Gram cache of pairwise feature
         // differences survives across iterations (the q-model is locked
         // after bootstrap, so feature vectors are stable).
-        let mut fitter = GpFitter::default().with_policy(self.cfg.sparse);
+        let mut fitter = GpFitter::default()
+            .with_policy(self.cfg.sparse)
+            .with_obs(telemetry.clone());
         for (x, y) in xs.iter().zip(&scores) {
             fitter.observe(Self::features(&space, qmodel.as_ref(), x), *y)?;
         }
-        let mut last_stats = GpFitStats::default();
 
         // Adaptive sampling.
         let mut adaptive = 0usize;
@@ -315,20 +314,6 @@ impl Tuner for BayesOpt {
             let fit_ms = fit_started.elapsed().as_secs_f64() * 1e3;
             telemetry.record(fit_metric, fit_ms);
             telemetry.record("surrogate.fit_ms", fit_ms);
-            let stats = fitter.stats();
-            telemetry.add(
-                "surrogate.gram_reuse",
-                (stats.gram_reused_dims - last_stats.gram_reused_dims) as f64,
-            );
-            telemetry.add(
-                "surrogate.chol_jitter_retries",
-                (stats.chol_jitter_retries - last_stats.chol_jitter_retries) as f64,
-            );
-            telemetry.add(
-                "surrogate.sparse_fits",
-                (stats.sparse_fits - last_stats.sparse_fits) as f64,
-            );
-            last_stats = stats;
             let tau = scores.iter().cloned().fold(f64::INFINITY, f64::min);
 
             let acq_started = std::time::Instant::now();

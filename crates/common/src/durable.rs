@@ -12,13 +12,14 @@
 //! line:
 //!
 //! ```text
-//! {"kind":"relm-evalcache","version":2}
+//! {"kind":"relm-evalcache","version":3}
 //! {"key":"<32-hex>","check":<fnv64>,"value":{...}}
 //! ```
 //!
-//! `check` is FNV-1a 64 over the value's canonical JSON ([`canonicalize`]).
-//! [`parse_records`] re-canonicalizes and verifies every line, and the
-//! caller's [`BadLine`] policy decides what a line that fails does.
+//! `check` is FNV-1a 64 over the key's JSON string followed by the value's
+//! canonical JSON ([`canonicalize`]). [`parse_records`] re-canonicalizes
+//! and verifies every line, and the caller's [`BadLine`] policy decides
+//! what a line that fails does.
 //!
 //! The single-record formats, session checkpoints and flight dumps, hold
 //! one payload line whose raw bytes the header's `check` covers
@@ -179,7 +180,7 @@ pub fn render_records(
             .expect("canonical JSON re-parses")
             .to_string();
         let key = Value::String(key);
-        let check = fnv1a64_str(&value_json);
+        let check = fnv1a64_str(&format!("{key}{value_json}"));
         out.push_str(&format!(
             "{{\"key\":{key},\"check\":{check},\"value\":{value_json}}}\n"
         ));
@@ -198,7 +199,7 @@ fn parse_record(line: &str) -> Result<(String, Value), String> {
         .and_then(Value::as_u64)
         .ok_or("bad check")?;
     let value = canonicalize(map.get("value").ok_or("missing value")?);
-    if fnv1a64_str(&value.to_string()) != check {
+    if fnv1a64_str(&format!("{}{value}", Value::String(key.to_string()))) != check {
         return Err(format!("checksum mismatch (corrupted entry for key {key})"));
     }
     Ok((key.to_string(), value))
@@ -398,6 +399,21 @@ mod tests {
             parse_records(&damaged(), "relm-test", 3, BadLine::Reject, refuse_three).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("line 3: checksum"), "{err}");
+    }
+
+    /// A key that stays well-formed but changes fails the record's
+    /// checksum: the value never loads under another key.
+    #[test]
+    fn the_checksum_covers_the_key() {
+        let text = render_records("relm-test", 3, (0..2).map(record));
+        let moved = text.replacen(&format!("{:032x}", 1), &format!("{:032x}", 7), 1);
+        assert_ne!(moved, text);
+        let read = parse_records(&moved, "relm-test", 3, BadLine::Skip, |key, _| {
+            Ok(key.to_string())
+        })
+        .unwrap();
+        assert_eq!(read.entries, vec![format!("{:032x}", 0)]);
+        assert_eq!(read.skipped, 1);
     }
 
     #[test]

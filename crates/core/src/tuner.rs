@@ -5,7 +5,7 @@ use crate::arbitrator::{Arbitrator, ArbitratorOutcome};
 use crate::initializer::Initializer;
 use crate::DEFAULT_SAFETY;
 use relm_common::{MemoryConfig, Result};
-use relm_profile::{derive_stats, DerivedStats, Profile};
+use relm_profile::DerivedStats;
 use relm_tune::{recommendation, Recommendation, Tuner, TuningEnv};
 use relm_workloads::max_resource_allocation;
 use serde::{Deserialize, Serialize};
@@ -96,18 +96,6 @@ impl RelmTuner {
         // instead of panicking the session.
         out.sort_by(|a, b| utility_key(b.utility).total_cmp(&utility_key(a.utility)));
         out
-    }
-
-    /// Recommends a configuration from an existing profile, without running
-    /// any new stress test (the analytical core of RelM).
-    pub fn recommend_from_profile(
-        &mut self,
-        cluster: &relm_cluster::ClusterSpec,
-        profile: &Profile,
-    ) -> Result<MemoryConfig> {
-        let stats = derive_stats(profile);
-        self.last_stats = Some(stats);
-        self.recommend_from_stats(cluster, stats)
     }
 
     /// Recommends a configuration from derived statistics.

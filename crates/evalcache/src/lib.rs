@@ -52,9 +52,9 @@
 //! What this crate deliberately does **not** know: what a cached value
 //! means. [`EvalCache`] is generic over the payload; `relm-tune` stores
 //! its `CachedEval` (run result, the profile's Table-6 statistics, retry
-//! accounting, and the observability counter deltas a live evaluation
-//! would have emitted) so a replay is indistinguishable from a live run —
-//! byte-identical histories and reconciling counters.
+//! accounting, and the counter totals the live evaluation booked) so a
+//! replay is indistinguishable from a live run — byte-identical histories
+//! and the same counters.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@
 //! worker count:
 //!
 //! ```text
-//! {"kind":"relm-evalcache","version":2}
+//! {"kind":"relm-evalcache","version":3}
 //! {"key":"<32-hex>","check":<fnv64>,"value":{...}}
 //! ```
 //!
@@ -24,8 +24,9 @@ use std::time::Instant;
 
 /// Store format version; bumped whenever the line layout or the cached
 /// value layout changes. Version 2: `relm-tune`'s cached evaluations hold
-/// Table-6 statistics instead of full profiles.
-pub const STORE_VERSION: u32 = 2;
+/// Table-6 statistics instead of full profiles. Version 3: each line's
+/// checksum covers its key.
+pub const STORE_VERSION: u32 = 3;
 /// The `kind` tag every store file starts with.
 pub const STORE_KIND: &str = "relm-evalcache";
 
@@ -138,11 +139,11 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let header = text.lines().next().unwrap();
         assert!(header.contains("\"relm-evalcache\""));
-        assert!(header.contains("\"version\":2"));
+        assert!(header.contains("\"version\":3"));
 
         // A file from an older or newer layout is rejected, never replayed.
-        for stale in ["1", "99"] {
-            let other = text.replacen("\"version\":2", &format!("\"version\":{stale}"), 1);
+        for stale in ["1", "2", "99"] {
+            let other = text.replacen("\"version\":3", &format!("\"version\":{stale}"), 1);
             std::fs::write(&path, other).unwrap();
             let err = read::<Vec<f64>>(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -4,7 +4,7 @@
 //! of the store *contents*:
 //!
 //! ```text
-//! {"kind":"relm-memory","version":1}
+//! {"kind":"relm-memory","version":2}
 //! {"key":"<32-hex>","check":<fnv64>,"value":{...SessionDigest...}}
 //! ```
 //!
@@ -30,7 +30,8 @@ use std::path::Path;
 use std::time::Instant;
 
 /// Store format version; bumped whenever the line layout changes.
-pub const STORE_VERSION: u32 = 1;
+/// Version 2: each line's checksum covers its key.
+pub const STORE_VERSION: u32 = 2;
 /// The `kind` tag every memory store file starts with.
 pub const STORE_KIND: &str = "relm-memory";
 

@@ -23,9 +23,10 @@ use std::path::{Path, PathBuf};
 /// FNV-1a 64 of each saved file, recorded before the formats shared one
 /// write path. The checkpoint's pin was recorded again for its version 2,
 /// which adds the checksummed header, the Table-6 aggregate and the
-/// cache-hit count.
-const EVALCACHE_FNV: u64 = 0xeddb_96f6_a2f2_c37c;
-const MEMORY_FNV: u64 = 0x6fd4_6ef8_c2ba_8195;
+/// cache-hit count; the two keyed stores' pins for their versions 3 and
+/// 2, whose record checksums cover the key.
+const EVALCACHE_FNV: u64 = 0x2dff_45e9_7d58_03b0;
+const MEMORY_FNV: u64 = 0x232b_b733_8142_1b8e;
 const CHECKPOINT_FNV: u64 = 0x955b_a147_e798_de8e;
 const FLIGHT_DUMP_FNV: u64 = 0x6c07_844d_6c05_5e0a;
 
@@ -253,18 +254,26 @@ fn torn_and_mutated_files_never_panic() {
     let dir = temp_dir("damage");
 
     let cache = eval_cache();
-    let saved_values: Vec<Vec<f64>> = cache.entries().iter().map(|(_, v)| v.to_vec()).collect();
+    let saved_pairs: Vec<(String, Vec<f64>)> = cache
+        .entries()
+        .iter()
+        .map(|(k, v)| (k.hex(), v.to_vec()))
+        .collect();
     let cache_path = dir.join("cache.jsonl");
     store::save(&cache, &cache_path).unwrap();
     let loaded = load_damaged(&cache_path, 1, store::read::<Vec<f64>>, |_, entries| {
         for (key, value) in entries {
-            assert!(saved_values.contains(&value), "{key} loaded {value:?}");
+            let pair = (key.hex(), value);
+            assert!(saved_pairs.contains(&pair), "loaded {pair:?}");
         }
     });
     assert!(loaded > 0, "some truncations end on a line boundary");
 
     let memory = memory_store();
-    let saved_digests: Vec<SessionDigest> = memory.sessions().map(|(_, d)| d.clone()).collect();
+    let saved_pairs: Vec<(String, SessionDigest)> = memory
+        .sessions()
+        .map(|(k, d)| (k.to_string(), d.clone()))
+        .collect();
     let memory_path = dir.join("memory.jsonl");
     memory.save(&memory_path).unwrap();
     let loaded = load_damaged(
@@ -273,7 +282,8 @@ fn torn_and_mutated_files_never_panic() {
         |path| MemoryStore::load(path, Obs::disabled()),
         |bytes, store| {
             for (key, digest) in store.sessions() {
-                assert!(saved_digests.contains(digest), "{key} loaded {digest:?}");
+                let pair = (key.to_string(), digest.clone());
+                assert!(saved_pairs.contains(&pair), "loaded {pair:?}");
             }
             let text = String::from_utf8_lossy(bytes);
             let entry_lines = text.lines().skip(1).filter(|l| !l.trim().is_empty());

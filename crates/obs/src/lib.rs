@@ -13,11 +13,12 @@
 //! [`Obs`] (and its clones) may be shared freely across threads: counters
 //! and gauges are lock-free atomics whose increments are exact for
 //! integer-valued totals below 2^53, histograms are arrays of atomic
-//! bucket counts, and the span ring is behind a `Mutex`. The one
-//! *per-thread* aspect is span **parenting**: the open-span stack lives in
-//! thread-local storage, so a span opened on a worker thread never
-//! parents under a span opened on another thread — by design, since
-//! cross-thread parent edges would depend on scheduling. The threaded
+//! bucket counts, and the span ring is behind a `Mutex`. The
+//! *per-thread* aspects are span **parenting** and [`Obs::tally`] scopes:
+//! the open spans and scopes live in thread-local storage, so a span
+//! opened on a worker thread never parents under a span opened on another
+//! thread, and a scope never holds another thread's increments — by
+//! design, since cross-thread edges would depend on scheduling. The threaded
 //! stress test (`tests/threaded_stress.rs`) pins these guarantees with
 //! exact cross-thread reconciliation.
 //!
@@ -56,6 +57,7 @@ pub use span::{FieldValue, SpanGuard, SpanRecord, SpanRing};
 pub use window::{WindowedCounter, WindowedHistogram, DEFAULT_WINDOW_EPOCHS};
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -143,11 +145,36 @@ impl Obs {
         self.add(name, 1.0);
     }
 
-    /// Adds `delta` to the named counter.
+    /// Adds `delta` to the named counter, or to this thread's innermost
+    /// open [`Obs::tally`] scope on this handle's registry.
     pub fn add(&self, name: &str, delta: f64) {
         if let Some(inner) = &self.inner {
-            inner.registry.counter(name).add(delta);
+            if !tally_absorb(Arc::as_ptr(inner), name, delta) {
+                inner.registry.counter(name).add(delta);
+            }
         }
+    }
+
+    /// Runs `f` with this thread's counter increments to this handle's
+    /// registry held back and summed per name. When `f` returns or
+    /// unwinds, each total is added once (to the registry, or to an
+    /// enclosing scope on it) and `f`'s result comes back with the totals,
+    /// name-sorted. Booking the totals again later counts exactly what `f`
+    /// counted: other threads and other registries never enter the scope.
+    /// A disabled handle returns `(f(), vec![])`.
+    pub fn tally<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<(String, f64)>) {
+        let Some(inner) = &self.inner else {
+            return (f(), Vec::new());
+        };
+        TALLIES.with(|t| t.borrow_mut().push((Arc::as_ptr(inner), Vec::new())));
+        let mut totals = Vec::new();
+        let scope = TallyScope {
+            obs: self,
+            totals: &mut totals,
+        };
+        let out = f();
+        drop(scope);
+        (out, totals)
     }
 
     /// Reads a counter's current value (0 when disabled or unregistered).
@@ -155,18 +182,6 @@ impl Obs {
         match &self.inner {
             Some(inner) => inner.registry.counter(name).value(),
             None => 0.0,
-        }
-    }
-
-    /// Reads every counter as name-sorted `(name, value)` pairs (empty
-    /// when disabled). Cheaper than [`Obs::snapshot`] — no spans, gauges,
-    /// or histograms — which makes it suitable for before/after delta
-    /// capture around a single operation, as the evaluation cache does to
-    /// replay the counters a memoized run would have emitted.
-    pub fn counters(&self) -> Vec<(String, f64)> {
-        match &self.inner {
-            Some(inner) => inner.registry.counter_values(),
-            None => Vec::new(),
         }
     }
 
@@ -251,6 +266,53 @@ impl Obs {
             return Ok(());
         }
         write_jsonl_file(path, &self.snapshot())
+    }
+}
+
+/// Per-name totals held back by an open [`Obs::tally`] scope, keyed by
+/// its registry.
+type Tally = (*const Inner, Vec<(String, f64)>);
+
+thread_local! {
+    /// Tally scopes open on this thread, innermost last.
+    static TALLIES: RefCell<Vec<Tally>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Adds `delta` to the innermost scope open on this thread for
+/// `registry`; false when there is none.
+fn tally_absorb(registry: *const Inner, name: &str, delta: f64) -> bool {
+    let absorb = |t: &RefCell<Vec<Tally>>| {
+        let mut t = t.borrow_mut();
+        let Some((_, totals)) = t.iter_mut().rev().find(|(r, _)| *r == registry) else {
+            return false;
+        };
+        match totals.iter_mut().find(|(n, _)| n == name) {
+            Some((_, total)) => *total += delta,
+            None => totals.push((name.to_string(), delta)),
+        }
+        true
+    };
+    // While the thread's locals are torn down there is no scope.
+    TALLIES.try_with(absorb).unwrap_or(false)
+}
+
+/// Closes an [`Obs::tally`] scope when dropped, on return or unwind: pops
+/// it, books its totals through [`Obs::add`] and leaves them, name-sorted,
+/// in `totals`.
+struct TallyScope<'a> {
+    obs: &'a Obs,
+    totals: &'a mut Vec<(String, f64)>,
+}
+
+impl Drop for TallyScope<'_> {
+    fn drop(&mut self) {
+        let popped = TALLIES.try_with(|t| t.borrow_mut().pop()).ok().flatten();
+        let mut totals = popped.map(|(_, totals)| totals).unwrap_or_default();
+        totals.sort_by(|a, b| a.0.cmp(&b.0));
+        for (name, total) in &totals {
+            self.obs.add(name, *total);
+        }
+        *self.totals = totals;
     }
 }
 
@@ -345,6 +407,64 @@ mod tests {
         obs.record("a_ms", 3.0);
         assert_eq!(obs.histogram_summaries(), obs.snapshot().histograms);
         assert!(Obs::disabled().histogram_summaries().is_empty());
+    }
+
+    /// A tally holds its thread's increments back and books one total per
+    /// name when it ends; another thread's increments and another
+    /// registry's pass straight through.
+    #[test]
+    fn tally_books_its_own_totals_once() {
+        let obs = Obs::enabled();
+        let other = Obs::enabled();
+        let ((), totals) = obs.tally(|| {
+            obs.inc("runs");
+            obs.add("ms", 0.1);
+            obs.add("ms", 0.2);
+            obs.clone().inc("runs");
+            assert_eq!(obs.counter_value("runs"), 0.0, "held back until the end");
+            other.inc("runs");
+            std::thread::scope(|s| {
+                s.spawn(|| obs.inc("noise"));
+            });
+        });
+        assert_eq!(
+            totals,
+            vec![("ms".to_string(), 0.1 + 0.2), ("runs".to_string(), 2.0)]
+        );
+        assert_eq!(obs.counter_value("runs"), 2.0);
+        assert_eq!(obs.counter_value("ms"), 0.1 + 0.2);
+        assert_eq!(obs.counter_value("noise"), 1.0);
+        assert_eq!(other.counter_value("runs"), 1.0);
+        // Booking the totals again counts the same work twice, exactly.
+        for (name, total) in &totals {
+            obs.add(name, *total);
+        }
+        assert_eq!(obs.counter_value("runs"), 4.0);
+        assert_eq!(Obs::disabled().tally(|| 7), (7, Vec::new()));
+    }
+
+    #[test]
+    fn nested_tallies_join_the_outer_and_unwinding_books() {
+        let obs = Obs::enabled();
+        let (inner, outer) = obs.tally(|| {
+            obs.inc("a");
+            let ((), inner) = obs.tally(|| obs.add("b", 2.0));
+            inner
+        });
+        assert_eq!(inner, vec![("b".to_string(), 2.0)]);
+        assert_eq!(outer, vec![("a".to_string(), 1.0), ("b".to_string(), 2.0)]);
+        assert_eq!(obs.counter_value("b"), 2.0);
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            obs.tally(|| {
+                obs.inc("c");
+                panic!("evaluation failed");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(obs.counter_value("c"), 1.0);
+        obs.inc("c");
+        assert_eq!(obs.counter_value("c"), 2.0, "the unwound scope is closed");
     }
 
     #[test]

@@ -134,10 +134,9 @@ pub struct SessionSpec {
     /// replay a memoized outcome instead of re-simulating, and a guided
     /// step whose fitted GP, EI threshold and RNG state were seen before
     /// takes that EI search's result from the service's proposal memo.
-    /// Off by default — the shared [`relm_obs::Obs`] handle means a
-    /// replayed session's counter deltas are approximate when other
-    /// sessions run concurrently, so caching is something a client asks
-    /// for.
+    /// Off by default: the cache and the memo live as long as the
+    /// service and keep every entry a session adds, so caching is
+    /// something a client asks for.
     pub use_cache: bool,
     /// Warm-start the session from the service's cross-session memory
     /// store: retrieve the nearest past sessions by workload fingerprint
@@ -230,8 +229,8 @@ pub struct FleetTask {
 /// the session — byte-identical to having run the evaluation locally.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalOutcome {
-    /// The memoized evaluation outcome (result, profile, retry
-    /// accounting, counter deltas).
+    /// The memoized evaluation outcome (result, Table-6 statistics, retry
+    /// accounting, counter totals).
     pub eval: CachedEval,
     /// Wall-clock milliseconds the worker spent. Telemetry only — never
     /// part of the deterministic outputs.

@@ -8,6 +8,7 @@ use relm_common::hash::Fnv128;
 use relm_common::{MemoryConfig, Rng};
 use relm_evalcache::{EvalCache, EvalKey};
 use relm_memory::PriorBundle;
+use relm_obs::Obs;
 use relm_surrogate::{maximize_ei, Gp, GpFitter, SparsePolicy};
 use relm_tune::space::DIMS;
 use relm_tune::ConfigSpace;
@@ -76,12 +77,14 @@ impl GuidedState {
     /// falls back to a refactorization whose jitter depends on how the
     /// rows were grouped). Every [`GUIDED_REFIT_PERIOD`]-th fit (the first
     /// included) re-tunes from scratch, seeded by `seed` and the fit's
-    /// index; the fits in between are incremental.
+    /// index; the fits in between are incremental. A rebuilt fitter
+    /// counts its work, replayed fits included, on `obs`.
     fn fit(
         &mut self,
         prior: &PriorBundle,
         rows: &[Row],
         seed: u64,
+        obs: &Obs,
     ) -> relm_common::Result<(Gp, bool)> {
         let last = self.feeds.len() - 1;
         let (mut fitter, first) = match self.fitter.take() {
@@ -91,7 +94,9 @@ impl GuidedState {
                 // hundreds; the large-n policy keeps per-step fit cost
                 // flat there while leaving smaller histories (below the
                 // sparse threshold) byte-identical to the exact path.
-                let mut fitter = GpFitter::default().with_policy(SparsePolicy::large_n());
+                let mut fitter = GpFitter::default()
+                    .with_policy(SparsePolicy::large_n())
+                    .with_obs(obs.clone());
                 for (x, y) in &prior.gp_obs {
                     fitter.observe(x.clone(), *y)?;
                 }
@@ -321,44 +326,20 @@ impl Proposal {
     }
 
     /// Runs this step's fit ([`GuidedState::fit`]) and records it:
-    /// `surrogate.fit_ms` covers any rebuild, the `surrogate.*` counters
-    /// take the fitter's deltas, and `serve.guided.rebuilds` counts a
-    /// rebuild that replayed a recorded fit.
+    /// `surrogate.fit_ms` covers any rebuild, and `serve.guided.rebuilds`
+    /// counts a rebuild that replayed a recorded fit. The fitter counts
+    /// its own `surrogate.*` work.
     fn fit(&mut self, shared: &Shared) -> Result<Gp, String> {
         let obs = &shared.obs;
-        let before = self
-            .guided
-            .fitter
-            .as_ref()
-            .map(GpFitter::stats)
-            .unwrap_or_default();
         let started = Instant::now();
         let (gp, replayed) = self
             .guided
-            .fit(&self.prior, &self.rows, self.seed)
+            .fit(&self.prior, &self.rows, self.seed, obs)
             .map_err(|e| format!("guided fit failed: {e}"))?;
         obs.record("surrogate.fit_ms", started.elapsed().as_secs_f64() * 1e3);
         if replayed {
             obs.inc("serve.guided.rebuilds");
         }
-        let stats = self
-            .guided
-            .fitter
-            .as_ref()
-            .expect("a fit leaves its fitter in place")
-            .stats();
-        obs.add(
-            "surrogate.gram_reuse",
-            (stats.gram_reused_dims - before.gram_reused_dims) as f64,
-        );
-        obs.add(
-            "surrogate.incremental_fits",
-            (stats.incremental_fits - before.incremental_fits) as f64,
-        );
-        obs.add(
-            "surrogate.chol_jitter_retries",
-            (stats.chol_jitter_retries - before.chol_jitter_retries) as f64,
-        );
         Ok(gp)
     }
 }

@@ -1164,7 +1164,7 @@ impl Service {
     /// With `Some(outcome)` — a remote worker's result — the outcome is
     /// first inserted into the shared cache under the lease's key; the
     /// session's environment then *replays* it (seed chain, retry time,
-    /// counter deltas, re-scoring against the current penalty baseline),
+    /// counter totals, re-scoring against the current penalty baseline),
     /// which is byte-identical to having evaluated locally. With `None`
     /// the environment evaluates through the cache directly: a hit
     /// replays an outcome that already landed (cross-worker dedup, or a
@@ -1489,7 +1489,8 @@ fn attach_spec(shared: &Shared, spec: &SessionSpec, mut env: TuningEnv) -> Tunin
 /// Cancels a session: its pending work is discarded (so the global
 /// queue and joiners move on), it leaves the ready queue, new steps are
 /// refused, its GP fitter is dropped, and its slot in the session table
-/// is freed (once, however often it is cancelled). Its history and flight
+/// is freed and `serve.sessions.cancelled` counts it (each once, however
+/// often it is cancelled). Its history and flight
 /// ring stay for `Status`, `Result` and `Drain`. Shared by `Cancel` and a
 /// permanently failed eviction resume. Returns how many evaluations were
 /// discarded, or `None` for an unknown session.
@@ -1499,12 +1500,12 @@ fn discard_locked(shared: &Shared, state: &mut State, name: &str) -> Option<usiz
     sess.pending.clear();
     if !sess.cancelled {
         state.open_sessions -= 1;
+        shared.obs.inc("serve.sessions.cancelled");
     }
     sess.cancelled = true;
     sess.guided.drop_fitter();
     sess.queued = false;
     state.sched.discard(sess.priority, name, discarded);
-    shared.obs.inc("serve.sessions.cancelled");
     shared.obs.add("serve.discarded", discarded as f64);
     shared.refresh_gauges(state);
     Some(discarded)
@@ -1550,6 +1551,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::protocol::SessionSpec;
+    use relm_surrogate::SparsePolicy;
     use relm_tune::SessionCheckpoint;
 
     fn svc(workers: usize) -> Service {
@@ -1750,9 +1752,9 @@ mod tests {
 
     /// The session table bounds open sessions: a default service refuses
     /// a 65th while 64 are open, takes one once they are cancelled, and
-    /// frees one slot per cancelled session however often it is
-    /// cancelled. Cancelled sessions stay visible to `Status`, `Result`
-    /// and `Drain`.
+    /// frees one slot, and counts one cancellation, per cancelled session
+    /// however often it is cancelled. Cancelled sessions stay visible to
+    /// `Status`, `Result` and `Drain`.
     #[test]
     fn cancel_frees_a_session_table_slot() {
         let service = svc(2);
@@ -1787,7 +1789,11 @@ mod tests {
                 assert!(matches!(reply, Response::Cancelled { .. }), "{reply:?}");
             }
         }
-        // Exactly 64 slots came free, not 128.
+        // Exactly 64 slots came free, and 64 sessions count, not 128.
+        assert_eq!(
+            service.obs().counter_value("serve.sessions.cancelled"),
+            limit as f64
+        );
         let reopened = open(limit..2 * limit);
         assert!(full(2 * limit));
         match service.handle(&Request::Status {
@@ -2163,6 +2169,39 @@ mod tests {
             other => panic!("join failed: {other:?}"),
         }
         assert!(service.obs().counter_value("serve.guided.batches") >= 1.0);
+    }
+
+    /// A guided step on a history past the large-n policy's threshold
+    /// fits the inducing subset, and the service's fitter counts it.
+    #[test]
+    fn a_guided_fit_past_the_sparse_threshold_counts_a_sparse_fit() {
+        let service = svc(2);
+        let session = create(&service, SessionSpec::named("WordCount", 17));
+        let threshold = SparsePolicy::large_n().threshold;
+        let mut completed = 0;
+        while completed <= threshold {
+            let evals = (threshold + 1 - completed).min(32);
+            service.handle(&Request::StepAuto {
+                session: session.clone(),
+                evals: evals as u32,
+            });
+            service.handle(&Request::Join {
+                session: session.clone(),
+            });
+            completed += evals;
+        }
+        let obs = service.obs();
+        assert_eq!(obs.counter_value("surrogate.sparse_fits"), 0.0);
+        match service.handle(&Request::StepGuided {
+            session: session.clone(),
+            evals: 1,
+        }) {
+            Response::Accepted { enqueued, .. } => assert_eq!(enqueued, 1),
+            other => panic!("guided step rejected: {other:?}"),
+        }
+        service.handle(&Request::Join { session });
+        assert_eq!(obs.counter_value("surrogate.sparse_fits"), 1.0);
+        assert_eq!(obs.counter_value("serve.guided.batches"), 1.0);
     }
 
     /// Drives bootstrap + two guided batches and returns the serialized

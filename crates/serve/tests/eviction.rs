@@ -199,14 +199,11 @@ fn run(
             if evict_after == 0 {
                 assert_eq!(evictions, 0, "evictions without a window");
             }
-            // A cache replay adds again the counter deltas its live run
-            // captured, other sessions' increments included, so only an
-            // uncached run's counters reconcile exactly.
-            if !cached {
-                assert_eq!(obs.counter_value("serve.evaluations"), evaluations as f64);
-                assert_eq!(obs.counter_value("serve.evictions"), evictions as f64);
-                assert_eq!(obs.counter_value("serve.resumes"), resumes as f64);
-            }
+            // A cache replay books only its own live evaluation's
+            // counters, so cached runs reconcile exactly too.
+            assert_eq!(obs.counter_value("serve.evaluations"), evaluations as f64);
+            assert_eq!(obs.counter_value("serve.evictions"), evictions as f64);
+            assert_eq!(obs.counter_value("serve.resumes"), resumes as f64);
         }
         other => panic!("drain failed: {other:?}"),
     }

@@ -37,6 +37,7 @@ use crate::linalg::{dot, Cholesky, Matrix};
 use crate::sparse::{select_inducing, SparsePolicy};
 use crate::Surrogate;
 use relm_common::{Error, Result, Rng};
+use relm_obs::Obs;
 
 /// Kernel + noise hyperparameters, stored in log space.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,24 +286,6 @@ impl Surrogate for Gp {
     }
 }
 
-/// Counters accumulated by a [`GpFitter`] — the deltas feed the
-/// `surrogate.*` observability metrics recorded by the tuners.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GpFitStats {
-    /// Full hyperparameter-search fits.
-    pub full_fits: u64,
-    /// Incremental (Cholesky row-append) refits.
-    pub incremental_fits: u64,
-    /// Gram matrices assembled (memoized + fresh).
-    pub gram_builds: u64,
-    /// Per-dimension Gram contributions served from the memo.
-    pub gram_reused_dims: u64,
-    /// Jitter escalation attempts consumed by final factorizations.
-    pub chol_jitter_retries: u64,
-    /// Fits (full or refit) served by the sparse inducing-subset path.
-    pub sparse_fits: u64,
-}
-
 /// The previous fit a [`GpFitter`] can cheaply refresh: hyperparameters
 /// plus — on the exact path — the factorization to extend incrementally.
 #[derive(Debug, Clone)]
@@ -331,6 +314,10 @@ struct LastFit {
 /// stays O(n·m + m³) with `m = policy.inducing` no matter how large the
 /// history grows. At or below the threshold the fitter runs the exact
 /// path and is byte-identical to a policy-free fitter.
+///
+/// A fitter counts its own work, `surrogate.{sparse_fits,
+/// incremental_fits, gram_reuse, chol_jitter_retries}`, on the handle
+/// [`GpFitter::with_obs`] gives it.
 #[derive(Debug, Clone)]
 pub struct GpFitter {
     cache: GramCache,
@@ -344,7 +331,7 @@ pub struct GpFitter {
     row_scratch: Vec<f64>,
     /// Reused standardized-target buffer.
     ys_scratch: Vec<f64>,
-    stats: GpFitStats,
+    obs: Obs,
     last: Option<LastFit>,
 }
 
@@ -360,7 +347,7 @@ impl Default for GpFitter {
             scratch: Matrix::zeros(0),
             row_scratch: Vec::new(),
             ys_scratch: Vec::new(),
-            stats: GpFitStats::default(),
+            obs: Obs::disabled(),
             last: None,
         }
     }
@@ -388,6 +375,13 @@ impl GpFitter {
         self.policy
     }
 
+    /// Counts this fitter's `surrogate.*` work on `obs` (builder style).
+    /// The default handle is disabled.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
+    }
+
     /// Appends one observation, extending the difference cache in O(n·dims).
     /// Once the dataset outgrows the sparse-policy threshold the pairwise
     /// cache is dropped — the sparse path re-selects its subset per fit, so
@@ -398,16 +392,10 @@ impl GpFitter {
         } else if x.len() != self.dims {
             return Err(Error::Numerical("inconsistent input dimensionality".into()));
         }
-        if self.policy.applies(self.y.len() + 1) {
-            if !self.cache.is_empty() {
-                // Bank the retiring cache's counters so stats() stays
-                // monotonic across the exact→sparse transition.
-                self.stats.gram_builds += self.cache.builds();
-                self.stats.gram_reused_dims += self.cache.reused_dims();
-                self.cache = GramCache::new(&[]);
-            }
-        } else {
+        if !self.policy.applies(self.y.len() + 1) {
             self.cache.append(&x);
+        } else if !self.cache.is_empty() {
+            self.cache = GramCache::new(&[]);
         }
         self.x.push(x);
         self.y.push(y);
@@ -422,15 +410,6 @@ impl GpFitter {
     /// True when no observations have been recorded.
     pub fn is_empty(&self) -> bool {
         self.y.is_empty()
-    }
-
-    /// Counter snapshot (includes the Gram-cache counters).
-    pub fn stats(&self) -> GpFitStats {
-        GpFitStats {
-            gram_builds: self.stats.gram_builds + self.cache.builds(),
-            gram_reused_dims: self.stats.gram_reused_dims + self.cache.reused_dims(),
-            ..self.stats
-        }
     }
 
     /// Full fit: marginal-likelihood hyperparameter search (24 seeded random
@@ -453,16 +432,16 @@ impl GpFitter {
             y,
             scratch,
             ys_scratch,
-            stats,
+            obs,
             last,
             ..
         } = self;
         let (y_mean, y_scale) = standardize_into(y, ys_scratch);
-        let best = search_hyperparams(cache, ys_scratch, seed, stats);
-        cache.assemble_into(&best, scratch);
+        let (best, reused) = search_hyperparams(cache, ys_scratch, seed);
+        let reused = reused + cache.assemble_into(&best, scratch);
         let chol = Cholesky::with_jitter(scratch, 1e-8)?;
-        stats.full_fits += 1;
-        stats.chol_jitter_retries += u64::from(chol.jitter_retries());
+        count(obs, "surrogate.gram_reuse", reused);
+        count(obs, "surrogate.chol_jitter_retries", chol.jitter_retries());
         let alpha = chol.solve(ys_scratch);
         let gp = Gp::assemble(x, best.clone(), &chol, alpha, y_mean, y_scale);
         *last = Some(LastFit {
@@ -485,14 +464,16 @@ impl GpFitter {
         let sub_y: Vec<f64> = idx.iter().map(|&i| self.y[i]).collect();
         let mut sub_cache = GramCache::new(&sub_x);
         let (y_mean, y_scale) = standardize_into(&sub_y, &mut self.ys_scratch);
-        let best = search_hyperparams(&mut sub_cache, &self.ys_scratch, seed, &mut self.stats);
-        sub_cache.assemble_into(&best, &mut self.scratch);
+        let (best, reused) = search_hyperparams(&mut sub_cache, &self.ys_scratch, seed);
+        let reused = reused + sub_cache.assemble_into(&best, &mut self.scratch);
         let chol = Cholesky::with_jitter(&self.scratch, 1e-8)?;
-        self.stats.gram_builds += sub_cache.builds();
-        self.stats.gram_reused_dims += sub_cache.reused_dims();
-        self.stats.full_fits += 1;
-        self.stats.sparse_fits += 1;
-        self.stats.chol_jitter_retries += u64::from(chol.jitter_retries());
+        self.obs.inc("surrogate.sparse_fits");
+        count(&self.obs, "surrogate.gram_reuse", reused);
+        count(
+            &self.obs,
+            "surrogate.chol_jitter_retries",
+            chol.jitter_retries(),
+        );
         let alpha = chol.solve(&self.ys_scratch);
         self.last = Some(LastFit {
             params: best.clone(),
@@ -529,7 +510,7 @@ impl GpFitter {
             scratch,
             row_scratch,
             ys_scratch,
-            stats,
+            obs,
             last,
             ..
         } = self;
@@ -549,13 +530,14 @@ impl GpFitter {
             }
         }
         if !appended_ok {
-            cache.assemble_into(&params, scratch);
+            let reused = cache.assemble_into(&params, scratch);
             let c = Cholesky::with_jitter(scratch, 1e-8)?;
-            stats.chol_jitter_retries += u64::from(c.jitter_retries());
+            count(obs, "surrogate.gram_reuse", reused);
+            count(obs, "surrogate.chol_jitter_retries", c.jitter_retries());
             last.chol = Some(c);
         }
         let chol = last.chol.as_ref().expect("factor present after refit");
-        stats.incremental_fits += 1;
+        obs.inc("surrogate.incremental_fits");
         let (y_mean, y_scale) = standardize_into(y, ys_scratch);
         let alpha = chol.solve(ys_scratch);
         Ok(Gp::assemble(x, params, chol, alpha, y_mean, y_scale))
@@ -576,11 +558,23 @@ impl GpFitter {
         let sub_cache = GramCache::new(&sub_x);
         sub_cache.assemble_fresh_into(&params, &mut self.scratch);
         let chol = Cholesky::with_jitter(&self.scratch, 1e-8)?;
-        self.stats.incremental_fits += 1;
-        self.stats.sparse_fits += 1;
-        self.stats.chol_jitter_retries += u64::from(chol.jitter_retries());
+        self.obs.inc("surrogate.incremental_fits");
+        self.obs.inc("surrogate.sparse_fits");
+        count(
+            &self.obs,
+            "surrogate.chol_jitter_retries",
+            chol.jitter_retries(),
+        );
         let alpha = chol.solve(&self.ys_scratch);
         Ok(Gp::assemble(&sub_x, params, &chol, alpha, y_mean, y_scale))
+    }
+}
+
+/// Adds `n` to the named counter on `obs`; a zero registers nothing.
+fn count(obs: &Obs, name: &str, n: impl Into<u64>) {
+    let n = n.into();
+    if n > 0 {
+        obs.add(name, n as f64);
     }
 }
 
@@ -589,18 +583,13 @@ impl GpFitter {
 /// proposals (strict-`>` fold in draw order), then two coordinate-descent
 /// sweeps through the memoized assembly. Identical operation sequence —
 /// and therefore identical bits — to the search `fit_full` originally
-/// inlined.
-fn search_hyperparams(
-    cache: &mut GramCache,
-    ys: &[f64],
-    seed: u64,
-    stats: &mut GpFitStats,
-) -> GpParams {
+/// inlined. Also returns the dimensions the memo served.
+fn search_hyperparams(cache: &mut GramCache, ys: &[f64], seed: u64) -> (GpParams, u64) {
     let dims = cache.dims();
     let mut scratch = Matrix::zeros(0);
     let mut rng = Rng::new(seed ^ 0x6A09_E667);
     let mut best = GpParams::default_for(dims);
-    cache.assemble_into(&best, &mut scratch);
+    let mut reused = cache.assemble_into(&best, &mut scratch);
     let mut best_lml = lml_from_gram(&scratch, ys).unwrap_or(f64::NEG_INFINITY);
 
     // A random proposal changes every lengthscale, so the memo has nothing
@@ -615,7 +604,6 @@ fn search_hyperparams(
             log_noise_var: rng.uniform_in((1e-4f64).ln(), (0.3f64).ln()),
         };
         cache.assemble_fresh_into(&cand, &mut scratch);
-        stats.gram_builds += 1;
         if let Ok(lml) = lml_from_gram(&scratch, ys) {
             if lml > best_lml {
                 best_lml = lml;
@@ -636,7 +624,7 @@ fn search_hyperparams(
                     c if c == dims => cand.log_signal_var += step,
                     _ => cand.log_noise_var += step,
                 }
-                cache.assemble_into(&cand, &mut scratch);
+                reused += cache.assemble_into(&cand, &mut scratch);
                 if let Ok(lml) = lml_from_gram(&scratch, ys) {
                     if lml > best_lml {
                         best_lml = lml;
@@ -646,7 +634,7 @@ fn search_hyperparams(
             }
         }
     }
-    best
+    (best, reused)
 }
 
 /// Builds the Gram matrix directly from raw inputs: lower triangle computed
@@ -1036,14 +1024,14 @@ mod tests {
 
     #[test]
     fn refit_requires_a_prior_full_fit() {
-        let mut fitter = GpFitter::default();
+        let obs = Obs::enabled();
+        let mut fitter = GpFitter::default().with_obs(obs.clone());
         fitter.observe(vec![0.3, 0.4], 1.0).unwrap();
         assert!(fitter.refit().is_err());
         fitter.fit_full(1).unwrap();
         fitter.observe(vec![0.6, 0.1], 2.0).unwrap();
         assert!(fitter.refit().is_ok());
-        assert_eq!(fitter.stats().incremental_fits, 1);
-        assert_eq!(fitter.stats().full_fits, 1);
+        assert_eq!(obs.counter_value("surrogate.incremental_fits"), 1.0);
     }
 
     #[test]
@@ -1080,12 +1068,15 @@ mod tests {
         let (xs, ys) = random_dataset(40, 3, 21);
         let policy = sparse_policy_small();
         let seed = 77u64;
-        let mut fitter = GpFitter::default().with_policy(policy);
+        let obs = Obs::enabled();
+        let mut fitter = GpFitter::default()
+            .with_policy(policy)
+            .with_obs(obs.clone());
         for (x, y) in xs.iter().zip(&ys) {
             fitter.observe(x.clone(), *y).unwrap();
         }
         let sparse = fitter.fit_full(seed).unwrap();
-        assert_eq!(fitter.stats().sparse_fits, 1);
+        assert_eq!(obs.counter_value("surrogate.sparse_fits"), 1.0);
         assert_eq!(sparse.len(), policy.inducing);
 
         // The reference: an exact fitter over exactly the inducing subset.
@@ -1103,7 +1094,10 @@ mod tests {
     #[test]
     fn sparse_refit_reselects_at_retained_params() {
         let (xs, ys) = random_dataset(40, 3, 13);
-        let mut fitter = GpFitter::default().with_policy(sparse_policy_small());
+        let obs = Obs::enabled();
+        let mut fitter = GpFitter::default()
+            .with_policy(sparse_policy_small())
+            .with_obs(obs.clone());
         for (x, y) in xs[..30].iter().zip(&ys) {
             fitter.observe(x.clone(), *y).unwrap();
         }
@@ -1113,8 +1107,8 @@ mod tests {
         }
         let refit = fitter.refit().unwrap();
         assert_eq!(refit.params(), full.params(), "refit must retain params");
-        assert_eq!(fitter.stats().sparse_fits, 2);
-        assert_eq!(fitter.stats().incremental_fits, 1);
+        assert_eq!(obs.counter_value("surrogate.sparse_fits"), 2.0);
+        assert_eq!(obs.counter_value("surrogate.incremental_fits"), 1.0);
 
         // Reference: re-select over the grown dataset, fixed-params fit.
         let idx = select_inducing(&xs, 10, 9);
@@ -1129,18 +1123,29 @@ mod tests {
     #[test]
     fn crossing_the_threshold_switches_to_sparse_and_keeps_fitting() {
         let (xs, ys) = random_dataset(16, 3, 99);
-        let mut fitter = GpFitter::default().with_policy(sparse_policy_small());
+        let obs = Obs::enabled();
+        let mut fitter = GpFitter::default()
+            .with_policy(sparse_policy_small())
+            .with_obs(obs.clone());
         for (x, y) in xs[..12].iter().zip(&ys) {
             fitter.observe(x.clone(), *y).unwrap();
         }
         let exact = fitter.fit_full(1).unwrap();
-        assert_eq!(fitter.stats().sparse_fits, 0, "at threshold: exact");
+        assert_eq!(
+            obs.counter_value("surrogate.sparse_fits"),
+            0.0,
+            "at threshold: exact"
+        );
         assert_eq!(exact.len(), 12);
         for (x, y) in xs[12..].iter().zip(&ys[12..]) {
             fitter.observe(x.clone(), *y).unwrap();
         }
         let sparse = fitter.fit_full(2).unwrap();
-        assert_eq!(fitter.stats().sparse_fits, 1, "above threshold: sparse");
+        assert_eq!(
+            obs.counter_value("surrogate.sparse_fits"),
+            1.0,
+            "above threshold: sparse"
+        );
         assert_eq!(sparse.len(), 10, "capped at the inducing budget");
         assert!(fitter.refit().is_ok(), "sparse refit after crossing");
     }
@@ -1245,13 +1250,16 @@ mod tests {
         ) {
             let dims = 3;
             let (xs, ys) = random_dataset(n, dims, seed ^ 0xC0DE);
-            let mut with_policy = GpFitter::default().with_policy(sparse_policy_small());
+            let obs = Obs::enabled();
+            let mut with_policy = GpFitter::default()
+                .with_policy(sparse_policy_small())
+                .with_obs(obs.clone());
             let mut exact = GpFitter::default();
             let (a, b) = fit_pair(&xs, &ys, seed, &mut with_policy, &mut exact);
             let mut rng = Rng::new(seed ^ 11);
             let probes = latin_hypercube(6, dims, &mut rng);
             assert_gps_bitwise_equal(&a, &b, &probes, &format!("seed={seed} n={n}"));
-            assert_eq!(with_policy.stats().sparse_fits, 0, "n <= threshold must stay exact");
+            assert_eq!(obs.counter_value("surrogate.sparse_fits"), 0.0, "n <= threshold must stay exact");
         }
     }
 }

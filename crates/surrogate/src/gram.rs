@@ -64,10 +64,6 @@ pub struct GramCache {
     memo_s: Vec<f64>,
     /// Per-pair `exp(−s/2)` — the only transcendental left per pair.
     memo_e: Vec<f64>,
-    /// Dimension contributions served from the memo instead of recomputed.
-    reused_dims: u64,
-    /// Gram matrices assembled from the cache.
-    builds: u64,
 }
 
 impl GramCache {
@@ -85,8 +81,6 @@ impl GramCache {
             memo_scaled: vec![Vec::new(); dims],
             memo_s: Vec::new(),
             memo_e: Vec::new(),
-            reused_dims: 0,
-            builds: 0,
         };
         for row in x {
             cache.append(row);
@@ -133,20 +127,11 @@ impl GramCache {
         self.dims
     }
 
-    /// Gram matrices assembled through the memoized path so far.
-    pub fn builds(&self) -> u64 {
-        self.builds
-    }
-
-    /// Per-dimension contributions served from the memo.
-    pub fn reused_dims(&self) -> u64 {
-        self.reused_dims
-    }
-
     /// Assembles the Gram matrix for `params` into `out`, reusing the
     /// per-dimension memo where the lengthscales are unchanged since the
-    /// previous call. Lower triangle is computed, the upper is mirrored.
-    pub fn assemble_into(&mut self, params: &GpParams, out: &mut Matrix) {
+    /// previous call, and returns how many dimensions it reused. Lower
+    /// triangle is computed, the upper is mirrored.
+    pub fn assemble_into(&mut self, params: &GpParams, out: &mut Matrix) -> u64 {
         let pairs = pair_index(self.n, 0);
         let ls: Vec<f64> = params.log_lengthscales.iter().map(|l| l.exp()).collect();
         let cold = self.memo_ls.is_empty();
@@ -161,9 +146,10 @@ impl GramCache {
             self.memo_e.resize(pairs, 0.0);
         }
         let mut changed = false;
+        let mut reused = 0;
         for (d, &l) in ls.iter().enumerate() {
             if !cold && self.memo_ls[d].to_bits() == l.to_bits() {
-                self.reused_dims += 1;
+                reused += 1;
                 continue;
             }
             changed = true;
@@ -200,7 +186,7 @@ impl GramCache {
                 out.set(j, i, k);
             }
         }
-        self.builds += 1;
+        reused
     }
 
     /// Memo-free assembly (same bits as [`GramCache::assemble_into`]):
@@ -359,13 +345,11 @@ mod tests {
             let p = params(4, seed ^ 0xABCD);
             let mut cache = GramCache::new(&x);
             let mut got = Matrix::zeros(0);
-            cache.assemble_into(&p, &mut got);
+            assert_eq!(cache.assemble_into(&p, &mut got), 0, "a cold memo");
             assert_bitwise_eq(&got, &naive_gram(&x, &p));
             // Second assembly with identical params: full memo reuse.
-            let reused_before = cache.reused_dims();
-            cache.assemble_into(&p, &mut got);
+            assert_eq!(cache.assemble_into(&p, &mut got), 4);
             assert_bitwise_eq(&got, &naive_gram(&x, &p));
-            assert_eq!(cache.reused_dims(), reused_before + 4);
         }
     }
 
@@ -376,6 +360,7 @@ mod tests {
         let mut memo = Matrix::zeros(0);
         let mut fresh = Matrix::zeros(0);
         let mut p = params(4, 17);
+        let mut reused = 0;
         for step in 0..6 {
             // Perturb one coordinate at a time, like coordinate descent.
             match step % 3 {
@@ -383,13 +368,13 @@ mod tests {
                 1 => p.log_signal_var -= 0.15,
                 _ => p.log_noise_var += 0.15,
             }
-            cache.assemble_into(&p, &mut memo);
+            reused += cache.assemble_into(&p, &mut memo);
             cache.assemble_fresh_into(&p, &mut fresh);
             assert_bitwise_eq(&memo, &fresh);
             assert_bitwise_eq(&memo, &naive_gram(&x, &p));
         }
         assert!(
-            cache.reused_dims() > 0,
+            reused > 0,
             "coordinate steps must reuse unchanged dimensions"
         );
     }

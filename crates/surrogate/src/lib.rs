@@ -50,7 +50,7 @@ pub mod sparse;
 
 pub use acquisition::{expected_improvement, maximize_ei};
 pub use forest::{Forest, ForestParams};
-pub use gp::{Gp, GpFitStats, GpFitter, GpParams};
+pub use gp::{Gp, GpFitter, GpParams};
 pub use gram::GramCache;
 pub use lhs::latin_hypercube;
 pub use sparse::{select_inducing, SparsePolicy, DEFAULT_INDUCING, DEFAULT_SPARSE_THRESHOLD};

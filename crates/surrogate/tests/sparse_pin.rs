@@ -10,6 +10,7 @@
 
 use relm_common::hash::Fnv64;
 use relm_common::Rng;
+use relm_obs::Obs;
 use relm_surrogate::{latin_hypercube, maximize_ei, GpFitter, SparsePolicy, DEFAULT_INDUCING};
 
 /// The digest of every probe's posterior bits, then the proposal's
@@ -30,12 +31,19 @@ fn large_n_sparse_posterior_and_proposal_match_their_pinned_digest() {
                 .sum()
         })
         .collect();
-    let mut fitter = GpFitter::default().with_policy(SparsePolicy::large_n());
+    let obs = Obs::enabled();
+    let mut fitter = GpFitter::default()
+        .with_policy(SparsePolicy::large_n())
+        .with_obs(obs.clone());
     for (x, y) in xs.iter().zip(&ys) {
         fitter.observe(x.clone(), *y).expect("observe");
     }
     let gp = fitter.fit_full(5).expect("fit");
-    assert_eq!(fitter.stats().sparse_fits, 1, "n = {n} must fit sparse");
+    assert_eq!(
+        obs.counter_value("surrogate.sparse_fits"),
+        1.0,
+        "n = {n} must fit sparse"
+    );
     assert_eq!(
         gp.len(),
         DEFAULT_INDUCING,

@@ -1,7 +1,7 @@
 //! The tuning environment: stress-test execution, objective scoring, and
 //! bookkeeping shared by every tuning policy.
 
-use crate::cache::{counter_deltas, CachedEval, EvalStore};
+use crate::cache::{CachedEval, EvalStore};
 use crate::export::SessionCheckpoint;
 use crate::space::ConfigSpace;
 use relm_app::{AppSpec, Engine, RunResult};
@@ -121,7 +121,6 @@ pub struct TuningEnv {
     /// Simulated time burned on failed attempts and backoff — part of the
     /// session's stress time even though no observation records it.
     retry_time: Millis,
-    obs: Obs,
     /// Optional shared evaluation cache. `None` (the default) runs every
     /// stress test live.
     cache: Option<EvalStore>,
@@ -143,11 +142,10 @@ impl TuningEnv {
     /// reproducible; policies repeated with different base seeds produce the
     /// run-to-run variability of Figures 18–20.
     ///
-    /// The environment adopts the engine's observability handle, so a
-    /// single `Engine::with_obs` call instruments the whole stack.
+    /// The environment counts through the engine's observability handle,
+    /// so a single `Engine::with_obs` call instruments the whole stack.
     pub fn new(engine: Engine, app: AppSpec, base_seed: u64) -> Self {
         let space = ConfigSpace::for_app(engine.cluster(), &app);
-        let obs = engine.obs().clone();
         TuningEnv {
             engine,
             app,
@@ -157,7 +155,6 @@ impl TuningEnv {
             worst_mins: 0.0,
             retry: RetryPolicy::standard(),
             retry_time: Millis::ZERO,
-            obs,
             cache: None,
             cache_static_fp: None,
             cache_hits: 0,
@@ -167,9 +164,9 @@ impl TuningEnv {
 
     /// Rebuilds on `engine` the environment a [`SessionCheckpoint`]
     /// captured: the same seed chain, penalty baseline, retry time,
-    /// history, Table-6 aggregate and cache-hit count. The retry policy,
-    /// the cache and the observability handle start as in
-    /// [`TuningEnv::new`]: they belong to the caller, not to the session.
+    /// history, Table-6 aggregate and cache-hit count. The retry policy
+    /// and the cache start as in [`TuningEnv::new`]: they belong to the
+    /// caller, not to the session.
     pub(crate) fn from_checkpoint(engine: Engine, ckpt: SessionCheckpoint) -> Self {
         TuningEnv {
             history: ckpt.history,
@@ -205,19 +202,13 @@ impl TuningEnv {
         &self.retry
     }
 
-    /// Replaces the observability handle (also propagated to future runs
-    /// recorded by this environment, not the engine's own spans).
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Attaches a shared evaluation cache. Evaluations whose full input —
     /// application, cluster, cost model, configuration, seed-chain
     /// position, fault plan, retry policy — was already simulated (by this
     /// environment, a sibling worker, or a previous process via the
     /// persistent store) are replayed from the cached outcome instead of
-    /// re-simulated: same history bytes, same counters, no engine time.
+    /// re-simulated: same history bytes, same counter totals, no engine
+    /// time.
     pub fn with_cache(mut self, cache: EvalStore) -> Self {
         self.cache = Some(cache);
         self
@@ -228,10 +219,10 @@ impl TuningEnv {
         self.cache.as_ref()
     }
 
-    /// The observability handle shared by this environment and the tuners
-    /// driving it.
+    /// The observability handle shared by the engine, this environment
+    /// and the tuners driving it: the engine's.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        self.engine.obs()
     }
 
     /// The configuration space.
@@ -252,7 +243,7 @@ impl TuningEnv {
     /// Scores a settled result against the current penalty baseline
     /// without touching observability. Shared by the live path (which adds
     /// the `env.abort_penalties` counter on top) and the cache-replay path
-    /// (where that counter arrives via the replayed deltas instead).
+    /// (where that counter arrives with the live run's booked totals).
     fn score_value(&mut self, result: &RunResult) -> f64 {
         let mins = result.runtime_mins();
         // `worst_mins` tracks the worst *observed* runtime, never a
@@ -268,7 +259,7 @@ impl TuningEnv {
 
     fn score(&mut self, result: &RunResult) -> f64 {
         if result.aborted {
-            self.obs.inc("env.abort_penalties");
+            self.obs().inc("env.abort_penalties");
         }
         self.score_value(result)
     }
@@ -288,7 +279,7 @@ impl TuningEnv {
                 result.runtime = budget;
                 result.aborted = true;
                 result.abort_cause = Some(AbortCause::Timeout);
-                self.obs.inc("env.timeouts");
+                self.obs().inc("env.timeouts");
             }
         }
     }
@@ -297,13 +288,13 @@ impl TuningEnv {
     fn run_attempt(&mut self, config: &MemoryConfig) -> (RunResult, DerivedStats) {
         let seed = self.next_seed;
         self.next_seed = self.next_seed.wrapping_add(0x9E37).wrapping_mul(3) | 1;
-        let mut span = self.obs.span("env.evaluate");
+        let mut span = self.obs().span("env.evaluate");
         let (mut result, stats) = self.engine.run_stats(&self.app, config, seed);
         self.apply_timeout(&mut result);
         if let Some(cause) = result.abort_cause.filter(|_| result.aborted) {
             // Per-cause abort histogram; summed over causes this equals
             // env.retries + the number of censored observations.
-            self.obs.inc(cause.aborts_counter());
+            self.obs().inc(cause.aborts_counter());
         }
         if span.is_recording() {
             span.set("seed", seed);
@@ -311,8 +302,8 @@ impl TuningEnv {
             if let Some(cause) = result.abort_cause {
                 span.set("abort_cause", cause.as_str());
             }
-            self.obs.inc("env.stress_tests");
-            self.obs.add("env.stress_time_ms", result.runtime.as_ms());
+            self.obs().inc("env.stress_tests");
+            self.obs().add("env.stress_time_ms", result.runtime.as_ms());
         }
         (result, stats)
     }
@@ -329,24 +320,24 @@ impl TuningEnv {
     /// attempt's runtime, plus backoff, is charged to
     /// [`TuningEnv::stress_time`].
     ///
+    /// A live evaluation runs inside an [`Obs::tally`] scope, cached or
+    /// not, so its counters are booked once, as one total per name.
     /// With a cache attached (see [`TuningEnv::with_cache`]) the
     /// evaluation is first looked up under its content-addressed key; a
     /// hit replays the memoized outcome — advancing the seed chain,
-    /// charging retry time, replaying the counter deltas, and re-scoring
-    /// against the current penalty baseline — producing the exact history
-    /// a live run would have.
+    /// charging retry time, booking the live run's counter totals, and
+    /// re-scoring against the current penalty baseline — producing the
+    /// exact history and counters a live run would have.
     pub fn evaluate_with_stats(&mut self, config: &MemoryConfig) -> (Observation, DerivedStats) {
         let Some(cache) = self.cache.clone() else {
-            return self.evaluate_live(config);
+            return self.obs().clone().tally(|| self.evaluate_live(config)).0;
         };
         let key = self.eval_key(config);
         if let Some(cached) = cache.get(&key) {
             return self.replay_cached(config, &cached);
         }
-        let counters_before = self.obs.counters();
         let retry_time_before = self.retry_time;
-        let (obs, stats) = self.evaluate_live(config);
-        let counters_after = self.obs.counters();
+        let ((obs, stats), counters) = self.obs().clone().tally(|| self.evaluate_live(config));
         cache.insert(
             key,
             CachedEval {
@@ -354,7 +345,7 @@ impl TuningEnv {
                 stats,
                 retries: obs.retries,
                 retry_time: Millis::ms(self.retry_time.as_ms() - retry_time_before.as_ms()),
-                counters: counter_deltas(&counters_before, &counters_after),
+                counters,
             },
         );
         (obs, stats)
@@ -410,11 +401,11 @@ impl TuningEnv {
             retries += 1;
             let backoff = self.retry.backoff_for(retries);
             self.retry_time += result.runtime + backoff;
-            self.obs.inc("env.retries");
-            self.obs.add("env.backoff_ms", backoff.as_ms());
+            self.obs().inc("env.retries");
+            self.obs().add("env.backoff_ms", backoff.as_ms());
         };
         let score = self.score(&result);
-        self.obs.record("env.score_mins", score);
+        self.obs().record("env.score_mins", score);
         if !result.aborted {
             self.stats_acc.add(&stats);
         }
@@ -430,7 +421,8 @@ impl TuningEnv {
 
     /// Replays a memoized evaluation: identical session state transitions
     /// (seed chain, retry time, penalty baseline, history) and identical
-    /// counters (via the stored deltas) — without touching the engine.
+    /// counters (the live run's stored totals) — without touching the
+    /// engine.
     fn replay_cached(
         &mut self,
         config: &MemoryConfig,
@@ -443,15 +435,15 @@ impl TuningEnv {
             self.next_seed = self.next_seed.wrapping_add(0x9E37).wrapping_mul(3) | 1;
         }
         self.retry_time += cached.retry_time;
-        for (name, delta) in &cached.counters {
-            self.obs.add(name, *delta);
+        for (name, total) in &cached.counters {
+            self.obs().add(name, *total);
         }
         // Scores are session state, not evaluation state: re-derive against
         // the *current* worst-runtime baseline. `env.abort_penalties` was
-        // already replayed through the deltas, so the silent scorer is the
+        // already booked with the totals, so the silent scorer is the
         // right one here.
         let score = self.score_value(&cached.result);
-        self.obs.record("env.score_mins", score);
+        self.obs().record("env.score_mins", score);
         // The replayed statistics feed the aggregate exactly as the live
         // run would have — a warm session fingerprints identically.
         if !cached.result.aborted {

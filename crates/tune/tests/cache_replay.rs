@@ -2,7 +2,8 @@
 //! replay is indistinguishable from a live evaluation — bitwise-identical
 //! serialized `Observation`s, identical session state (seed chain, stress
 //! and retry time, penalty baseline), and reconciling observability
-//! counters — even under fault injection and retries.
+//! counters — even under fault injection and retries, and a cache entry
+//! holds only the counters its own live evaluation added.
 
 use relm_app::Engine;
 use relm_cluster::ClusterSpec;
@@ -11,6 +12,7 @@ use relm_faults::{FaultConfig, FaultPlan};
 use relm_obs::Obs;
 use relm_tune::{EvalStore, TuningEnv};
 use relm_workloads::{max_resource_allocation, wordcount};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A faulty session: a 10% uniform plan reliably injects faults and
 /// triggers retries over this many evaluations.
@@ -52,7 +54,7 @@ fn run_session(cache: Option<EvalStore>) -> (Vec<String>, Vec<(String, f64)>, Tu
         .iter()
         .map(|o| serde_json::to_string(o).expect("observation serializes"))
         .collect();
-    (history, obs.counters(), env)
+    (history, obs.metrics_snapshot().counters, env)
 }
 
 #[test]
@@ -147,4 +149,65 @@ fn different_fault_plans_do_not_share_entries() {
         "distinct fault plans must not collide"
     );
     assert_eq!(cache.stats().inserts, 2);
+}
+
+/// A second thread counts on the same handle, `engine.runs` included,
+/// while a cached session runs its evaluations live. Each cache entry
+/// holds exactly its own evaluation's counters: none of the other
+/// thread's, and one `engine.runs` per attempt. The registry loses and
+/// gains nothing: its totals are the other thread's plus the entries'.
+#[test]
+fn cache_entries_hold_only_their_own_evaluation_counters() {
+    let obs = Obs::enabled();
+    let cache: EvalStore = EvalStore::new();
+    let (started, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+    let noise = std::thread::scope(|s| {
+        let noisy = s.spawn(|| {
+            let mut n = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                obs.inc("noise");
+                obs.inc("engine.runs");
+                n += 1;
+                started.store(true, Ordering::Relaxed);
+            }
+            n
+        });
+        while !started.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+        let mut env =
+            TuningEnv::new(engine(obs.clone()), wordcount(), 42).with_cache(cache.clone());
+        for config in configs(&env) {
+            env.evaluate(&config);
+        }
+        stop.store(true, Ordering::Relaxed);
+        noisy.join().expect("noise thread")
+    });
+
+    let entries = cache.entries();
+    assert_eq!(entries.len(), EVALS);
+    let mut runs = 0.0;
+    for (key, entry) in &entries {
+        let counter = |name: &str| {
+            entry
+                .counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+        };
+        assert_eq!(
+            counter("noise"),
+            None,
+            "{key:?} holds another thread's counter"
+        );
+        let attempts = f64::from(entry.retries + 1);
+        assert_eq!(counter("engine.runs"), Some(attempts), "{key:?}");
+        runs += attempts;
+    }
+    assert!(
+        entries.iter().any(|(_, e)| e.retries > 0),
+        "the fixture must retry"
+    );
+    assert_eq!(obs.counter_value("noise"), noise as f64);
+    assert_eq!(obs.counter_value("engine.runs"), noise as f64 + runs);
 }

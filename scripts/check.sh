@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: formatting, lints, build, and the test suite.
 # Run from the workspace root before sending a change for review.
+# Every workspace cargo command passes --locked, so a Cargo.lock that no
+# longer matches the manifests fails the gate instead of being rewritten.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -8,16 +10,16 @@ echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== cargo clippy (-D warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (-D warnings) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps --quiet
 
 echo "== cargo build --release =="
-cargo build --workspace --release
+cargo build --locked --workspace --release
 
 echo "== cargo test =="
-cargo test --workspace --release -q
+cargo test --locked --workspace --release -q
 
 echo "== deterministic replay smoke test =="
 # The fault sweep writes only simulated quantities, so the same build must
@@ -31,12 +33,12 @@ echo "== deterministic replay smoke test =="
 replay_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir"' EXIT
 cp results/fig05_fault_sweep.jsonl "$replay_dir/committed.jsonl"
-cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
+cargo run --locked --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --no-cache --workers 1 >/dev/null
 diff "$replay_dir/committed.jsonl" results/fig05_fault_sweep.jsonl \
   || { echo "replay smoke test FAILED: sweep output differs from the committed results/fig05_fault_sweep.jsonl" >&2; exit 1; }
 cp results/fig05_fault_sweep.jsonl "$replay_dir/first.jsonl"
-cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
+cargo run --locked --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --no-cache --workers 8 >/dev/null
 diff "$replay_dir/first.jsonl" results/fig05_fault_sweep.jsonl \
   || { echo "replay smoke test FAILED: sweep output depends on worker count" >&2; exit 1; }
@@ -46,16 +48,16 @@ echo "== evalcache smoke test =="
 # A cold run populates a fresh persistent cache; a warm rerun must replay
 # from it (nonzero hits, zero misses) and still produce the byte-identical
 # output file. This is the cache's end-to-end contract: memoization is
-# invisible in the results. The cold run starts from a stale version-1
-# store file, which it must ignore and replace: the warm run's zero
-# misses prove the replacement.
+# invisible in the results. The cold run starts from a store file of the
+# previous version (2), which it must ignore and replace: the warm run's
+# zero misses prove the replacement.
 cache_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir" "$cache_dir"' EXIT
-echo '{"kind":"relm-evalcache","version":1}' > "$cache_dir/cache.jsonl"
-cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
+echo '{"kind":"relm-evalcache","version":2}' > "$cache_dir/cache.jsonl"
+cargo run --locked --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --cache-file "$cache_dir/cache.jsonl" --workers 8 >/dev/null
 cp results/fig05_fault_sweep.jsonl "$cache_dir/cold.jsonl"
-warm_out="$(cargo run --release -q -p relm-experiments --bin fig05_fault_sweep -- \
+warm_out="$(cargo run --locked --release -q -p relm-experiments --bin fig05_fault_sweep -- \
   --cache-file "$cache_dir/cache.jsonl" --workers 8)"
 diff "$cache_dir/cold.jsonl" results/fig05_fault_sweep.jsonl \
   || { echo "evalcache smoke test FAILED: warm-cache output differs from cold" >&2; exit 1; }
@@ -78,11 +80,11 @@ echo "== serve smoke test =="
 # disk, and aborts on any mismatch).
 serve_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir" "$cache_dir" "$serve_dir"' EXIT
-cargo run --release -q -p relm-experiments --bin serve_load -- \
+cargo run --locked --release -q -p relm-experiments --bin serve_load -- \
   --workers 1 --clients 1 --sessions 12 --steps 4 --guided 2 \
   --scrape --flightrec-dir "$serve_dir/flight1" \
   --out "$serve_dir/serial.jsonl" --checkpoint-dir "$serve_dir/ckpt1"
-cargo run --release -q -p relm-experiments --bin serve_load -- \
+cargo run --locked --release -q -p relm-experiments --bin serve_load -- \
   --workers 8 --clients 8 --sessions 12 --steps 4 --guided 2 \
   --scrape --flightrec-dir "$serve_dir/flight8" \
   --out "$serve_dir/parallel.jsonl" --checkpoint-dir "$serve_dir/ckpt8"
@@ -110,7 +112,7 @@ echo "== fleet smoke test =="
 # counter (it aborts on any mismatch, double commit, or lost
 # evaluation), and the output must stay byte-identical to the serial
 # no-fleet run above — worker death is invisible to the histories.
-cargo run --release -q -p relm-experiments --bin serve_load -- \
+cargo run --locked --release -q -p relm-experiments --bin serve_load -- \
   --clients 4 --sessions 12 --steps 4 --guided 2 \
   --fleet 3 --fleet-kill 1 --out "$serve_dir/fleet.jsonl"
 diff "$serve_dir/serial.jsonl" "$serve_dir/fleet.jsonl" \
@@ -127,10 +129,10 @@ echo "== soak smoke test =="
 # histories are byte-identical to a 2-worker, never-evicting run of the
 # same specs — eviction and pool size decide when an evaluation runs,
 # never what it computes.
-cargo run --release -q -p relm-experiments --bin serve_load -- \
+cargo run --locked --release -q -p relm-experiments --bin serve_load -- \
   --workers 2 --clients 2 --sessions 8 --steps 4 \
   --out "$serve_dir/soak_base.jsonl"
-cargo run --release -q -p relm-experiments --bin serve_load -- \
+cargo run --locked --release -q -p relm-experiments --bin serve_load -- \
   --soak --workers 1 --clients 4 --sessions 8 --steps 4 \
   --evict-after 6 --checkpoint-dir "$serve_dir/soak_ckpt" --slo-p99-ms 60000 \
   --out "$serve_dir/soak.jsonl"
@@ -162,9 +164,9 @@ check_digest() {
 }
 surrogate_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir" "$cache_dir" "$serve_dir" "$surrogate_dir"' EXIT
-cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
+cargo run --locked --release -q -p relm-experiments --bin fig20_convergence -- \
   --workers 1 --out "$surrogate_dir/t1.jsonl" >/dev/null
-cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
+cargo run --locked --release -q -p relm-experiments --bin fig20_convergence -- \
   --workers 8 --out "$surrogate_dir/t8.jsonl" >/dev/null
 diff "$surrogate_dir/t1.jsonl" "$surrogate_dir/t8.jsonl" \
   || { echo "surrogate smoke test FAILED: convergence depends on workers" >&2; exit 1; }
@@ -179,7 +181,7 @@ echo "== training-overhead pin test =="
 # SHA-256 digest. The digest, not results/fig16_training_overheads.txt,
 # is the reference: that file predates later fixes.
 fig16_sha=cde0be899f15fc38606bb1140bcb2bbdd6f5fdb2f4f0309e259ff39c5112f62f
-cargo run --release -q -p relm-experiments --bin fig16_training_overheads \
+cargo run --locked --release -q -p relm-experiments --bin fig16_training_overheads \
   > "$surrogate_dir/fig16.txt"
 check_digest "$surrogate_dir/fig16.txt" "$fig16_sha" "training-overhead pin test"
 echo "training-overhead OK: fig16 output matches its pinned digest"
@@ -193,9 +195,9 @@ echo "== sparse surrogate smoke test =="
 # fig20 trace must be byte-identical across sharding workers — a
 # different trace than exact, but equally deterministic — and match its
 # own pinned digest.
-cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
+cargo run --locked --release -q -p relm-experiments --bin fig20_convergence -- \
   --sparse --workers 1 --out "$surrogate_dir/sp1.jsonl" >/dev/null
-cargo run --release -q -p relm-experiments --bin fig20_convergence -- \
+cargo run --locked --release -q -p relm-experiments --bin fig20_convergence -- \
   --sparse --workers 8 --out "$surrogate_dir/sp8.jsonl" >/dev/null
 diff "$surrogate_dir/sp1.jsonl" "$surrogate_dir/sp8.jsonl" \
   || { echo "sparse smoke test FAILED: sparse convergence depends on workers" >&2; exit 1; }
@@ -212,11 +214,11 @@ echo "== warm-start smoke test =="
 # byte-identical.
 warm_dir="$(mktemp -d)"
 trap 'rm -rf "$replay_dir" "$cache_dir" "$serve_dir" "$surrogate_dir" "$warm_dir"' EXIT
-cargo run --release -q -p relm-experiments --bin fig_warmstart -- --smoke \
+cargo run --locked --release -q -p relm-experiments --bin fig_warmstart -- --smoke \
   > "$warm_dir/first.txt"
 grep -q '^warmstart: ingested=1 retrievals=1 ' "$warm_dir/first.txt" \
   || { echo "warm-start smoke test FAILED: counters did not reconcile" >&2; cat "$warm_dir/first.txt" >&2; exit 1; }
-cargo run --release -q -p relm-experiments --bin fig_warmstart -- --smoke \
+cargo run --locked --release -q -p relm-experiments --bin fig_warmstart -- --smoke \
   > "$warm_dir/second.txt"
 diff "$warm_dir/first.txt" "$warm_dir/second.txt" \
   || { echo "warm-start smoke test FAILED: output is not deterministic" >&2; exit 1; }
