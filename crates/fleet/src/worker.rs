@@ -308,12 +308,15 @@ where
 /// rebuild the engine and a throwaway environment from the task's
 /// snapshot, evaluate through a private cache so the cache-fill path
 /// produces the canonical [`relm_tune::CachedEval`], and ship that.
+/// The engine counts on an enabled handle of its own, so the entry
+/// carries the live run's counter totals for the center's replay to
+/// book; its spans and histograms are dropped with it.
 /// Public so fault-injection tests can play a worker by hand.
 pub fn evaluate_task(task: &FleetTask) -> EvalOutcome {
     let started = Instant::now();
     let mut engine = Engine::new(task.cluster.clone())
         .with_cost_model(task.cost)
-        .with_obs(Obs::disabled());
+        .with_obs(Obs::enabled());
     if let Some(plan) = &task.faults {
         engine = engine.with_faults(plan.clone());
     }

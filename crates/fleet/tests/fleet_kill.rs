@@ -57,16 +57,36 @@ fn drive_sessions(service: &Service) -> Vec<String> {
         .collect()
 }
 
-/// The 1-worker, no-fleet, no-fault reference run.
-fn baseline_histories() -> Vec<String> {
+/// The 1-worker, no-fleet, no-fault reference run: its histories, and
+/// the handle that counted its evaluations.
+fn baseline_histories() -> (Vec<String>, Obs) {
+    let obs = Obs::enabled();
     let service = Service::start(
         ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         },
-        Obs::disabled(),
+        obs.clone(),
     );
-    drive_sessions(&service)
+    (drive_sessions(&service), obs)
+}
+
+/// A fleet commit books the worker's live counter totals, so the center
+/// counts what the local run counted: the evaluation counters exactly,
+/// and the summed stress time to within 1e-9 relative (the sessions'
+/// totals may add up in another order).
+fn assert_counters_match_local(fleet: &Obs, local: &Obs) {
+    for name in ["env.stress_tests", "engine.runs", "faults.injected"] {
+        let want = local.counter_value(name);
+        assert!(want > 0.0, "the local run counted no {name}");
+        assert_eq!(fleet.counter_value(name), want, "{name}");
+    }
+    let got = fleet.counter_value("env.stress_time_ms");
+    let want = local.counter_value("env.stress_time_ms");
+    assert!(
+        want > 0.0 && ((got - want) / want).abs() <= 1e-9,
+        "env.stress_time_ms: fleet {got}, local {want}"
+    );
 }
 
 /// A fast liveness policy for in-process tests: 10ms beats, dead after 3
@@ -107,7 +127,7 @@ fn external_service(obs: &Obs) -> Arc<Service> {
 /// and the histories must be byte-identical to the 1-worker local run.
 #[test]
 fn killed_worker_mid_evaluation_reassigns_once_and_history_is_byte_identical() {
-    let baseline = baseline_histories();
+    let (baseline, local) = baseline_histories();
 
     let obs = Obs::enabled();
     let service = external_service(&obs);
@@ -192,8 +212,9 @@ fn killed_worker_mid_evaluation_reassigns_once_and_history_is_byte_identical() {
     center.stop();
 
     // The invariant: distribution and mid-run death are invisible to the
-    // deterministic state.
+    // deterministic state, and the reassigned task books its counters once.
     assert_eq!(histories, baseline, "fleet history diverged from local run");
+    assert_counters_match_local(&obs, &local);
 
     // The armed worker died exactly once, on its first task.
     let killed = reports.iter().find(|r| r.id == "w-0").expect("w-0 report");
@@ -601,10 +622,11 @@ fn heartbeat_sequence_gaps_are_counted() {
 }
 
 /// The whole stack over real sockets: center behind the TCP frontend,
-/// one clean TCP worker, histories byte-identical to the local run.
+/// one clean TCP worker, histories byte-identical to the local run and
+/// counter totals that survive the wire.
 #[test]
 fn tcp_fleet_round_trip_matches_local_run() {
-    let baseline = baseline_histories();
+    let (baseline, local) = baseline_histories();
 
     let obs = Obs::enabled();
     let service = external_service(&obs);
@@ -658,6 +680,7 @@ fn tcp_fleet_round_trip_matches_local_run() {
         })
         .collect();
     assert_eq!(histories, baseline, "TCP fleet diverged from local run");
+    assert_counters_match_local(&obs, &local);
 
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let report = worker.join().expect("worker thread");

@@ -249,16 +249,6 @@ impl Obs {
         }
     }
 
-    /// Summarizes every histogram, name-sorted (empty when disabled) —
-    /// the histogram part of [`Obs::snapshot`] without copying the span
-    /// ring.
-    pub fn histogram_summaries(&self) -> Vec<HistogramSummary> {
-        match &self.inner {
-            Some(inner) => inner.registry.histogram_summaries(),
-            None => Vec::new(),
-        }
-    }
-
     /// Writes the current snapshot as JSON Lines to `path`. A disabled
     /// handle writes nothing and reports success.
     pub fn write_jsonl(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
@@ -394,19 +384,6 @@ mod tests {
         if std::env::var("RELM_OBS").is_err() {
             assert!(!Obs::from_env().is_enabled());
         }
-    }
-
-    #[test]
-    fn histogram_summaries_match_the_snapshot() {
-        let obs = Obs::enabled();
-        {
-            let _span = obs.span("unit");
-        }
-        obs.record("b_ms", 2.0);
-        obs.record("a_ms", 1.0);
-        obs.record("a_ms", 3.0);
-        assert_eq!(obs.histogram_summaries(), obs.snapshot().histograms);
-        assert!(Obs::disabled().histogram_summaries().is_empty());
     }
 
     /// A tally holds its thread's increments back and books one total per

@@ -23,8 +23,9 @@ fn spec_for(i: u64) -> SessionSpec {
 }
 
 /// Runs `sessions` sessions of `evals` auto-steps each on a pool of
-/// `workers`, returning each session's serialized history keyed by name.
-fn run_fleet(workers: usize, sessions: u64, evals: u32) -> BTreeMap<String, String> {
+/// `workers`, returning each session's serialized history and export,
+/// keyed by name.
+fn run_fleet(workers: usize, sessions: u64, evals: u32) -> BTreeMap<String, (String, String)> {
     let service = Service::start(
         ServeConfig {
             workers,
@@ -57,9 +58,17 @@ fn run_fleet(workers: usize, sessions: u64, evals: u32) -> BTreeMap<String, Stri
         match service.handle(&Request::Result {
             session: name.clone(),
         }) {
-            Response::ResultReady { history, .. } => {
+            Response::ResultReady {
+                history, export, ..
+            } => {
                 assert_eq!(history.len(), evals as usize);
-                histories.insert(name, serde_json::to_string(&history).unwrap());
+                histories.insert(
+                    name,
+                    (
+                        serde_json::to_string(&history).unwrap(),
+                        serde_json::to_string(&export).unwrap(),
+                    ),
+                );
             }
             other => panic!("result failed: {other:?}"),
         }
@@ -77,15 +86,21 @@ fn histories_are_byte_identical_across_worker_counts() {
     let serial = run_fleet(1, 32, 4);
     let parallel = run_fleet(8, 32, 4);
     assert_eq!(serial.len(), 32);
-    for (name, history) in &serial {
+    for (name, (history, export)) in &serial {
         assert_eq!(
-            history, &parallel[name],
+            history, &parallel[name].0,
             "session {name} diverged between 1 and 8 workers"
+        );
+        // The export too: it holds no wall-clock value, and nothing the
+        // other sessions on the same service recorded.
+        assert_eq!(
+            export, &parallel[name].1,
+            "session {name}'s export differs between 1 and 8 workers"
         );
     }
     // And the fleet actually exercises distinct histories (different
     // workloads/seeds), so the equality above is not vacuous.
-    let distinct: std::collections::BTreeSet<&String> = serial.values().collect();
+    let distinct: std::collections::BTreeSet<&String> = serial.values().map(|(h, _)| h).collect();
     assert!(distinct.len() > 16, "fleet collapsed to {}", distinct.len());
 }
 
@@ -518,7 +533,7 @@ fn drain_checkpoints_match_live_histories() {
         let ckpt = SessionCheckpoint::load(&dir.join(format!("{name}.ckpt.json"))).unwrap();
         assert_eq!(
             serde_json::to_string(&ckpt.history).unwrap(),
-            reference[name],
+            reference[name].0,
             "checkpoint for {name} diverged from the serial reference"
         );
     }

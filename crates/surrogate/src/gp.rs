@@ -12,7 +12,9 @@
 //! per fit (73 at d = 4, 97 at d = 7) assemble their Gram matrices with one
 //! `exp` per pair, and — between hyperparameter re-tunes — extends the
 //! previous Cholesky factor by one row per new observation instead of
-//! refactorizing.
+//! refactorizing. Every fit, exact or sparse, full or refit, and
+//! [`Gp::fit_with_params`] end in the same step: assemble the Gram through
+//! the cache's memo, factor it with jitter, standardize the targets, solve.
 //!
 //! Prediction is the hot path of EI maximization: one `maximize_ei` call
 //! makes hundreds of them. A fitted [`Gp`] stores its training inputs and
@@ -71,15 +73,8 @@ impl GpParams {
     }
 }
 
-/// Standardizes targets: returns `(mean, scale, standardized)`.
-fn standardize(y: &[f64]) -> (f64, f64, Vec<f64>) {
-    let mut ys = Vec::new();
-    let (y_mean, y_scale) = standardize_into(y, &mut ys);
-    (y_mean, y_scale, ys)
-}
-
-/// [`standardize`] into a reused buffer — the fitter's refit path calls
-/// this once per observation batch and must not reallocate each time.
+/// Standardizes targets into a reused buffer (a warm refit must not
+/// reallocate) and returns `(mean, scale)`.
 fn standardize_into(y: &[f64], out: &mut Vec<f64>) -> (f64, f64) {
     let y_mean = y.iter().sum::<f64>() / y.len() as f64;
     let var = y.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / y.len() as f64;
@@ -140,13 +135,18 @@ impl Gp {
         if x.iter().any(|r| r.len() != dims) {
             return Err(Error::Numerical("inconsistent input dimensionality".into()));
         }
-        let (y_mean, y_scale, ys) = standardize(y);
-        let cache = GramCache::new(&x);
-        let mut k = Matrix::zeros(0);
-        cache.assemble_fresh_into(&params, &mut k);
-        let chol = Cholesky::with_jitter(&k, 1e-8)?;
-        let alpha = chol.solve(&ys);
-        Ok(Gp::assemble(&x, params, &chol, alpha, y_mean, y_scale))
+        let mut cache = GramCache::new(&x);
+        let mut scratch = Scratch::default();
+        let (gp, _) = fit_step(
+            &mut cache,
+            &x,
+            y,
+            params,
+            None,
+            &mut scratch,
+            &Obs::disabled(),
+        )?;
+        Ok(gp)
     }
 
     /// Builds the struct: transposes the training inputs and the factor
@@ -326,13 +326,21 @@ pub struct GpFitter {
     /// Input dimensionality (0 until the first observation).
     dims: usize,
     policy: SparsePolicy,
-    scratch: Matrix,
-    /// Reused kernel-row buffer for the incremental append path.
-    row_scratch: Vec<f64>,
-    /// Reused standardized-target buffer.
-    ys_scratch: Vec<f64>,
+    scratch: Scratch,
     obs: Obs,
     last: Option<LastFit>,
+}
+
+/// Buffers a fitter reuses from fit to fit, so a warm refit allocates
+/// nothing per observation.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The assembled Gram matrix.
+    gram: Matrix,
+    /// The standardized targets.
+    ys: Vec<f64>,
+    /// One kernel row, for the incremental append path.
+    row: Vec<f64>,
 }
 
 impl Default for GpFitter {
@@ -344,9 +352,7 @@ impl Default for GpFitter {
             y: Vec::new(),
             dims: 0,
             policy: SparsePolicy::exact(),
-            scratch: Matrix::zeros(0),
-            row_scratch: Vec::new(),
-            ys_scratch: Vec::new(),
+            scratch: Scratch::default(),
             obs: Obs::disabled(),
             last: None,
         }
@@ -416,71 +422,55 @@ impl GpFitter {
     /// proposals, then coordinate descent over the memoized Gram), final
     /// jittered factorization. Bit-identical to the original `Gp::fit`.
     /// Above the sparse policy threshold the search and fit run on a
-    /// deterministic inducing subset instead of the full dataset.
+    /// deterministic inducing subset ([`select_inducing`]) instead of the
+    /// full dataset: bit-identical to an exact fit of just those
+    /// observations at the same seed, and O(n·m + m³) instead of O(n³).
     pub fn fit_full(&mut self, seed: u64) -> Result<Gp> {
         if self.y.is_empty() {
             return Err(Error::Numerical(
                 "GP needs matching, non-empty inputs".into(),
             ));
         }
-        if self.policy.applies(self.y.len()) {
-            return self.fit_sparse_full(seed);
-        }
+        let sparse = self.policy.applies(self.y.len());
+        let mut subset = sparse.then(|| self.inducing_subset(seed));
         let GpFitter {
             cache,
             x,
             y,
             scratch,
-            ys_scratch,
             obs,
             last,
             ..
         } = self;
-        let (y_mean, y_scale) = standardize_into(y, ys_scratch);
-        let (best, reused) = search_hyperparams(cache, ys_scratch, seed);
-        let reused = reused + cache.assemble_into(&best, scratch);
-        let chol = Cholesky::with_jitter(scratch, 1e-8)?;
+        let (cache, x, y) = match &mut subset {
+            Some((cache, x, y)) => (cache, &*x, &*y),
+            None => (cache, &*x, &*y),
+        };
+        standardize_into(y, &mut scratch.ys);
+        let (best, reused) = search_hyperparams(cache, &scratch.ys, seed);
+        let (gp, chol) = fit_step(cache, x, y, best.clone(), None, scratch, obs)?;
         count(obs, "surrogate.gram_reuse", reused);
-        count(obs, "surrogate.chol_jitter_retries", chol.jitter_retries());
-        let alpha = chol.solve(ys_scratch);
-        let gp = Gp::assemble(x, best.clone(), &chol, alpha, y_mean, y_scale);
+        if sparse {
+            obs.inc("surrogate.sparse_fits");
+        }
+        // A sparse fit keeps no factor: each refit re-selects its subset.
         *last = Some(LastFit {
             params: best,
-            chol: Some(chol),
+            chol: (!sparse).then_some(chol),
             seed,
         });
         Ok(gp)
     }
 
-    /// The sparse large-n full fit: selects `policy.inducing` points by
-    /// seeded greedy max-min ([`select_inducing`]), then runs the exact
-    /// hyperparameter search and factorization on the subset alone —
-    /// bit-identical to an exact fit of just those observations at the
-    /// same seed, and O(n·m + m³) instead of O(n³).
-    fn fit_sparse_full(&mut self, seed: u64) -> Result<Gp> {
+    /// The sparse paths' inducing subset: `policy.subset_size(n)` points
+    /// chosen by seeded greedy max-min ([`select_inducing`]), with a fresh
+    /// Gram cache over them.
+    fn inducing_subset(&self, seed: u64) -> (GramCache, Vec<Vec<f64>>, Vec<f64>) {
         let m = self.policy.subset_size(self.y.len());
         let idx = select_inducing(&self.x, m, seed as usize);
-        let sub_x: Vec<Vec<f64>> = idx.iter().map(|&i| self.x[i].clone()).collect();
-        let sub_y: Vec<f64> = idx.iter().map(|&i| self.y[i]).collect();
-        let mut sub_cache = GramCache::new(&sub_x);
-        let (y_mean, y_scale) = standardize_into(&sub_y, &mut self.ys_scratch);
-        let (best, reused) = search_hyperparams(&mut sub_cache, &self.ys_scratch, seed);
-        let reused = reused + sub_cache.assemble_into(&best, &mut self.scratch);
-        let chol = Cholesky::with_jitter(&self.scratch, 1e-8)?;
-        self.obs.inc("surrogate.sparse_fits");
-        count(&self.obs, "surrogate.gram_reuse", reused);
-        count(
-            &self.obs,
-            "surrogate.chol_jitter_retries",
-            chol.jitter_retries(),
-        );
-        let alpha = chol.solve(&self.ys_scratch);
-        self.last = Some(LastFit {
-            params: best.clone(),
-            chol: None,
-            seed,
-        });
-        Ok(Gp::assemble(&sub_x, best, &chol, alpha, y_mean, y_scale))
+        let x: Vec<Vec<f64>> = idx.iter().map(|&i| self.x[i].clone()).collect();
+        let y = idx.iter().map(|&i| self.y[i]).collect();
+        (GramCache::new(&x), x, y)
     }
 
     /// Incremental refit at the previously selected hyperparameters: appends
@@ -492,82 +482,89 @@ impl GpFitter {
     /// positive definiteness — either way the result is bit-identical to
     /// [`Gp::fit_with_params`] on the extended dataset. Above the sparse
     /// policy threshold the refit instead re-selects the inducing subset
-    /// (new observations can displace old inducing points) and refits it at
-    /// the retained hyperparameters. Requires a prior [`GpFitter::fit_full`].
+    /// (new observations can displace old inducing points; same seeded
+    /// start as the last full fit) and refits it at the retained
+    /// hyperparameters, with no search: O(n·m + m³). Requires a prior
+    /// [`GpFitter::fit_full`].
     pub fn refit(&mut self) -> Result<Gp> {
-        if self.last.is_none() {
+        let Some(prior) = &self.last else {
             return Err(Error::Numerical(
                 "incremental refit requires a prior full fit".into(),
             ));
-        }
+        };
+        let params = prior.params.clone();
         if self.policy.applies(self.y.len()) {
-            return self.refit_sparse();
+            let (mut cache, x, y) = self.inducing_subset(prior.seed);
+            let (gp, _) = fit_step(
+                &mut cache,
+                &x,
+                &y,
+                params,
+                None,
+                &mut self.scratch,
+                &self.obs,
+            )?;
+            self.obs.inc("surrogate.incremental_fits");
+            self.obs.inc("surrogate.sparse_fits");
+            return Ok(gp);
         }
         let GpFitter {
             cache,
             x,
             y,
             scratch,
-            row_scratch,
-            ys_scratch,
             obs,
             last,
             ..
         } = self;
         let last = last.as_mut().expect("checked above");
-        let params = last.params.clone();
         let ls: Vec<f64> = params.log_lengthscales.iter().map(|l| l.exp()).collect();
         let sv = params.log_signal_var.exp();
         let noise = params.log_noise_var.exp();
-        let mut appended_ok = last.chol.is_some();
-        if let Some(chol) = last.chol.as_mut() {
+        // A row that loses positive definiteness drops the factor, and the
+        // step refactors from scratch.
+        let extended = last.chol.take().and_then(|mut chol| {
             for i in chol.n()..cache.len() {
-                let diag = cache.kernel_row_into(i, &ls, sv, noise, row_scratch);
-                if chol.append_row(row_scratch, diag).is_err() {
-                    appended_ok = false;
-                    break;
-                }
+                let diag = cache.kernel_row_into(i, &ls, sv, noise, &mut scratch.row);
+                chol.append_row(&scratch.row, diag).ok()?;
             }
-        }
-        if !appended_ok {
-            let reused = cache.assemble_into(&params, scratch);
-            let c = Cholesky::with_jitter(scratch, 1e-8)?;
-            count(obs, "surrogate.gram_reuse", reused);
-            count(obs, "surrogate.chol_jitter_retries", c.jitter_retries());
-            last.chol = Some(c);
-        }
-        let chol = last.chol.as_ref().expect("factor present after refit");
+            Some(chol)
+        });
+        let (gp, chol) = fit_step(cache, x, y, params, extended, scratch, obs)?;
         obs.inc("surrogate.incremental_fits");
-        let (y_mean, y_scale) = standardize_into(y, ys_scratch);
-        let alpha = chol.solve(ys_scratch);
-        Ok(Gp::assemble(x, params, chol, alpha, y_mean, y_scale))
+        last.chol = Some(chol);
+        Ok(gp)
     }
+}
 
-    /// The sparse refit: re-selects the inducing subset over the grown
-    /// dataset (same seeded start as the last full fit) and refits it at
-    /// the retained hyperparameters — no search, so O(n·m + m³).
-    fn refit_sparse(&mut self) -> Result<Gp> {
-        let last = self.last.as_ref().expect("checked by refit");
-        let params = last.params.clone();
-        let seed = last.seed;
-        let m = self.policy.subset_size(self.y.len());
-        let idx = select_inducing(&self.x, m, seed as usize);
-        let sub_x: Vec<Vec<f64>> = idx.iter().map(|&i| self.x[i].clone()).collect();
-        let sub_y: Vec<f64> = idx.iter().map(|&i| self.y[i]).collect();
-        let (y_mean, y_scale) = standardize_into(&sub_y, &mut self.ys_scratch);
-        let sub_cache = GramCache::new(&sub_x);
-        sub_cache.assemble_fresh_into(&params, &mut self.scratch);
-        let chol = Cholesky::with_jitter(&self.scratch, 1e-8)?;
-        self.obs.inc("surrogate.incremental_fits");
-        self.obs.inc("surrogate.sparse_fits");
-        count(
-            &self.obs,
-            "surrogate.chol_jitter_retries",
-            chol.jitter_retries(),
-        );
-        let alpha = chol.solve(&self.ys_scratch);
-        Ok(Gp::assemble(&sub_x, params, &chol, alpha, y_mean, y_scale))
-    }
+/// The step every fit ends in. Unless `factor` already holds the Cholesky
+/// factor of the Gram of `params` over `cache` (a refit that extended it),
+/// assembles that Gram through the memo, factors it with jitter and counts
+/// `surrogate.gram_reuse` and `surrogate.chol_jitter_retries`. Then
+/// standardizes `y`, solves for the weights and builds the [`Gp`];
+/// returns the factor alongside it.
+fn fit_step(
+    cache: &mut GramCache,
+    x: &[Vec<f64>],
+    y: &[f64],
+    params: GpParams,
+    factor: Option<Cholesky>,
+    scratch: &mut Scratch,
+    obs: &Obs,
+) -> Result<(Gp, Cholesky)> {
+    let chol = match factor {
+        Some(chol) => chol,
+        None => {
+            let reused = cache.assemble_into(&params, &mut scratch.gram);
+            let chol = Cholesky::with_jitter(&scratch.gram, 1e-8)?;
+            count(obs, "surrogate.gram_reuse", reused);
+            count(obs, "surrogate.chol_jitter_retries", chol.jitter_retries());
+            chol
+        }
+    };
+    let (y_mean, y_scale) = standardize_into(y, &mut scratch.ys);
+    let alpha = chol.solve(&scratch.ys);
+    Ok((Gp::assemble(x, params, &chol, alpha, y_mean, y_scale), chol))
 }
 
 /// Adds `n` to the named counter on `obs`; a zero registers nothing.
@@ -578,12 +575,12 @@ fn count(obs: &Obs, name: &str, n: impl Into<u64>) {
     }
 }
 
-/// Marginal-likelihood hyperparameter search over a cached dataset: a
-/// memoized evaluation of the default parameters, 24 seeded random
-/// proposals (strict-`>` fold in draw order), then two coordinate-descent
-/// sweeps through the memoized assembly. Identical operation sequence —
-/// and therefore identical bits — to the search `fit_full` originally
-/// inlined. Also returns the dimensions the memo served.
+/// Marginal-likelihood hyperparameter search over a cached dataset: the
+/// default parameters, 24 seeded random proposals (strict-`>` fold in draw
+/// order), then two coordinate-descent sweeps, every candidate assembled
+/// through the memo. Identical operation sequence — and therefore
+/// identical bits — to the search `fit_full` originally inlined. Also
+/// returns the dimensions the memo served.
 fn search_hyperparams(cache: &mut GramCache, ys: &[f64], seed: u64) -> (GpParams, u64) {
     let dims = cache.dims();
     let mut scratch = Matrix::zeros(0);
@@ -592,9 +589,9 @@ fn search_hyperparams(cache: &mut GramCache, ys: &[f64], seed: u64) -> (GpParams
     let mut reused = cache.assemble_into(&best, &mut scratch);
     let mut best_lml = lml_from_gram(&scratch, ys).unwrap_or(f64::NEG_INFINITY);
 
-    // A random proposal changes every lengthscale, so the memo has nothing
-    // to offer it; the fresh assembly leaves the memo (and its reuse
-    // counters) untouched.
+    // A random proposal changes every lengthscale, so the memo serves it
+    // nothing, and the first coordinate step recomputes the dimensions the
+    // last proposal left behind.
     for _ in 0..24 {
         let cand = GpParams {
             log_lengthscales: (0..dims)
@@ -603,7 +600,7 @@ fn search_hyperparams(cache: &mut GramCache, ys: &[f64], seed: u64) -> (GpParams
             log_signal_var: rng.uniform_in((0.2f64).ln(), (3.0f64).ln()),
             log_noise_var: rng.uniform_in((1e-4f64).ln(), (0.3f64).ln()),
         };
-        cache.assemble_fresh_into(&cand, &mut scratch);
+        reused += cache.assemble_into(&cand, &mut scratch);
         if let Ok(lml) = lml_from_gram(&scratch, ys) {
             if lml > best_lml {
                 best_lml = lml;
@@ -612,9 +609,10 @@ fn search_hyperparams(cache: &mut GramCache, ys: &[f64], seed: u64) -> (GpParams
         }
     }
 
-    // Coordinate descent, two sweeps. Each step mutates the incumbent,
-    // but each candidate differs from the memo state in at most one
-    // lengthscale, so the cache reuses the rest.
+    // Coordinate descent, two sweeps. Each candidate is the incumbent with
+    // one coordinate stepped, so past the first step it differs from the
+    // previous candidate, the memo's state, in at most two lengthscales,
+    // and the cache reuses the rest.
     for _ in 0..2 {
         for coord in 0..(dims + 2) {
             for step in [-0.4, 0.4, -0.15, 0.15] {
@@ -784,7 +782,8 @@ mod tests {
     /// the last bit — this is the trace-compatibility contract.
     fn legacy_fit(x: Vec<Vec<f64>>, y: &[f64], seed: u64) -> Gp {
         let dims = x[0].len();
-        let (_, _, ys) = standardize(y);
+        let mut ys = Vec::new();
+        standardize_into(y, &mut ys);
         let mut rng = Rng::new(seed ^ 0x6A09_E667);
         let mut best = GpParams::default_for(dims);
         let mut best_lml = log_marginal_likelihood(&x, &ys, &best).unwrap_or(f64::NEG_INFINITY);
@@ -849,12 +848,13 @@ mod tests {
         }
     }
 
+    /// BO's 4 inputs and GBO's 7, up to n = 40 (820 Gram pairs).
     #[test]
     fn fit_matches_the_legacy_search_bitwise() {
-        for (n, seed) in [(6usize, 1u64), (13, 9), (20, 42)] {
-            let (xs, ys) = random_dataset(n, 4, seed);
+        for (n, dims, seed) in [(6usize, 4usize, 1u64), (13, 4, 9), (20, 4, 42), (40, 7, 5)] {
+            let (xs, ys) = random_dataset(n, dims, seed);
             let mut rng = Rng::new(seed ^ 77);
-            let probes = latin_hypercube(12, 4, &mut rng);
+            let probes = latin_hypercube(12, dims, &mut rng);
             let fast = Gp::fit(xs.clone(), &ys, seed).unwrap();
             let legacy = legacy_fit(xs, &ys, seed);
             assert_gps_bitwise_equal(&fast, &legacy, &probes, "legacy-vs-cached");
@@ -1221,7 +1221,7 @@ mod tests {
             let params = full.params().clone();
             let fixed = Gp::fit_with_params(xs.clone(), &ys, params.clone()).unwrap();
             let mut gram = Matrix::zeros(0);
-            GramCache::new(&xs).assemble_fresh_into(&params, &mut gram);
+            GramCache::new(&xs).assemble_into(&params, &mut gram);
             let fixed_chol = Cholesky::with_jitter(&gram, 1e-8).unwrap();
 
             let probes = kernel_probes(&xs, dims, &mut Rng::new(seed ^ 0xFACE));

@@ -8,19 +8,16 @@
 //! coordinate differences once per dataset, hoists the per-candidate
 //! `exp(log ℓ_d)` out of the pair loop, and assembles each candidate's Gram
 //! as an accumulation of per-dimension scaled squares with a **single**
-//! `exp` per pair. A memo of the per-dimension contributions additionally
-//! lets coordinate-descent steps that change one lengthscale (or only the
-//! signal/noise variances) reuse the other dimensions' work.
+//! `exp` per pair. Every assembly goes through one memo of the
+//! per-dimension contributions, which lets coordinate-descent steps that
+//! change one lengthscale (or only the signal/noise variances) reuse the
+//! other dimensions' work.
 //!
 //! The differences are stored as one packed pair-array *per dimension*
 //! (structure-of-arrays), so every sweep — scaling a dimension, summing
 //! dimensions into the pair totals, walking a kernel row — is a
 //! contiguous slice-to-slice loop the compiler can unroll and vectorize
-//! without bounds checks. [`GramCache::assemble_fresh_into`] additionally
-//! blocks the pair range into cache-resident tiles: each tile's
-//! per-dimension columns are streamed once while the running sums stay in
-//! registers/L1, instead of striding the whole `pairs × dims` array per
-//! pair.
+//! without bounds checks.
 //!
 //! Everything here is bit-identical to the naive formulation: differences
 //! are exact, the division by ℓ_d and the accumulation order (dimension
@@ -36,11 +33,6 @@ use crate::linalg::Matrix;
 fn pair_index(i: usize, j: usize) -> usize {
     i * (i + 1) / 2 + j
 }
-
-/// Pairs per tile in the blocked fresh assembly: 512 doubles of running
-/// sums (4 KiB) stay L1-resident alongside one 4 KiB column slice per
-/// dimension.
-const TILE: usize = 512;
 
 /// Per-dataset cache of pairwise coordinate differences plus a memo of the
 /// last assembled lengthscale state.
@@ -134,45 +126,52 @@ impl GramCache {
     pub fn assemble_into(&mut self, params: &GpParams, out: &mut Matrix) -> u64 {
         let pairs = pair_index(self.n, 0);
         let ls: Vec<f64> = params.log_lengthscales.iter().map(|l| l.exp()).collect();
-        let cold = self.memo_ls.is_empty();
+        let GramCache {
+            diffs,
+            memo_ls,
+            memo_scaled,
+            memo_s,
+            memo_e,
+            ..
+        } = self;
+        let cold = memo_ls.is_empty();
         if cold {
-            for scaled in &mut self.memo_scaled {
+            for scaled in memo_scaled.iter_mut() {
                 scaled.clear();
                 scaled.resize(pairs, 0.0);
             }
-            self.memo_s.clear();
-            self.memo_s.resize(pairs, 0.0);
-            self.memo_e.clear();
-            self.memo_e.resize(pairs, 0.0);
+            memo_s.clear();
+            memo_s.resize(pairs, 0.0);
+            memo_e.clear();
+            memo_e.resize(pairs, 0.0);
         }
-        let mut changed = false;
-        let mut reused = 0;
-        for (d, &l) in ls.iter().enumerate() {
-            if !cold && self.memo_ls[d].to_bits() == l.to_bits() {
-                reused += 1;
-                continue;
-            }
-            changed = true;
-            // Contiguous column sweep: no strides, no bounds checks.
-            for (out_p, &dv) in self.memo_scaled[d].iter_mut().zip(&self.diffs[d]) {
-                let t = dv / l;
-                *out_p = t * t;
-            }
-        }
-        if changed {
+        let kept = |d: usize| !cold && memo_ls[d].to_bits() == ls[d].to_bits();
+        let reused = (0..ls.len()).filter(|&d| kept(d)).count();
+        if reused < ls.len() {
             // Accumulate in dimension order — the same association the
-            // per-pair kernel loop used, so the sums are bit-identical.
-            self.memo_s.iter_mut().for_each(|s| *s = 0.0);
-            for scaled in &self.memo_scaled {
-                for (s, t) in self.memo_s.iter_mut().zip(scaled) {
-                    *s += t;
+            // per-pair kernel loop used, so the sums are bit-identical —
+            // rescaling each changed dimension in the sweep that adds it.
+            // Contiguous column sweeps: no strides, no bounds checks.
+            memo_s.fill(0.0);
+            for (d, (scaled, col)) in memo_scaled.iter_mut().zip(diffs.iter()).enumerate() {
+                if kept(d) {
+                    for (s, &t2) in memo_s.iter_mut().zip(scaled.iter()) {
+                        *s += t2;
+                    }
+                    continue;
+                }
+                let l = ls[d];
+                for ((s, t2), &dv) in memo_s.iter_mut().zip(scaled.iter_mut()).zip(col) {
+                    let t = dv / l;
+                    *t2 = t * t;
+                    *s += *t2;
                 }
             }
-            for (e, s) in self.memo_e.iter_mut().zip(&self.memo_s) {
+            for (e, s) in memo_e.iter_mut().zip(memo_s.iter()) {
                 *e = (-0.5 * s).exp();
             }
         }
-        self.memo_ls = ls;
+        *memo_ls = ls;
         let sv = params.log_signal_var.exp();
         let noise = params.log_noise_var.exp();
         out.reset(self.n);
@@ -186,76 +185,16 @@ impl GramCache {
                 out.set(j, i, k);
             }
         }
-        reused
+        reused as u64
     }
 
-    /// Memo-free assembly (same bits as [`GramCache::assemble_into`]):
-    /// shared-reference, so one-off parameter sets (random search
-    /// proposals, fixed-parameter fits) leave the memo that coordinate
-    /// descent relies on untouched. The pair range is processed in
-    /// `TILE`-sized (512-pair) blocks — per block, each dimension's column slice is
-    /// streamed once into an L1-resident accumulator tile, then a single
-    /// `exp` pass finishes the block before it is scattered into `out`.
-    pub fn assemble_fresh_into(&self, params: &GpParams, out: &mut Matrix) {
-        let ls: Vec<f64> = params.log_lengthscales.iter().map(|l| l.exp()).collect();
-        let sv = params.log_signal_var.exp();
-        let noise = params.log_noise_var.exp();
-        out.reset(self.n);
-        let pairs = pair_index(self.n, 0);
-        let mut acc = [0.0f64; TILE];
-        // Pair cursor: (i, j) of the next packed entry to scatter.
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut p0 = 0;
-        while p0 < pairs {
-            let len = TILE.min(pairs - p0);
-            let tile = &mut acc[..len];
-            tile.fill(0.0);
-            // Dimension-ascending accumulation per pair, as the original
-            // kernel loop ordered it.
-            for (col, &l) in self.diffs.iter().zip(&ls) {
-                for (s, &dv) in tile.iter_mut().zip(&col[p0..p0 + len]) {
-                    let t = dv / l;
-                    *s += t * t;
-                }
-            }
-            for s in tile.iter_mut() {
-                *s = sv * (-0.5 * *s).exp();
-            }
-            for &base in tile.iter() {
-                let mut k = base;
-                if i == j {
-                    k += noise + 1e-10;
-                }
-                out.set(i, j, k);
-                out.set(j, i, k);
-                if j == i {
-                    i += 1;
-                    j = 0;
-                } else {
-                    j += 1;
-                }
-            }
-            p0 += len;
-        }
-    }
-
-    /// The covariance row of point `i` against every earlier point, plus its
-    /// own (noise-inflated) diagonal — exactly the entries a from-scratch
-    /// Gram would place in row `i` of its lower triangle. Feeds
+    /// The covariance row of point `i` against every earlier point, written
+    /// into a reused buffer — exactly the entries a from-scratch Gram would
+    /// place in row `i` of its lower triangle — and returns its own
+    /// (noise-inflated) diagonal. Feeds
     /// [`crate::linalg::Cholesky::append_row`] on the incremental fit path.
-    pub fn kernel_row(&self, i: usize, params: &GpParams) -> (Vec<f64>, f64) {
-        let ls: Vec<f64> = params.log_lengthscales.iter().map(|l| l.exp()).collect();
-        let sv = params.log_signal_var.exp();
-        let noise = params.log_noise_var.exp();
-        let mut row = Vec::new();
-        let diag = self.kernel_row_into(i, &ls, sv, noise, &mut row);
-        (row, diag)
-    }
-
-    /// Allocation-free form of [`GramCache::kernel_row`]: the exponentiated
-    /// hyperparameters are supplied by the caller (hoisted out of
-    /// per-observation append loops) and the row is written into a reused
-    /// buffer. Returns the noise-inflated diagonal.
+    /// The exponentiated hyperparameters are supplied by the caller,
+    /// hoisted out of per-observation append loops.
     pub fn kernel_row_into(
         &self,
         i: usize,
@@ -264,7 +203,7 @@ impl GramCache {
         noise: f64,
         row: &mut Vec<f64>,
     ) -> f64 {
-        assert!(i < self.n, "kernel_row index out of range");
+        assert!(i < self.n, "kernel row index out of range");
         // Row i's pairs are contiguous in every column: packed offsets
         // pair_index(i, 0) .. pair_index(i, 0) + i.
         let base = pair_index(i, 0);
@@ -353,42 +292,53 @@ mod tests {
         }
     }
 
+    /// Every assembly goes through the memo, so it must equal the naive
+    /// Gram after each transition a fit drives: a cold memo (the default
+    /// candidate), a random proposal that changes every lengthscale, a
+    /// coordinate step on one lengthscale, steps on the signal or the noise
+    /// alone, another proposal, and the coordinate step after it.
     #[test]
-    fn memoized_and_fresh_paths_agree_after_partial_changes() {
+    fn memoized_assembly_matches_naive_across_a_fits_transitions() {
         let x = dataset(9, 4, 3);
         let mut cache = GramCache::new(&x);
-        let mut memo = Matrix::zeros(0);
-        let mut fresh = Matrix::zeros(0);
+        let mut got = Matrix::zeros(0);
+        let mut check = |p: &GpParams, want_reused: u64, transition: &str| {
+            assert_eq!(
+                cache.assemble_into(p, &mut got),
+                want_reused,
+                "{transition}"
+            );
+            assert_bitwise_eq(&got, &naive_gram(&x, p));
+        };
         let mut p = params(4, 17);
-        let mut reused = 0;
-        for step in 0..6 {
-            // Perturb one coordinate at a time, like coordinate descent.
-            match step % 3 {
-                0 => p.log_lengthscales[step % 4] += 0.4,
-                1 => p.log_signal_var -= 0.15,
-                _ => p.log_noise_var += 0.15,
-            }
-            reused += cache.assemble_into(&p, &mut memo);
-            cache.assemble_fresh_into(&p, &mut fresh);
-            assert_bitwise_eq(&memo, &fresh);
-            assert_bitwise_eq(&memo, &naive_gram(&x, &p));
-        }
-        assert!(
-            reused > 0,
-            "coordinate steps must reuse unchanged dimensions"
-        );
+        check(&p, 0, "cold");
+        p = params(4, 18);
+        check(&p, 0, "every lengthscale");
+        p.log_lengthscales[2] += 0.4;
+        check(&p, 3, "one lengthscale");
+        p.log_signal_var -= 0.15;
+        check(&p, 4, "signal only");
+        p.log_noise_var += 0.15;
+        check(&p, 4, "noise only");
+        p = params(4, 19);
+        check(&p, 0, "every lengthscale again");
+        p.log_lengthscales[0] -= 0.15;
+        check(&p, 3, "one lengthscale after a proposal");
     }
 
     #[test]
-    fn tiled_fresh_assembly_is_bitwise_identical_across_tile_boundaries() {
-        // n = 40 gives 820 packed pairs — more than one TILE block — so the
-        // blocked path exercises a full tile, the boundary, and the tail.
+    fn large_assembly_is_bitwise_identical_to_naive() {
+        // n = 40 gives 820 packed pairs, well past the other tests' sizes:
+        // one cold assembly, then one after a one-lengthscale step.
         let x = dataset(40, 5, 77);
-        let p = params(5, 78);
-        let cache = GramCache::new(&x);
-        let mut fresh = Matrix::zeros(0);
-        cache.assemble_fresh_into(&p, &mut fresh);
-        assert_bitwise_eq(&fresh, &naive_gram(&x, &p));
+        let mut p = params(5, 78);
+        let mut cache = GramCache::new(&x);
+        let mut got = Matrix::zeros(0);
+        cache.assemble_into(&p, &mut got);
+        assert_bitwise_eq(&got, &naive_gram(&x, &p));
+        p.log_lengthscales[4] += 0.4;
+        assert_eq!(cache.assemble_into(&p, &mut got), 4);
+        assert_bitwise_eq(&got, &naive_gram(&x, &p));
     }
 
     #[test]
@@ -396,25 +346,35 @@ mod tests {
         let x = dataset(10, 3, 5);
         let p = params(3, 9);
         let mut grown = GramCache::new(&x[..6]);
+        let mut k = Matrix::zeros(0);
+        grown.assemble_into(&p, &mut k);
         for row in &x[6..] {
             grown.append(row);
         }
-        let scratch = GramCache::new(&x);
-        let mut a = Matrix::zeros(0);
-        let mut b = Matrix::zeros(0);
-        grown.assemble_into(&p, &mut a);
-        GramCache::assemble_fresh_into(&scratch, &p, &mut b);
-        assert_bitwise_eq(&a, &b);
+        assert_eq!(
+            grown.assemble_into(&p, &mut k),
+            0,
+            "an append empties the memo"
+        );
+        assert_bitwise_eq(&k, &naive_gram(&x, &p));
+    }
+
+    /// The exponentiated hyperparameters `kernel_row_into` takes.
+    fn hoisted(p: &GpParams) -> (Vec<f64>, f64, f64) {
+        let ls = p.log_lengthscales.iter().map(|l| l.exp()).collect();
+        (ls, p.log_signal_var.exp(), p.log_noise_var.exp())
     }
 
     #[test]
     fn kernel_row_matches_last_gram_row() {
         let x = dataset(7, 4, 11);
         let p = params(4, 13);
+        let (ls, sv, noise) = hoisted(&p);
         let cache = GramCache::new(&x);
         let gram = naive_gram(&x, &p);
         for i in [3usize, 6] {
-            let (row, diag) = cache.kernel_row(i, &p);
+            let mut row = Vec::new();
+            let diag = cache.kernel_row_into(i, &ls, sv, noise, &mut row);
             assert_eq!(row.len(), i);
             for (j, v) in row.iter().enumerate() {
                 assert_eq!(v.to_bits(), gram.get(i, j).to_bits());
@@ -427,20 +387,18 @@ mod tests {
     fn kernel_row_into_reuses_the_buffer() {
         let x = dataset(9, 3, 19);
         let p = params(3, 20);
+        let (ls, sv, noise) = hoisted(&p);
         let cache = GramCache::new(&x);
-        let ls: Vec<f64> = p.log_lengthscales.iter().map(|l| l.exp()).collect();
-        let sv = p.log_signal_var.exp();
-        let noise = p.log_noise_var.exp();
+        let gram = naive_gram(&x, &p);
         let mut buf = Vec::with_capacity(x.len());
         let ptr = buf.as_ptr();
         for i in [8usize, 5, 8] {
             let diag = cache.kernel_row_into(i, &ls, sv, noise, &mut buf);
-            let (row, want_diag) = cache.kernel_row(i, &p);
             assert_eq!(buf.len(), i);
-            for (a, b) in buf.iter().zip(&row) {
-                assert_eq!(a.to_bits(), b.to_bits());
+            for (j, v) in buf.iter().enumerate() {
+                assert_eq!(v.to_bits(), gram.get(i, j).to_bits());
             }
-            assert_eq!(diag.to_bits(), want_diag.to_bits());
+            assert_eq!(diag.to_bits(), gram.get(i, i).to_bits());
         }
         assert_eq!(ptr, buf.as_ptr(), "warm buffer must not reallocate");
     }

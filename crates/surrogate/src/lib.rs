@@ -6,7 +6,8 @@
 //!   kernel, Cholesky-based inference, and marginal-likelihood
 //!   hyperparameter selection (§5.1's Equation 6). [`GpFitter`] is the
 //!   incremental front end: it caches pairwise differences across fits
-//!   ([`gram::GramCache`]) and extends the Cholesky factor row-by-row
+//!   ([`gram::GramCache`]), assembles every Gram through one memo of the
+//!   per-dimension terms, and extends the Cholesky factor row-by-row
 //!   between hyperparameter re-tunes — bit-identical to the from-scratch
 //!   fit. For n in the hundreds-to-thousands, an opt-in [`SparsePolicy`]
 //!   switches the fitter to a subset-of-data approximation over a

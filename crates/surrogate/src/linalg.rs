@@ -14,7 +14,7 @@
 use relm_common::{Error, Result};
 
 /// A dense square matrix stored row-major.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     n: usize,
     data: Vec<f64>,

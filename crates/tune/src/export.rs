@@ -13,7 +13,6 @@ use relm_app::{AppSpec, Engine};
 use relm_cluster::ClusterSpec;
 use relm_common::{durable, MemoryConfig};
 use relm_faults::AbortCause;
-use relm_obs::HistogramSummary;
 use relm_profile::StatsAccumulator;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -88,17 +87,11 @@ pub struct SessionMetrics {
     pub retry_time_ms: f64,
     /// Total simulated stress-test wall-clock, in milliseconds.
     pub stress_time_ms: f64,
-    /// Decision-latency histograms (`*.fit_ms`, `*.acq_ms`,
-    /// `*.decide_ms`, …) captured from the environment's observability
-    /// handle. Empty when observability was disabled.
-    pub decision_latency: Vec<HistogramSummary>,
 }
 
 impl SessionMetrics {
-    /// Gathers the metrics from a finished environment. Evaluations,
-    /// aborts, and stress time come from the evaluation history (always
-    /// available); decision latencies come from the [`relm_obs::Obs`]
-    /// handle when one was attached.
+    /// Gathers the metrics from a finished environment's evaluation
+    /// history and accounting.
     pub fn from_env(env: &TuningEnv) -> Self {
         let aborts = env.history().iter().filter(|o| o.result.aborted).count();
         let abort_causes: Vec<(String, u32)> = AbortCause::ALL
@@ -112,16 +105,6 @@ impl SessionMetrics {
                 (n > 0).then(|| (cause.as_str().to_string(), n))
             })
             .collect();
-        let decision_latency = env
-            .obs()
-            .histogram_summaries()
-            .into_iter()
-            .filter(|h| {
-                !h.name.starts_with("engine.")
-                    && !h.name.starts_with("env.")
-                    && h.name.ends_with("_ms")
-            })
-            .collect();
         SessionMetrics {
             evaluations: env.evaluations(),
             aborts,
@@ -129,7 +112,6 @@ impl SessionMetrics {
             retries: env.total_retries(),
             retry_time_ms: env.retry_time().as_ms(),
             stress_time_ms: env.stress_time().as_ms(),
-            decision_latency,
         }
     }
 }
@@ -303,15 +285,6 @@ mod tests {
         let export = session_export(&env, &rec);
         assert_eq!(export.metrics.evaluations, 4);
         assert_eq!(export.metrics.stress_time_ms, env.stress_time().as_ms());
-        assert!(
-            export
-                .metrics
-                .decision_latency
-                .iter()
-                .any(|h| h.name == "random.decide_ms"),
-            "decision latency histograms missing: {:?}",
-            export.metrics.decision_latency
-        );
         assert!(!export.properties.is_empty());
         let text = serde_json::to_string(&export).unwrap();
         let back: SessionExport = serde_json::from_str(&text).unwrap();
@@ -322,12 +295,17 @@ mod tests {
     fn session_export_works_without_observability() {
         use crate::policies::RandomSearch;
         use crate::tuner::Tuner;
-        let engine = relm_app::Engine::new(ClusterSpec::cluster_a());
-        let mut env = crate::env::TuningEnv::new(engine, relm_workloads::wordcount(), 9);
-        let rec = RandomSearch::new(3, 2).tune(&mut env).unwrap();
-        let export = session_export(&env, &rec);
+        let export_with = |obs: relm_obs::Obs| {
+            let engine = relm_app::Engine::new(ClusterSpec::cluster_a()).with_obs(obs);
+            let mut env = crate::env::TuningEnv::new(engine, relm_workloads::wordcount(), 9);
+            let rec = RandomSearch::new(3, 2).tune(&mut env).unwrap();
+            session_export(&env, &rec)
+        };
+        let export = export_with(relm_obs::Obs::disabled());
         assert_eq!(export.metrics.evaluations, 3);
-        assert!(export.metrics.decision_latency.is_empty());
+        // The export reads nothing from the handle, so a served session's
+        // export never carries the service's wall-clock histograms.
+        assert_eq!(export_with(relm_obs::Obs::enabled()), export);
     }
 
     #[test]
