@@ -1,10 +1,10 @@
-//! Durable files: the one atomic write and the two versioned, checksummed
+//! Durable files: the one atomic write and the versioned, checksummed
 //! layouts behind every on-disk format in the workspace.
 //!
-//! [`write_atomic`] writes a sibling temporary file and renames it into
-//! place. That is atomic against process death: a reader sees the old file
-//! or the new one, never a torn one. It is not fsynced, so a power loss can
-//! leave an empty or stale file.
+//! [`write_atomic`] writes a sibling temporary file, fsyncs it, renames it
+//! into place and fsyncs the directory. A reader sees the old file or the
+//! new one, never a torn one, and once the call returns the new file
+//! survives a power loss as well as process death.
 //!
 //! Every headed format opens with a `{"kind":K,"version":V}` line
 //! ([`header`], verified by [`check_header`]). The two keyed stores, the
@@ -29,10 +29,25 @@
 //! {"kind":"relm-checkpoint","version":2,"check":<fnv64>}
 //! {...}
 //! ```
+//!
+//! A session log, the drain's one file for every session's checkpoint,
+//! counts its records in the header and then holds one head line and one
+//! payload line per session ([`render_log`], verified by [`parse_log`]).
+//! Each `check` covers the session's JSON string followed by the payload
+//! line, so neither a damaged name nor a damaged payload loads:
+//!
+//! ```text
+//! {"kind":"relm-checkpoint-log","version":2,"sessions":2}
+//! {"session":"s-0001","check":<fnv64>}
+//! {...}
+//! {"session":"s-0002","check":<fnv64>}
+//! {...}
+//! ```
 
-use crate::hash::fnv1a64_str;
-use serde::{Map, Number, Value};
-use std::io;
+use crate::hash::{fnv1a64_str, Fnv64};
+use serde::{Deserialize, Map, Number, Serialize, Value};
+use std::collections::HashSet;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,11 +60,13 @@ fn invalid(message: impl Into<String>) -> io::Error {
 }
 
 /// Writes `bytes` to `path`, creating parent directories as needed: the
-/// bytes land in `<path>.<pid>.<seq>.tmp`, which is renamed into place and
-/// removed on any error. Atomic against process death; not fsynced.
+/// bytes land in `<path>.<pid>.<seq>.tmp`, which is fsynced, renamed into
+/// place and removed on any error; then the directory is fsynced, so the
+/// rename itself survives a power loss.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(parent) = parent {
+        create_dirs_synced(parent)?;
     }
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(
@@ -58,11 +75,41 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = PathBuf::from(tmp);
-    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
     if written.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
-    written
+    written?;
+    sync_dir(parent)
+}
+
+/// Fsyncs a directory, so the entries created or renamed in it survive a
+/// power loss. `None` is the working directory.
+fn sync_dir(dir: Option<&Path>) -> io::Result<()> {
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// Creates `dir` and its missing ancestors, then fsyncs the directory
+/// holding each one created, so a new directory survives a power loss
+/// with the file written into it.
+fn create_dirs_synced(dir: &Path) -> io::Result<()> {
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.is_dir())
+        .collect();
+    if missing.is_empty() {
+        return Ok(());
+    }
+    std::fs::create_dir_all(dir)?;
+    for created in missing {
+        sync_dir(created.parent().filter(|p| !p.as_os_str().is_empty()))?;
+    }
+    Ok(())
 }
 
 /// Recursively sorts object keys, so two values that differ only in field
@@ -143,6 +190,92 @@ pub fn parse_checked<'a>(text: &'a str, kind: &str, version: u64) -> io::Result<
         return Err(invalid(format!("{kind} payload checksum mismatch")));
     }
     Ok(payload)
+}
+
+/// The FNV-1a 64 a session log's record carries: the session's JSON
+/// string, then the payload line.
+fn log_check(session_json: &str, payload: &str) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str(session_json);
+    h.write_str(payload);
+    h.finish()
+}
+
+/// Renders a session log: the [`header`] with the record count appended as
+/// `sessions`, then per record a `{"session":<name>,"check":<fnv64>}` line
+/// and the record as one compact JSON line, in slice order.
+pub fn render_log<T: Serialize>(kind: &str, version: u64, records: &[(String, T)]) -> String {
+    let mut head = header(kind, version);
+    head.insert("sessions", Value::Number(Number::U64(records.len() as u64)));
+    let mut out = Value::Object(head).to_string();
+    out.push('\n');
+    let (mut name, mut payload) = (String::new(), String::new());
+    for (session, record) in records {
+        name.clear();
+        serde::write_escaped(&mut name, session);
+        payload.clear();
+        record.write_json(&mut payload);
+        let check = log_check(&name, &payload);
+        out.push_str(&format!("{{\"session\":{name},\"check\":{check}}}\n"));
+        out.push_str(&payload);
+        out.push('\n');
+    }
+    out
+}
+
+/// Reads a file rendered by [`render_log`] and decodes every record. It
+/// refuses, as an `InvalidData` error: a header that does not match `kind`
+/// and `version` or carries no record count; a record count other than the
+/// header's (so a log cut at a record boundary never loads short); a head
+/// line without a string `session` and an integer `check`; a missing
+/// payload line, one that fails its checksum or one that does not decode;
+/// and a session named twice.
+pub fn parse_log<T: Deserialize>(
+    text: &str,
+    kind: &str,
+    version: u64,
+) -> io::Result<Vec<(String, T)>> {
+    let mut lines = text.lines();
+    let head = check_header(lines.next(), kind, version)?;
+    let count = head
+        .get("sessions")
+        .and_then(Value::as_u64)
+        .ok_or_else(|| invalid(format!("{kind} header has no session count")))?;
+    let mut records = Vec::new();
+    let mut seen = HashSet::new();
+    while let Some(line) = lines.next() {
+        let at = records.len() + 1;
+        let bad = |why: &str| invalid(format!("{kind} record {at}: {why}"));
+        let Ok(Value::Object(record_head)) = serde::parse(line) else {
+            return Err(bad("head line is not an object"));
+        };
+        let (Some(Value::String(session)), Some(check)) = (
+            record_head.get("session"),
+            record_head.get("check").and_then(Value::as_u64),
+        ) else {
+            return Err(bad("head line needs a string session and an integer check"));
+        };
+        let payload = lines.next().ok_or_else(|| bad("no payload line"))?;
+        let mut name = String::new();
+        serde::write_escaped(&mut name, session);
+        if log_check(&name, payload) != check {
+            return Err(bad("checksum mismatch"));
+        }
+        if !seen.insert(session.clone()) {
+            return Err(bad(&format!("session {name} appears twice")));
+        }
+        let record = serde::parse(payload)
+            .and_then(|v| T::from_value(&v))
+            .map_err(|e| bad(&format!("payload: {e}")))?;
+        records.push((session.clone(), record));
+    }
+    if records.len() as u64 != count {
+        return Err(invalid(format!(
+            "{kind} holds {} records, its header counts {count}",
+            records.len()
+        )));
+    }
+    Ok(records)
 }
 
 /// What [`parse_records`] does with a record line that fails to parse,
@@ -377,6 +510,95 @@ mod tests {
             "no check",
         );
         refused("", "relm-test", 2, "missing header");
+    }
+
+    fn sessions() -> Vec<(String, Vec<f64>)> {
+        vec![
+            ("s-0001".into(), vec![0.5, -0.0]),
+            ("s-\"2\"".into(), vec![]),
+            ("s-0003".into(), vec![1e300]),
+        ]
+    }
+
+    #[test]
+    fn session_logs_round_trip() {
+        let text = render_log("relm-test-log", 2, &sessions());
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some("{\"kind\":\"relm-test-log\",\"version\":2,\"sessions\":3}")
+        );
+        let check = log_check("\"s-0001\"", "[0.5,-0]");
+        assert_eq!(
+            lines.next(),
+            Some(format!("{{\"session\":\"s-0001\",\"check\":{check}}}").as_str())
+        );
+        assert_eq!(lines.next(), Some("[0.5,-0]"));
+        let back: Vec<(String, Vec<f64>)> = parse_log(&text, "relm-test-log", 2).unwrap();
+        assert_eq!(back, sessions());
+        let empty = render_log::<f64>("relm-test-log", 2, &[]);
+        assert_eq!(
+            parse_log::<f64>(&empty, "relm-test-log", 2).unwrap(),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn session_logs_refuse_damage() {
+        let text = render_log("relm-test-log", 2, &sessions());
+        let refused = |text: &str, why: &str| {
+            let err = parse_log::<Vec<f64>>(text, "relm-test-log", 2).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        };
+        assert!(parse_log::<Vec<f64>>(&text, "relm-other", 2).is_err());
+        assert!(parse_log::<Vec<f64>>(&text, "relm-test-log", 3).is_err());
+        let lines: Vec<&str> = text.lines().collect();
+        // Cut at each record boundary: the count no longer matches.
+        refused(&lines[..5].join("\n"), "its header counts 3");
+        refused(&lines[..1].join("\n"), "its header counts 3");
+        refused(&lines[..6].join("\n"), "no payload line");
+        refused(
+            &text.replace("\"sessions\":3", "\"sessions\":4"),
+            "counts 4",
+        );
+        refused(&text.replace(",\"sessions\":3", ""), "no session count");
+        refused(
+            &text.replace("\"sessions\":3", "\"sessions\":\"3\""),
+            "count",
+        );
+        // A renamed session fails the checksum like a changed payload.
+        refused(&text.replacen("s-0001", "s-0009", 1), "checksum");
+        refused(&text.replacen("[0.5,-0]", "[0.5,-1]", 1), "checksum");
+        refused(
+            &text.replacen("\"session\":\"s-0001\",", "", 1),
+            "string session",
+        );
+        refused(&text.replacen("\"s-0001\"", "1", 1), "string session");
+        refused(&text.replacen(",\"check\"", ",\"chk\"", 1), "integer check");
+        refused(&lines[1..].join("\n"), "kind");
+        refused(
+            &format!("{}\n{}\n{}\n", lines[0], lines[1], "not json"),
+            "checksum",
+        );
+        // A payload that checks but does not decode.
+        let (name, payload) = ("\"s-0001\"", "{\"a\":1}");
+        let bogus = format!(
+            "{}\n{{\"session\":{name},\"check\":{}}}\n{payload}\n",
+            lines[0].replace(":3", ":1"),
+            log_check(name, payload),
+        );
+        refused(&bogus, "payload");
+        // The same session twice, each record intact.
+        let twice = format!(
+            "{}\n{}\n{}\n{}\n{}\n",
+            lines[0].replace(":3", ":2"),
+            lines[1],
+            lines[2],
+            lines[1],
+            lines[2]
+        );
+        refused(&twice, "appears twice");
     }
 
     /// The rendered file with its second record's value altered and a

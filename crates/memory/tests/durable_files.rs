@@ -1,10 +1,12 @@
-//! The four on-disk formats the stack writes: the evaluation-cache store,
-//! the cross-session memory store, session checkpoints and flight-recorder
-//! dumps. Each is saved from a fixed input and pinned to the FNV-1a 64 of
-//! its bytes, so a refactor of the write path cannot move a byte unseen.
-//! Each loader is then fed torn and mutated copies of its file and must
-//! answer `Ok` or `Err`, never panic. `relm-memory` is the lowest crate
-//! that links all four.
+//! The five on-disk formats the stack writes: the evaluation-cache store,
+//! the cross-session memory store, session checkpoints, the drain's
+//! checkpoint log and flight-recorder dumps. Each is saved from a fixed
+//! input and pinned to the FNV-1a 64 of its bytes, so a refactor of the
+//! write path cannot move a byte unseen. Each loader is then fed torn and
+//! mutated copies of its file and must answer `Ok` or `Err`, never panic.
+//! `relm-memory` is the lowest crate that links all five. No test here can
+//! cut the power: that `write_atomic` fsyncs the file and its directory is
+//! held by reading its code, not by a test.
 
 use relm_app::Engine;
 use relm_cluster::ClusterSpec;
@@ -29,6 +31,8 @@ const EVALCACHE_FNV: u64 = 0x2dff_45e9_7d58_03b0;
 const MEMORY_FNV: u64 = 0x232b_b733_8142_1b8e;
 const CHECKPOINT_FNV: u64 = 0x955b_a147_e798_de8e;
 const FLIGHT_DUMP_FNV: u64 = 0x6c07_844d_6c05_5e0a;
+/// Recorded when the drain's checkpoint log was introduced.
+const CHECKPOINT_LOG_FNV: u64 = 0x9078_9acd_442d_790b;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("relm-durable-{}-{tag}", std::process::id()));
@@ -119,6 +123,16 @@ fn checkpoint() -> SessionCheckpoint {
     SessionCheckpoint::capture(&env)
 }
 
+/// A drain log of two sessions: [`checkpoint`]'s, and one that has run
+/// nothing yet.
+fn checkpoint_log() -> Vec<(String, SessionCheckpoint)> {
+    let fresh = TuningEnv::new(Engine::new(ClusterSpec::cluster_a()), wordcount(), 11);
+    vec![
+        ("s-0001".into(), checkpoint()),
+        ("s-0002".into(), SessionCheckpoint::capture(&fresh)),
+    ]
+}
+
 /// A hand-built dump: one protocol event (with multi-byte text) and one
 /// span carrying every field type.
 fn flight_dump() -> FlightDump {
@@ -161,12 +175,15 @@ fn saved_files_keep_their_bytes() {
     memory_store().save(&memory_path).unwrap();
     let ckpt_path = dir.join("s-0001.ckpt.json");
     checkpoint().save(&ckpt_path).unwrap();
+    let log_path = dir.join("drain.ckpt.jsonl");
+    SessionCheckpoint::save_log(&log_path, &checkpoint_log()).unwrap();
     let dump_path = save_dump(dir.join("flightrec"), &flight_dump()).unwrap();
 
     let moved: Vec<String> = [
         ("evalcache store", cache_path, EVALCACHE_FNV),
         ("memory store", memory_path, MEMORY_FNV),
         ("checkpoint", ckpt_path, CHECKPOINT_FNV),
+        ("checkpoint log", log_path, CHECKPOINT_LOG_FNV),
         ("flight dump", dump_path, FLIGHT_DUMP_FNV),
     ]
     .into_iter()
@@ -305,6 +322,19 @@ fn torn_and_mutated_files_never_panic() {
     assert!(
         loaded > 0,
         "a checkpoint cut after its payload still verifies"
+    );
+
+    // The log verifies as a whole: a copy cut at a record boundary, or
+    // with a damaged name, loads as `Err`, never as fewer or other sessions.
+    let sessions = checkpoint_log();
+    let log_path = dir.join("drain.ckpt.jsonl");
+    SessionCheckpoint::save_log(&log_path, &sessions).unwrap();
+    let loaded = load_damaged(&log_path, 5, SessionCheckpoint::load_log, |_, back| {
+        assert_eq!(back, sessions)
+    });
+    assert!(
+        loaded > 0,
+        "a log cut after its last payload still verifies"
     );
 
     let dump = flight_dump();

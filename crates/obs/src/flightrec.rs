@@ -10,8 +10,8 @@
 //! `results/flightrec/` by [`save_dump`], through
 //! [`relm_common::durable::write_atomic`] and checksummed: a dump written
 //! as the process is going down is either complete and verifiable or
-//! absent, never torn. It is not fsynced, so a power loss can leave an
-//! empty or stale file.
+//! absent, never torn. The file and its directory are fsynced before
+//! `save_dump` returns, so a dump it reported also survives a power loss.
 //!
 //! ## On-disk format
 //!

@@ -3,19 +3,23 @@
 //! `#[serde(transparent)]`, and JSON text round-trips via the sibling
 //! `serde_json` facade.
 //!
-//! Unlike upstream serde's zero-copy visitor architecture, this subset pivots
-//! every serialization through an owned [`Value`] tree — simpler, fully
-//! deterministic (object keys keep insertion order), and fast enough for the
-//! profiles and telemetry this workspace serializes. The build environment
-//! has no access to crates.io, so the workspace resolves `serde`,
-//! `serde_json` and `proptest` to these in-tree implementations via path
-//! dependencies.
+//! Unlike upstream serde's visitor architecture, a type serializes in one
+//! of two ways, both generated by the derive: [`Serialize::write_json`]
+//! appends compact JSON text straight to a `String`, which is how every
+//! value becomes text; [`Serialize::to_value`] builds an owned [`Value`]
+//! tree for the callers that inspect or reorder one (canonical JSON for
+//! evaluation keys and keyed-store checksums, pretty printing). The two
+//! agree byte for byte: writing a value equals printing its tree. Parsing
+//! always goes through a tree. Object keys keep insertion order, so the
+//! output is fully deterministic. The build environment has no access to
+//! crates.io, so the workspace resolves `serde`, `serde_json` and
+//! `proptest` to these in-tree implementations via path dependencies.
 
 mod text;
 mod value;
 
 pub use serde_derive::{Deserialize, Serialize};
-pub use text::{parse, write_escaped};
+pub use text::{parse, write_escaped, MAX_DEPTH};
 pub use value::{Map, Number, Value};
 
 use std::fmt;
@@ -45,10 +49,15 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A value that can be converted into a [`Value`] tree.
+/// A value that can be written as JSON text or converted into a [`Value`]
+/// tree. The two must agree: `write_json` appends exactly the bytes that
+/// printing `to_value()` produces.
 pub trait Serialize {
     /// Converts `self` to a [`Value`].
     fn to_value(&self) -> Value;
+
+    /// Appends `self` to `out` as compact JSON, without building a tree.
+    fn write_json(&self, out: &mut String);
 }
 
 /// A value that can be reconstructed from a [`Value`] tree.
@@ -74,6 +83,9 @@ macro_rules! impl_ser_de_int {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Number(Number::$variant(*self as $prim))
+            }
+            fn write_json(&self, out: &mut String) {
+                text::write_int(out, self);
             }
         }
         impl Deserialize for $t {
@@ -106,6 +118,9 @@ impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Number(Number::F64(*self))
     }
+    fn write_json(&self, out: &mut String) {
+        text::write_f64(out, *self);
+    }
 }
 
 impl Deserialize for f64 {
@@ -121,6 +136,9 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Number(Number::F64(*self as f64))
     }
+    fn write_json(&self, out: &mut String) {
+        text::write_f64(out, *self as f64);
+    }
 }
 
 impl Deserialize for f32 {
@@ -132,6 +150,9 @@ impl Deserialize for f32 {
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -148,6 +169,9 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
     }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
 }
 
 impl Deserialize for String {
@@ -163,11 +187,17 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_owned())
     }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -186,11 +216,17 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -207,6 +243,12 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -218,15 +260,33 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+/// Appends `items` as a JSON array.
+fn write_array<T: Serialize>(out: &mut String, items: &[T]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self);
     }
 }
 
@@ -242,6 +302,9 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self);
     }
 }
 
@@ -260,6 +323,16 @@ macro_rules! impl_tuple {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$idx.to_value()),+])
+            }
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    self.$idx.write_json(out);
+                    out.push(',');
+                )+
+                // Replace the last element's comma.
+                out.pop();
+                out.push(']');
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -292,6 +365,9 @@ impl_tuple! {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+    fn write_json(&self, out: &mut String) {
+        text::write_value(out, self);
     }
 }
 

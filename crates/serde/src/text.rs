@@ -1,78 +1,108 @@
-//! JSON text: a writer for [`Value`] trees and a recursive-descent parser.
+//! JSON text: the writers for strings, numbers and [`Value`] trees, and a
+//! recursive-descent parser.
 
 use crate::value::{Map, Number, Value};
 use crate::Error;
-use std::fmt;
+use std::fmt::{self, Write};
 
-/// Writes a string with JSON escaping (quotes included).
-pub fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
-    out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            '\u{08}' => out.write_str("\\b")?,
-            '\u{0C}' => out.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.write_char(c)?,
+/// Appends a string with JSON escaping (quotes included). Runs of bytes
+/// that need no escape are copied in one piece; every escaped byte is
+/// ASCII, so each run ends on a character boundary.
+pub fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
-    }
-    out.write_char('"')
-}
-
-pub(crate) fn write_value(out: &mut impl fmt::Write, v: &Value) -> fmt::Result {
-    match v {
-        Value::Null => out.write_str("null"),
-        Value::Bool(true) => out.write_str("true"),
-        Value::Bool(false) => out.write_str("false"),
-        Value::Number(Number::U64(x)) => write!(out, "{x}"),
-        Value::Number(Number::I64(x)) => write!(out, "{x}"),
-        Value::Number(Number::F64(x)) => {
-            if x.is_finite() {
-                // Rust's shortest-round-trip formatting: parsing the output
-                // recovers the exact bit pattern.
-                write!(out, "{x}")
-            } else {
-                // JSON has no Infinity/NaN literals; follow serde_json.
-                out.write_str("null")
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
             }
         }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends an integer in decimal.
+pub(crate) fn write_int(out: &mut String, x: impl fmt::Display) {
+    write!(out, "{x}").expect("writing to a String cannot fail");
+}
+
+/// Appends a float: Rust's shortest-round-trip formatting, so parsing the
+/// output recovers the exact bit pattern. JSON has no Infinity/NaN
+/// literals, so a non-finite float writes `null`, as serde_json does.
+pub(crate) fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        write!(out, "{x}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends a [`Value`] tree as compact JSON.
+pub(crate) fn write_value(out: &mut String, v: &Value) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(true) => out.push_str("true"),
+        Value::Bool(false) => out.push_str("false"),
+        Value::Number(Number::U64(x)) => write_int(out, x),
+        Value::Number(Number::I64(x)) => write_int(out, x),
+        Value::Number(Number::F64(x)) => write_f64(out, *x),
         Value::String(s) => write_escaped(out, s),
         Value::Array(items) => {
-            out.write_char('[')?;
+            out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.write_char(',')?;
+                    out.push(',');
                 }
-                write_value(out, item)?;
+                write_value(out, item);
             }
-            out.write_char(']')
+            out.push(']');
         }
         Value::Object(m) => {
-            out.write_char('{')?;
+            out.push('{');
             for (i, (k, item)) in m.iter().enumerate() {
                 if i > 0 {
-                    out.write_char(',')?;
+                    out.push(',');
                 }
-                write_escaped(out, k)?;
-                out.write_char(':')?;
-                write_value(out, item)?;
+                write_escaped(out, k);
+                out.push(':');
+                write_value(out, item);
             }
-            out.write_char('}')
+            out.push('}');
         }
     }
 }
 
+/// How deeply arrays and objects may nest in parsed text: upstream
+/// serde_json's limit. The parser recurses once per level, so without a
+/// bound a frame of a few thousand `[` overflows the reading thread's
+/// stack and aborts the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`]. Trailing whitespace is allowed;
-/// trailing garbage is an error.
+/// trailing garbage is an error, and so is nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -87,6 +117,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -131,8 +163,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(Error::msg(format!(
                 "unexpected `{}` at byte {}",
@@ -140,6 +172,21 @@ impl Parser<'_> {
             ))),
             None => Err(Error::msg("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -345,6 +392,36 @@ mod tests {
     }
 
     #[test]
+    fn escapes_match_the_json_grammar() {
+        let mut out = String::new();
+        let all_controls: String = (0u8..0x20).map(char::from).collect();
+        write_escaped(&mut out, &all_controls);
+        let mut want = String::from("\"");
+        for b in 0u8..0x20 {
+            want.push_str(&match b {
+                b'\n' => "\\n".to_string(),
+                b'\r' => "\\r".to_string(),
+                b'\t' => "\\t".to_string(),
+                0x08 => "\\b".to_string(),
+                0x0C => "\\f".to_string(),
+                b => format!("\\u{:04x}", b),
+            });
+        }
+        want.push('"');
+        assert_eq!(out, want);
+        // Quote, backslash, DEL and multi-byte text around escapes: only
+        // the first two are escaped.
+        let mixed = "é\"😀\\\u{7f}x\u{1f}€";
+        out.clear();
+        write_escaped(&mut out, mixed);
+        assert_eq!(out, "\"é\\\"😀\\\\\u{7f}x\\u001f€\"");
+        assert_eq!(parse(&out).unwrap().as_str(), Some(mixed));
+        out.clear();
+        write_escaped(&mut out, "");
+        assert_eq!(out, "\"\"");
+    }
+
+    #[test]
     fn writer_output_reparses() {
         let v = parse(r#"{"k":"quote \" backslash \\ tab \t","n":[1e-3,12345678901234567890]}"#)
             .unwrap();
@@ -358,6 +435,25 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nulL").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(parse(&nest(MAX_DEPTH, open, close)).is_ok());
+            let err = parse(&nest(MAX_DEPTH + 1, open, close)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper"), "{err}");
+            // Far past the bound, and unterminated: refused without
+            // recursing once per byte.
+            assert!(parse(&open.repeat(100_000)).is_err());
+        }
+        // Depth counts open containers, not containers seen: siblings
+        // at the bound parse.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1, "[", "]"); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

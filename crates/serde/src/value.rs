@@ -158,8 +158,11 @@ impl Value {
     }
 }
 
+/// Compact JSON, written by the one tree writer into a `String` first.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::text::write_value(f, self)
+        let mut out = String::new();
+        crate::text::write_value(&mut out, self);
+        f.write_str(&out)
     }
 }

@@ -366,11 +366,106 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{\n{arms}}}")
         }
     };
+    let write = gen_write_json(item);
     format!(
         "#[automatically_derived]\n\
          impl{generics} ::serde::Serialize for {ty} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+         fn write_json(&self, __out: &mut ::std::string::String) {{\n{write}\n}}\n}}\n"
     )
+}
+
+/// Statements that append `literal` (JSON text, escaped for a Rust string
+/// literal by `{:?}`) to `__out`.
+fn push_literal(literal: &str) -> String {
+    format!("__out.push_str({literal:?});\n")
+}
+
+/// Statements that write a JSON container: `open`, then each member's
+/// value (an expression of reference type) after its prefix, then
+/// `close`. Each prefix is a compile-time literal: `,` before all but the
+/// first member, then an object member's `"field":`.
+fn write_members<'a>(
+    open: char,
+    members: impl Iterator<Item = (Option<&'a str>, String)>,
+    close: char,
+) -> String {
+    let mut s = String::new();
+    let mut text = String::from(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        if let Some(key) = key {
+            text.push_str(&format!("\"{key}\":"));
+        }
+        s.push_str(&push_literal(&text));
+        s.push_str(&format!(
+            "::serde::Serialize::write_json({value}, __out);\n"
+        ));
+        text.clear();
+    }
+    text.push(close);
+    s.push_str(&push_literal(&text));
+    s
+}
+
+/// The body of the derived `write_json`: the same bytes as printing the
+/// tree `to_value` builds, written without building it.
+fn gen_write_json(item: &Item) -> String {
+    match &item.body {
+        Body::Unit => push_literal("null"),
+        Body::Tuple(1) => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
+        Body::Tuple(n) => write_members('[', (0..*n).map(|i| (None, format!("&self.{i}"))), ']'),
+        Body::Named(fields) => write_members(
+            '{',
+            fields
+                .iter()
+                .map(|f| (Some(f.name.as_str()), format!("&self.{}", f.name))),
+            '}',
+        ),
+        Body::Enum(variants) => {
+            let mut arms = String::new();
+            for v in variants {
+                let vname = &v.name;
+                match &v.body {
+                    VariantBody::Unit => arms.push_str(&format!(
+                        "Self::{vname} => {{ {} }}\n",
+                        push_literal(&format!("\"{vname}\""))
+                    )),
+                    VariantBody::Tuple(n) => {
+                        let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                        let inner = if *n == 1 {
+                            "::serde::Serialize::write_json(__f0, __out);\n".to_string()
+                        } else {
+                            write_members('[', binds.iter().map(|b| (None, b.clone())), ']')
+                        };
+                        arms.push_str(&format!(
+                            "Self::{vname}({binds}) => {{\n{open}{inner}{close}}}\n",
+                            binds = binds.join(", "),
+                            open = push_literal(&format!("{{\"{vname}\":")),
+                            close = push_literal("}"),
+                        ));
+                    }
+                    VariantBody::Named(fields) => {
+                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let inner = write_members(
+                            '{',
+                            binds.iter().map(|b| (Some(*b), b.to_string())),
+                            '}',
+                        );
+                        arms.push_str(&format!(
+                            "Self::{vname} {{ {binds} }} => {{\n{open}{inner}{close}}}\n",
+                            binds = binds.join(", "),
+                            open = push_literal(&format!("{{\"{vname}\":")),
+                            close = push_literal("}"),
+                        ));
+                    }
+                }
+            }
+            format!("match self {{\n{arms}}}")
+        }
+    }
 }
 
 fn gen_deserialize(item: &Item) -> String {

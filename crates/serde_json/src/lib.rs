@@ -3,14 +3,19 @@
 
 pub use serde::{Error, Map, Number, Value};
 
-/// Serializes a value to compact JSON text.
+/// Serializes a value to compact JSON text, written straight from the
+/// typed value ([`serde::Serialize::write_json`]) without a tree.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.to_value().to_string())
+    let mut out = String::new();
+    value.write_json(&mut out);
+    Ok(out)
 }
 
 /// Serializes a value to indented JSON text.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(pretty(&value.to_value(), 0))
+    let mut out = String::new();
+    pretty(&mut out, &value.to_value(), 0);
+    Ok(out)
 }
 
 /// Parses JSON text into any deserializable type.
@@ -28,30 +33,39 @@ pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, Error> {
     T::from_value(value)
 }
 
-fn pretty(v: &Value, indent: usize) -> String {
+/// Appends `v` with each member of a non-empty container on its own line,
+/// indented two spaces per level; empty containers and scalars are written
+/// compact.
+fn pretty(out: &mut String, v: &Value, indent: usize) {
     let pad = "  ".repeat(indent + 1);
-    let close = "  ".repeat(indent);
-    match v {
+    let member = |out: &mut String, i: usize| {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&pad);
+    };
+    let close = match v {
         Value::Array(items) if !items.is_empty() => {
-            let inner: Vec<String> = items
-                .iter()
-                .map(|i| format!("{pad}{}", pretty(i, indent + 1)))
-                .collect();
-            format!("[\n{}\n{close}]", inner.join(",\n"))
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                member(out, i);
+                pretty(out, item, indent + 1);
+            }
+            ']'
         }
         Value::Object(m) if !m.is_empty() => {
-            let inner: Vec<String> = m
-                .iter()
-                .map(|(k, val)| {
-                    let mut key = String::new();
-                    serde::write_escaped(&mut key, k).expect("string write");
-                    format!("{pad}{key}: {}", pretty(val, indent + 1))
-                })
-                .collect();
-            format!("{{\n{}\n{close}}}", inner.join(",\n"))
+            out.push('{');
+            for (i, (k, item)) in m.iter().enumerate() {
+                member(out, i);
+                serde::write_escaped(out, k);
+                out.push_str(": ");
+                pretty(out, item, indent + 1);
+            }
+            '}'
         }
-        other => other.to_string(),
-    }
+        scalar => return serde::Serialize::write_json(scalar, out),
+    };
+    out.push('\n');
+    out.push_str(&pad[2..]);
+    out.push(close);
 }
 
 #[cfg(test)]
@@ -71,8 +85,12 @@ mod tests {
         let text = r#"{"a":[1,2],"b":{"c":true},"d":[]}"#;
         let v: Value = from_str(text).unwrap();
         let pretty = to_string_pretty(&v).unwrap();
-        assert!(pretty.contains('\n'));
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {\n    \"c\": true\n  },\n  \"d\": []\n}"
+        );
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(v, back);
+        assert_eq!(to_string_pretty(&Value::Null).unwrap(), "null");
     }
 }

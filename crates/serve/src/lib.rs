@@ -27,10 +27,10 @@
 //!    evicted to checkpoint on an evaluation-count epoch clock
 //!    ([`ServeConfig::evict_after_evals`]) and resumed transparently.
 //!    [`Request::Drain`] stops admission, runs the accepted backlog dry,
-//!    resumes anything evicted, checkpoints every session via
-//!    [`relm_tune::SessionCheckpoint`], and stops the workers — zero
-//!    lost or duplicated evaluations, with the eviction tallies
-//!    reconciled exactly in the drain report.
+//!    resumes anything evicted, checkpoints every session into one
+//!    fsynced log via [`relm_tune::SessionCheckpoint::save_log`], and
+//!    stops the workers — zero lost or duplicated evaluations, with the
+//!    eviction tallies reconciled exactly in the drain report.
 //!
 //! Everything is instrumented through [`relm_obs`]: per-endpoint latency
 //! histograms (`serve.endpoint.*_ms`), queue-depth gauges

@@ -285,8 +285,9 @@ pub enum Request {
     /// [`Response::Evicted`]; an already-evicted session is an error.
     Evict { session: String },
     /// Graceful shutdown: stop admitting work, run every already-accepted
-    /// evaluation to completion, checkpoint every session, dump every
-    /// session's flight recorder, stop the workers, and report the tally.
+    /// evaluation to completion, checkpoint every session into one log
+    /// (`<checkpoint_dir>/drain.ckpt.jsonl`), dump every session's flight
+    /// recorder, stop the workers, and report the tally.
     Drain,
     /// Live metrics scrape: a point-in-time snapshot of every counter,
     /// gauge, and histogram, in both JSON and Prometheus text form.
@@ -457,6 +458,9 @@ pub enum Response {
     Drained {
         sessions: usize,
         evaluations: usize,
+        /// Records in the drain's checkpoint log: every session that has an
+        /// environment, or 0 when the log could not be written (counted as
+        /// `serve.checkpoint_errors`) or no checkpoint directory is set.
         checkpointed: usize,
         /// Flight-recorder dumps written during the drain (one per
         /// session when a dump directory is configured, 0 otherwise).

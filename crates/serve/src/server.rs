@@ -14,7 +14,7 @@ use crate::protocol::{
     decode, encode, read_frame, FrameError, Request, Response, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::service::Service;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -247,17 +247,17 @@ impl TcpClient {
         self.writer.flush()
     }
 
+    /// Reads one reply without buffering more than
+    /// [`DEFAULT_MAX_FRAME_BYTES`] + 1 bytes: a longer line, or one that is
+    /// not a frame, is `InvalidData` as soon as it is seen.
     fn read_response(&mut self) -> io::Result<Response> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        decode(&line, DEFAULT_MAX_FRAME_BYTES)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        let invalid = |e: FrameError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        let line = read_frame(&mut self.reader, DEFAULT_MAX_FRAME_BYTES)?
+            .map_err(invalid)?
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+            })?;
+        decode(&line, DEFAULT_MAX_FRAME_BYTES).map_err(invalid)
     }
 }
 
@@ -400,6 +400,47 @@ mod tests {
                 .obs()
                 .counter_value("serve.rejected.malformed")
                 >= 1.0
+        );
+    }
+
+    #[test]
+    fn deeply_nested_frame_gets_error_and_connection_survives() {
+        let server = start();
+        let mut client = TcpClient::connect(server.addr()).unwrap();
+        for open in ["[", "{\"a\":"] {
+            let reply = client.request_raw(&open.repeat(100_000)).unwrap();
+            match reply {
+                Response::Error { message } => assert!(message.contains("nesting"), "{message}"),
+                other => panic!("expected a malformed-frame error, got {other:?}"),
+            }
+            assert_eq!(client.request(&Request::Ping).unwrap(), Response::Pong);
+        }
+    }
+
+    #[test]
+    fn client_refuses_an_endless_reply_line() {
+        use std::io::Write as _;
+        use std::time::{Duration, Instant};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // One byte past the bound and no newline; then hold the socket
+            // open for 10 s, or until the test is done.
+            let _ = stream.write_all(&vec![b'x'; DEFAULT_MAX_FRAME_BYTES + 1]);
+            let _ = held.recv_timeout(Duration::from_secs(10));
+        });
+        let mut client = TcpClient::connect(addr).unwrap();
+        let started = Instant::now();
+        let err = client.request(&Request::Ping).unwrap_err();
+        let waited = started.elapsed();
+        drop(release);
+        peer.join().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            waited < Duration::from_secs(2),
+            "the client waited {waited:?} for the peer to close"
         );
     }
 

@@ -1,7 +1,10 @@
 //! Graceful shutdown: `Drain` runs the backlog dry, then checkpoints and
 //! dumps every session and feeds the memory store before the workers stop.
+//! Every session's checkpoint goes into one log, `<checkpoint_dir>/
+//! drain.ckpt.jsonl`, written with one fsync after the state lock is
+//! released.
 
-use super::{checkpoint_path, resume_session, Service};
+use super::{drain_log_path, resume_session, Service};
 use crate::protocol::Response;
 use relm_memory::SessionDigest;
 use relm_tune::SessionCheckpoint;
@@ -47,21 +50,19 @@ impl Service {
             // the loops below skip it (counted as `serve.resume_errors`).
             let _ = resume_session(shared, &mut state, name);
         }
-        let mut checkpointed = 0usize;
-        if let Some(dir) = &shared.config.checkpoint_dir {
-            for (name, sess) in &state.sessions {
-                let Some(env) = sess.env.as_ref() else {
-                    continue;
-                };
-                match SessionCheckpoint::capture(env).save(&checkpoint_path(dir, name)) {
-                    Ok(()) => {
-                        checkpointed += 1;
-                        shared.obs.inc("serve.checkpointed");
-                    }
-                    Err(_) => shared.obs.inc("serve.checkpoint_errors"),
-                }
-            }
-        }
+        // Capture every checkpoint under the lock (a clone each); the log
+        // is rendered and written once the lock is released.
+        let captured: Vec<(String, SessionCheckpoint)> = match &shared.config.checkpoint_dir {
+            Some(_) => state
+                .sessions
+                .iter()
+                .filter_map(|(name, sess)| {
+                    let env = sess.env.as_ref()?;
+                    Some((name.clone(), SessionCheckpoint::capture(env)))
+                })
+                .collect(),
+            None => Vec::new(),
+        };
         // One compact digest per session with completed work, for the
         // memory store below; nothing else reads them.
         let mut digests: Vec<SessionDigest> = Vec::new();
@@ -96,6 +97,17 @@ impl Service {
         state.stopped = true;
         shared.refresh_gauges(&state);
         drop(state);
+        // One file and one fsync for every session.
+        let mut checkpointed = 0usize;
+        if let Some(dir) = &shared.config.checkpoint_dir {
+            match SessionCheckpoint::save_log(&drain_log_path(dir), &captured) {
+                Ok(()) => {
+                    checkpointed = captured.len();
+                    shared.obs.add("serve.checkpointed", checkpointed as f64);
+                }
+                Err(_) => shared.obs.inc("serve.checkpoint_errors"),
+            }
+        }
         // Merge the digests into the cross-session memory store and
         // persist it — after the state lock is gone (lock-ordering rule:
         // the memory and state locks are never held together). A store

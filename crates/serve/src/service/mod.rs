@@ -48,9 +48,9 @@
 //!
 //! A session that sits idle while others work is a memory liability, not
 //! a correctness hazard — so when [`ServeConfig::evict_after_evals`] is
-//! set, the service checkpoints idle sessions to the file `Drain` writes,
-//! `<checkpoint_dir>/<session>.ckpt.json`, and unloads their
-//! environments. The [`SessionCheckpoint`](relm_tune::SessionCheckpoint)
+//! set, the service checkpoints idle sessions to
+//! `<checkpoint_dir>/<session>.ckpt.json`, one file each, and unloads
+//! their environments. The [`SessionCheckpoint`](relm_tune::SessionCheckpoint)
 //! carries the environment's whole state, so the session keeps nothing
 //! beside it. The idle clock is *evaluation-count epochs*, never wall
 //! time: a session is cold once `evict_after_evals` service-wide
@@ -60,7 +60,10 @@
 //! drops the session's GP fitter, which the next guided search that needs
 //! it rebuilds by replaying the exact fit schedule, so histories and
 //! proposals stay byte-identical across any number of evict/resume cycles
-//! (`serve.evictions` / `serve.resumes` count them).
+//! (`serve.evictions` / `serve.resumes` count them). Resume deletes the
+//! session's file. `Drain` resumes every evicted session, then writes all
+//! sessions' checkpoints into one log, `<checkpoint_dir>/drain.ckpt.jsonl`,
+//! so after a clean drain the log is the directory's only file.
 //!
 //! ## Layout
 //!
@@ -90,7 +93,7 @@ use relm_obs::{trace, FlightEvent, FlightRecorder, Obs, DEFAULT_FLIGHT_CAPACITY}
 use relm_tune::{
     recommendation, session_export, CachedEval, ConfigSpace, EvalKey, RetryPolicy, TuningEnv,
 };
-use residency::{checkpoint_path, evict_one_locked, maybe_evict_locked, resume_session};
+use residency::{drain_log_path, evict_one_locked, maybe_evict_locked, resume_session};
 use scheduler::Scheduler;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -130,10 +133,11 @@ pub struct ServeConfig {
     pub global_queue_limit: usize,
     /// Frame bound for the wire protocol.
     pub max_frame_bytes: usize,
-    /// Where session checkpoints (`<session>.ckpt.json`) land: eviction
-    /// writes one per evicted session and resume deletes it, and `Drain`
-    /// writes one per session. `None` skips checkpointing and disables
-    /// eviction.
+    /// Where session checkpoints land: eviction writes
+    /// `<session>.ckpt.json` per evicted session and resume deletes it, and
+    /// `Drain` writes every session into one log, `drain.ckpt.jsonl`
+    /// ([`SessionCheckpoint::load_log`](relm_tune::SessionCheckpoint::load_log)
+    /// reads it). `None` skips checkpointing and disables eviction.
     pub checkpoint_dir: Option<PathBuf>,
     /// Idle-session eviction threshold, in service-wide completed
     /// evaluations (an evaluation-count epoch clock — never wall time, so
@@ -1860,11 +1864,16 @@ mod tests {
             }
             other => panic!("drain failed: {other:?}"),
         }
-        for s in &sessions {
-            let path = dir.join(format!("{s}.ckpt.json"));
-            let ckpt = SessionCheckpoint::load(&path).expect("checkpoint readable");
+        // One log holds every session, in name order, and nothing else
+        // was written.
+        let log = SessionCheckpoint::load_log(&dir.join("drain.ckpt.jsonl")).expect("log readable");
+        let names: Vec<&String> = log.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, sessions.iter().collect::<Vec<_>>());
+        for (_, ckpt) in &log {
             assert_eq!(ckpt.history.len(), 2, "no lost or duplicated evaluations");
         }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(service.obs().counter_value("serve.checkpointed"), 3.0);
         // Post-drain requests are refused.
         assert!(matches!(
             service.handle(&Request::CreateSession {

@@ -6,10 +6,17 @@ use super::{attach_spec, build_engine, Shared, State};
 use relm_tune::SessionCheckpoint;
 use std::path::{Path, PathBuf};
 
-/// A session's one checkpoint file, `<dir>/<name>.ckpt.json`: eviction
-/// writes it, resume deletes it, and `Drain` writes it again.
+/// An evicted session's checkpoint file, `<dir>/<name>.ckpt.json`:
+/// eviction writes it and resume deletes it.
 pub(super) fn checkpoint_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.ckpt.json"))
+}
+
+/// The log `Drain` writes every session's checkpoint into,
+/// `<dir>/drain.ckpt.jsonl`. After a clean drain, which resumes every
+/// evicted session first, it is the directory's only file.
+pub(super) fn drain_log_path(dir: &Path) -> PathBuf {
+    dir.join("drain.ckpt.jsonl")
 }
 
 /// Checkpoints one idle session to its checkpoint file and unloads its

@@ -526,11 +526,13 @@ fn drain_checkpoints_match_live_histories() {
         }
         other => panic!("drain failed: {other:?}"),
     }
-    // Each checkpoint must hold exactly that session's full history —
+    // The drain's one log must hold exactly each session's full history —
     // resumable state with zero lost or duplicated evaluations.
     let reference = run_fleet(1, 6, 3);
-    for name in &names {
-        let ckpt = SessionCheckpoint::load(&dir.join(format!("{name}.ckpt.json"))).unwrap();
+    let log = SessionCheckpoint::load_log(&dir.join("drain.ckpt.jsonl")).unwrap();
+    assert_eq!(log.len(), names.len());
+    for (name, ckpt) in &log {
+        assert!(names.contains(name), "log holds unknown session {name}");
         assert_eq!(
             serde_json::to_string(&ckpt.history).unwrap(),
             reference[name].0,

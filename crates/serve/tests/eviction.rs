@@ -10,6 +10,7 @@ use relm_faults::FaultConfig;
 use relm_memory::MemoryStore;
 use relm_obs::Obs;
 use relm_serve::{Priority, Request, Response, ServeConfig, Service, SessionSpec};
+use relm_tune::SessionCheckpoint;
 use std::collections::BTreeMap;
 
 const WORKLOADS: [&str; 5] = ["WordCount", "SortByKey", "K-means", "SVM", "PageRank"];
@@ -209,17 +210,32 @@ fn run(
     }
     assert_eq!(obs.counter_value("serve.evict_errors"), 0.0);
     assert_eq!(obs.counter_value("serve.resume_errors"), 0.0);
-    // Eviction and the drain write the same file: every eviction
-    // checkpoint was consumed by its resume, and the drain left exactly
-    // one checkpoint per session.
-    let mut files: Vec<String> = std::fs::read_dir(&ckpt_dir)
+    // Every eviction checkpoint was consumed by its resume, and the drain
+    // wrote one log holding every session: the directory holds exactly
+    // the log.
+    let files: Vec<String> = std::fs::read_dir(&ckpt_dir)
         .expect("the drain wrote the checkpoint directory")
         .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
-    files.sort();
-    let mut want: Vec<String> = all_names.iter().map(|n| format!("{n}.ckpt.json")).collect();
+    assert_eq!(
+        files,
+        ["drain.ckpt.jsonl"],
+        "checkpoint directory after the drain"
+    );
+    let log = SessionCheckpoint::load_log(&ckpt_dir.join("drain.ckpt.jsonl"))
+        .expect("the drain log loads");
+    let mut logged: Vec<&String> = log.iter().map(|(name, _)| name).collect();
+    logged.sort();
+    let mut want: Vec<&String> = all_names.iter().collect();
     want.sort();
-    assert_eq!(files, want, "checkpoint directory after the drain");
+    assert_eq!(logged, want, "sessions in the drain log");
+    for (name, ckpt) in &log {
+        assert_eq!(ckpt.history.len(), EVALS, "{name}'s logged history");
+    }
+    assert_eq!(
+        obs.counter_value("serve.checkpointed"),
+        all_names.len() as f64
+    );
     let memory = MemoryStore::load(&store, Obs::disabled()).expect("drain saved the memory store");
     let mut runs = BTreeMap::new();
     for i in 0..SESSIONS {

@@ -12,6 +12,7 @@ use relm_serve::{
     SessionSpec, SessionStatus, DEFAULT_MAX_FRAME_BYTES,
 };
 use relm_tune::{recommendation, session_export, EvalStore, RetryPolicy, TuningEnv};
+use serde::Serialize;
 use std::io::BufReader;
 
 fn config(n: u32, p: u32, cache: f64, shuffle: f64) -> MemoryConfig {
@@ -79,6 +80,8 @@ fn real_task_and_outcome(
 
 fn assert_request_round_trips(req: &Request) {
     let line = encode(req);
+    // The direct writer and the tree print the same bytes.
+    assert_eq!(line, req.to_value().to_string());
     assert!(!line.contains('\n'), "frames must be single-line");
     let back: Request = decode(&line, DEFAULT_MAX_FRAME_BYTES).unwrap();
     assert_eq!(req, &back);
@@ -88,6 +91,7 @@ fn assert_request_round_trips(req: &Request) {
 
 fn assert_response_round_trips(resp: &Response) {
     let line = encode(resp);
+    assert_eq!(line, resp.to_value().to_string());
     assert!(!line.contains('\n'), "frames must be single-line");
     let back: Response = decode(&line, DEFAULT_MAX_FRAME_BYTES).unwrap();
     assert_eq!(resp, &back);
@@ -317,6 +321,21 @@ fn malformed_frames_never_panic() {
             Ok(other) => panic!("garbage {line:?} decoded to {other:?}"),
             Err(FrameError::Malformed { .. }) => {}
             Err(other) => panic!("garbage {line:?} gave {other:?}"),
+        }
+    }
+}
+
+/// Nesting far past the parser's bound is a malformed frame, not a stack
+/// overflow that aborts the process.
+#[test]
+fn deeply_nested_frames_are_malformed() {
+    for open in ["[", "{\"a\":"] {
+        let line = open.repeat(100_000);
+        for err in [
+            decode::<Request>(&line, DEFAULT_MAX_FRAME_BYTES).unwrap_err(),
+            decode::<Response>(&line, DEFAULT_MAX_FRAME_BYTES).unwrap_err(),
+        ] {
+            assert!(matches!(err, FrameError::Malformed { .. }), "{err}");
         }
     }
 }

@@ -149,7 +149,10 @@ pub fn session_export(env: &TuningEnv, rec: &Recommendation) -> SessionExport {
 ///
 /// On disk it is the checksummed single-record layout of
 /// [`relm_common::durable`]: a `{"kind":"relm-checkpoint","version":2,
-/// "check":...}` header line, then this struct as one JSON line.
+/// "check":...}` header line, then this struct as one JSON line. Many
+/// sessions' checkpoints share one file through
+/// [`SessionCheckpoint::save_log`]: one `relm-checkpoint-log` header, then
+/// a checked head line and the same payload line per session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
     /// The application under tuning.
@@ -172,6 +175,10 @@ pub struct SessionCheckpoint {
 pub const CHECKPOINT_VERSION: u64 = 2;
 
 const CHECKPOINT_KIND: &str = "relm-checkpoint";
+
+/// The kind of a checkpoint log. Its records are checkpoint payloads, so it
+/// shares [`CHECKPOINT_VERSION`].
+const CHECKPOINT_LOG_KIND: &str = "relm-checkpoint-log";
 
 fn invalid(e: impl ToString) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
@@ -201,9 +208,8 @@ impl SessionCheckpoint {
     }
 
     /// Writes the checkpoint to `path` through
-    /// [`relm_common::durable::write_atomic`]: atomic against process
-    /// death; not fsynced, so a power loss can leave an empty or stale
-    /// file.
+    /// [`relm_common::durable::write_atomic`]: atomic, and fsynced with its
+    /// directory before it returns.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         let payload = serde_json::to_string(self).map_err(invalid)?;
         let head = durable::header(CHECKPOINT_KIND, CHECKPOINT_VERSION);
@@ -217,6 +223,25 @@ impl SessionCheckpoint {
         let text = std::fs::read_to_string(path)?;
         let payload = durable::parse_checked(&text, CHECKPOINT_KIND, CHECKPOINT_VERSION)?;
         serde_json::from_str(payload).map_err(invalid)
+    }
+
+    /// Writes every `(session, checkpoint)` pair into one log at `path`,
+    /// in slice order, with one [`relm_common::durable::write_atomic`]:
+    /// one file and one fsync however many sessions it holds. Each
+    /// record's payload line is the bytes [`SessionCheckpoint::save`]
+    /// writes as its payload.
+    pub fn save_log(path: &Path, sessions: &[(String, SessionCheckpoint)]) -> io::Result<()> {
+        let text = durable::render_log(CHECKPOINT_LOG_KIND, CHECKPOINT_VERSION, sessions);
+        durable::write_atomic(path, text.as_bytes())
+    }
+
+    /// Loads a log written by [`SessionCheckpoint::save_log`], every
+    /// record in file order. Any damage refuses the whole log as an
+    /// `InvalidData` error ([`relm_common::durable::parse_log`] lists
+    /// what counts), a log missing whole records included.
+    pub fn load_log(path: &Path) -> io::Result<Vec<(String, SessionCheckpoint)>> {
+        let text = std::fs::read_to_string(path)?;
+        durable::parse_log(&text, CHECKPOINT_LOG_KIND, CHECKPOINT_VERSION)
     }
 }
 
@@ -497,6 +522,70 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         assert!(SessionCheckpoint::load(&path).is_ok());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoint_log_holds_the_single_file_payloads() {
+        use crate::env::TuningEnv;
+        use relm_workloads::{max_resource_allocation, wordcount};
+        let sessions: Vec<(String, SessionCheckpoint)> = (0..3)
+            .map(|i| {
+                let mut env = TuningEnv::new(
+                    relm_app::Engine::new(ClusterSpec::cluster_a()),
+                    wordcount(),
+                    40 + i,
+                );
+                let cfg = max_resource_allocation(&ClusterSpec::cluster_a(), env.app());
+                for _ in 0..i {
+                    env.evaluate(&cfg);
+                }
+                (format!("s-{i:04}"), SessionCheckpoint::capture(&env))
+            })
+            .collect();
+        let dir = std::env::temp_dir().join(format!("relm_ckpt_log_{}", std::process::id()));
+        let log = dir.join("drain.ckpt.jsonl");
+        SessionCheckpoint::save_log(&log, &sessions).unwrap();
+        assert_eq!(SessionCheckpoint::load_log(&log).unwrap(), sessions);
+        // Each record's payload line is the single file's payload line.
+        let text = std::fs::read_to_string(&log).unwrap();
+        let payloads: Vec<&str> = text.lines().skip(2).step_by(2).collect();
+        assert_eq!(payloads.len(), sessions.len());
+        for ((name, ckpt), logged) in sessions.iter().zip(&payloads) {
+            let single = dir.join(format!("{name}.ckpt.json"));
+            ckpt.save(&single).unwrap();
+            let saved = std::fs::read_to_string(&single).unwrap();
+            assert_eq!(saved.lines().nth(1), Some(*logged));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nesting_past_the_parser_bound_refuses_a_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("relm_ckpt_deep_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let payload = "[".repeat(100_000);
+        let single = dir.join("s-0001.ckpt.json");
+        let head = durable::header(CHECKPOINT_KIND, CHECKPOINT_VERSION);
+        std::fs::write(&single, durable::render_checked(head, &payload)).unwrap();
+        let err = SessionCheckpoint::load(&single).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // The same payload as the one record of a log, its checksum intact.
+        let name = "\"s-0001\"";
+        let mut check = relm_common::hash::Fnv64::new();
+        check.write_str(name);
+        check.write_str(&payload);
+        let deep = format!(
+            "{{\"kind\":\"{CHECKPOINT_LOG_KIND}\",\"version\":{CHECKPOINT_VERSION},\"sessions\":1}}\n\
+             {{\"session\":{name},\"check\":{}}}\n{payload}\n",
+            check.finish()
+        );
+        let log = dir.join("drain.ckpt.jsonl");
+        std::fs::write(&log, deep).unwrap();
+        let err = SessionCheckpoint::load_log(&log).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

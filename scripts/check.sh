@@ -68,6 +68,23 @@ printf '%s\n' "$warm_out" | grep -q 'evalcache: hits=[0-9]* misses=0 ' \
   || { echo "evalcache smoke test FAILED: warm run still missed the cache" >&2; exit 1; }
 echo "evalcache OK: warm rerun replayed $warm_hits evaluations with byte-identical output"
 
+# The drain writes every session's checkpoint into one log,
+# <dir>/drain.ckpt.jsonl, and after a clean drain it is the directory's
+# only file: every eviction checkpoint (<session>.ckpt.json) was consumed
+# by its resume. The log's header counts the sessions, and the log holds
+# one record (a head line and a payload line) per session.
+check_drain_log() {
+  local dir="$1" want="$2" step="$3" log="$1/drain.ckpt.jsonl" files stale header records
+  files="$(ls "$dir")"
+  stale="$(ls "$dir" | grep -c '\.ckpt\.json$' || true)"
+  [ "$files" = "drain.ckpt.jsonl" ] && [ "$stale" -eq 0 ] \
+    || { echo "$step FAILED: expected only drain.ckpt.jsonl in $dir, found: $(printf '%s' "$files" | tr '\n' ' ')" >&2; exit 1; }
+  header="$(head -n 1 "$log" | sed -n 's/^{"kind":"relm-checkpoint-log",.*"sessions":\([0-9]*\)}$/\1/p')"
+  records="$(grep -c '^{"session":' "$log" || true)"
+  [ "$header" = "$want" ] && [ "$records" -eq "$want" ] \
+    || { echo "$step FAILED: expected $want sessions in the drain log; its header counts ${header:-none}, it holds $records records" >&2; exit 1; }
+}
+
 echo "== serve smoke test =="
 # Start the tuning service, drive a fleet of concurrent sessions through
 # the TCP frontend, drain, and hold the serving layer to its headline
@@ -90,19 +107,17 @@ cargo run --locked --release -q -p relm-experiments --bin serve_load -- \
   --out "$serve_dir/parallel.jsonl" --checkpoint-dir "$serve_dir/ckpt8"
 diff "$serve_dir/serial.jsonl" "$serve_dir/parallel.jsonl" \
   || { echo "serve smoke test FAILED: histories depend on worker count" >&2; exit 1; }
-# The drain writes exactly one checkpoint per session into the checkpoint
-# directory, and nothing else.
-files="$(ls "$serve_dir/ckpt8" | wc -l)"
-ckpts="$(ls "$serve_dir/ckpt8" | grep -c '\.ckpt\.json$')"
-[ "$files" -eq 12 ] && [ "$ckpts" -eq 12 ] \
-  || { echo "serve smoke test FAILED: expected 12 files, all *.ckpt.json; found $files files, $ckpts checkpoints" >&2; exit 1; }
+# Each drain wrote one log of 12 records into its checkpoint directory,
+# and nothing else.
+check_drain_log "$serve_dir/ckpt1" 12 "serve smoke test"
+check_drain_log "$serve_dir/ckpt8" 12 "serve smoke test"
 # The drain freezes one flight dump per session (plus one per censored
 # evaluation); serve_load already verified each dump parses and
 # checksums, so here just pin the drain-dump count.
 drain_dumps="$(ls "$serve_dir/flight8" | grep -c -- '-drain-')"
 [ "$drain_dumps" -eq 12 ] \
   || { echo "serve smoke test FAILED: expected 12 drain flight dumps, found $drain_dumps" >&2; exit 1; }
-echo "serve OK: 12 sessions (incl. GP-guided steps) byte-identical across 1/8 workers under a live scraper, all checkpointed and flight-dumped on drain"
+echo "serve OK: 12 sessions (incl. GP-guided steps) byte-identical across 1/8 workers under a live scraper, all checkpointed into one drain log and flight-dumped on drain"
 
 echo "== fleet smoke test =="
 # Same load, but evaluated by a 3-worker fleet with one worker armed to
@@ -138,13 +153,10 @@ cargo run --locked --release -q -p relm-experiments --bin serve_load -- \
   --out "$serve_dir/soak.jsonl"
 diff "$serve_dir/soak_base.jsonl" "$serve_dir/soak.jsonl" \
   || { echo "soak smoke test FAILED: histories depend on eviction or pool size" >&2; exit 1; }
-# Eviction and the drain write the same file, one per session: every
-# eviction checkpoint was consumed by its resume and rewritten by the drain.
-files="$(ls "$serve_dir/soak_ckpt" | wc -l)"
-ckpts="$(ls "$serve_dir/soak_ckpt" | grep -c '\.ckpt\.json$')"
-[ "$files" -eq 8 ] && [ "$ckpts" -eq 8 ] \
-  || { echo "soak smoke test FAILED: expected 8 files, all *.ckpt.json; found $files files, $ckpts checkpoints" >&2; exit 1; }
-echo "soak OK: 8 sessions byte-identical under forced eviction on a 1-worker pool, SLO and drain books reconciled, one checkpoint per session"
+# Every eviction checkpoint was consumed by its resume, and the drain
+# logged all 8 sessions.
+check_drain_log "$serve_dir/soak_ckpt" 8 "soak smoke test"
+echo "soak OK: 8 sessions byte-identical under forced eviction on a 1-worker pool, SLO and drain books reconciled, one drain log of 8 records"
 
 echo "== surrogate perf smoke test =="
 # The fast surrogate kernels must be invisible in the traces: the
