@@ -21,6 +21,7 @@ use relm_workloads::{max_resource_allocation, wordcount};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// FNV-1a 64 of each saved file, recorded before the formats shared one
 /// write path. The checkpoint's pin was recorded again for its version 2,
@@ -147,7 +148,7 @@ fn flight_dump() -> FlightDump {
                 at_us: 1_250,
                 detail: "queue position 2 — café".into(),
             },
-            FlightEvent::Span(SpanRecord {
+            FlightEvent::Span(Arc::new(SpanRecord {
                 id: 9,
                 parent: Some(4),
                 trace: Some(42),
@@ -161,7 +162,7 @@ fn flight_dump() -> FlightDump {
                     ("aborted".into(), FieldValue::Bool(false)),
                     ("cause".into(), FieldValue::Str("none".into())),
                 ],
-            }),
+            })),
         ],
     }
 }

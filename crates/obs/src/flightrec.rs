@@ -4,7 +4,8 @@
 //! The serving layer keeps one [`FlightRecorder`] per session and mirrors
 //! into it every protocol event it handles and every span it closes for
 //! that session (via [`crate::SpanGuard::finish`], which returns the
-//! committed record). When an evaluation dies to a fault, when the
+//! committed record; the span ring and the flight ring share that one
+//! `Arc`'d record). When an evaluation dies to a fault, when the
 //! service drains, or when a client sends an explicit `Dump` request, the
 //! ring is frozen into a [`FlightDump`] and written under
 //! `results/flightrec/` by [`save_dump`], through
@@ -36,7 +37,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// On-disk format version; bump on any incompatible change.
 pub const FLIGHTREC_VERSION: u64 = 1;
@@ -63,8 +64,9 @@ pub enum FlightEvent {
         /// Free-form detail (queue position, abort cause, …).
         detail: String,
     },
-    /// A completed span mirrored from the main ring.
-    Span(SpanRecord),
+    /// A completed span mirrored from the main ring, sharing its record.
+    /// Serializes as the record itself.
+    Span(Arc<SpanRecord>),
 }
 
 impl FlightEvent {
@@ -103,19 +105,24 @@ impl FlightRecorder {
         }
     }
 
-    /// Appends an event, evicting the oldest when full.
+    /// Appends an event, evicting the oldest when full. The evicted event
+    /// is freed after the ring is unlocked.
     pub fn record(&self, event: FlightEvent) {
         let mut ring = self.ring.lock().expect("flight ring poisoned");
-        if ring.events.len() == ring.capacity {
-            ring.events.pop_front();
+        let evicted = if ring.events.len() == ring.capacity {
             ring.dropped += 1;
-        }
+            ring.events.pop_front()
+        } else {
+            None
+        };
         ring.events.push_back(event);
+        drop(ring);
+        drop(evicted);
     }
 
     /// Mirrors a completed span (the value returned by
     /// [`crate::SpanGuard::finish`]).
-    pub fn record_span(&self, record: SpanRecord) {
+    pub fn record_span(&self, record: Arc<SpanRecord>) {
         self.record(FlightEvent::Span(record));
     }
 
@@ -238,7 +245,7 @@ mod tests {
     fn dump_save_read_round_trips() {
         let rec = FlightRecorder::new(8);
         rec.record(proto(7, "create_session"));
-        rec.record_span(crate::SpanRecord {
+        rec.record_span(Arc::new(crate::SpanRecord {
             id: 1,
             parent: None,
             trace: Some(7),
@@ -246,7 +253,7 @@ mod tests {
             start_us: 5,
             end_us: 9,
             fields: vec![("aborted".into(), crate::FieldValue::Bool(true))],
-        });
+        }));
         let dump = rec.dump("s-0001", "fault");
         let dir = std::env::temp_dir().join(format!("relm-flightrec-test-{}", std::process::id()));
         let path = save_dump(&dir, &dump).unwrap();

@@ -13,7 +13,12 @@
 //! [`Obs`] (and its clones) may be shared freely across threads: counters
 //! and gauges are lock-free atomics whose increments are exact for
 //! integer-valued totals below 2^53, histograms are arrays of atomic
-//! bucket counts, and the span ring is behind a `Mutex`. The
+//! bucket counts, and the span ring is behind a `Mutex`. Recording a
+//! metric finds its instrument by name under the registry's shared read
+//! lock, so recorders on different threads never exclude one another;
+//! only the first use of a name takes the write lock. The span ring holds
+//! each record behind an `Arc`, which [`SpanGuard::finish`] shares with
+//! its caller instead of copying. The
 //! *per-thread* aspects are span **parenting** and [`Obs::tally`] scopes:
 //! the open spans and scopes live in thread-local storage, so a span
 //! opened on a worker thread never parents under a span opened on another
@@ -150,7 +155,7 @@ impl Obs {
     pub fn add(&self, name: &str, delta: f64) {
         if let Some(inner) = &self.inner {
             if !tally_absorb(Arc::as_ptr(inner), name, delta) {
-                inner.registry.counter(name).add(delta);
+                inner.registry.with_counter(name, |c| c.add(delta));
             }
         }
     }
@@ -180,7 +185,7 @@ impl Obs {
     /// Reads a counter's current value (0 when disabled or unregistered).
     pub fn counter_value(&self, name: &str) -> f64 {
         match &self.inner {
-            Some(inner) => inner.registry.counter(name).value(),
+            Some(inner) => inner.registry.with_counter(name, |c| c.value()),
             None => 0.0,
         }
     }
@@ -188,19 +193,19 @@ impl Obs {
     /// Sets the named gauge.
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.registry.gauge(name).set(value);
+            inner.registry.with_gauge(name, |g| g.set(value));
         }
     }
 
     /// Records one observation into the named histogram.
     pub fn record(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.registry.histogram(name).record(value);
+            inner.registry.with_histogram(name, |h| h.record(value));
         }
     }
 
-    /// A clonable handle to the named histogram, for hot paths that want
-    /// to skip the per-record registry lookup. `None` when disabled.
+    /// A handle to the named histogram (registered if new), for readers
+    /// that want more than one quantile. `None` when disabled.
     pub fn histogram(&self, name: &str) -> Option<Arc<Histogram>> {
         self.inner.as_ref().map(|i| i.registry.histogram(name))
     }
@@ -209,7 +214,7 @@ impl Obs {
     pub fn histogram_quantile(&self, name: &str, q: f64) -> Option<f64> {
         self.inner
             .as_ref()
-            .and_then(|i| i.registry.histogram(name).quantile(q))
+            .and_then(|i| i.registry.with_histogram(name, |h| h.quantile(q)))
     }
 
     /// Captures the current spans and metric values.

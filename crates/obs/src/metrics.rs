@@ -1,11 +1,12 @@
 //! Metrics registry: named counters, gauges, and log-linear-bucket
 //! histograms, all updated through atomics so recording never blocks other
-//! recorders (registration of a *new* name takes a short registry lock).
+//! recorders: a known name is found under a shared read lock, and only the
+//! registration of a *new* name takes the exclusive write lock.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
 /// Monotonically increasing value. Stored as f64 bits so the same type
 /// serves integer counts (`inc`) and cumulative quantities like total
@@ -246,52 +247,74 @@ pub struct HistogramSummary {
     pub p99: f64,
 }
 
-/// Name → instrument maps. Lookup takes a short lock; the returned `Arc`
-/// can be cached by hot paths to skip it.
+/// Name → instrument maps. A lookup of a known name holds only the shared
+/// read lock, and [`crate::Obs`] updates the instrument borrowed under it,
+/// so concurrent recorders never exclude one another; only a name the
+/// registry has never seen takes the write lock. The readers list each
+/// map in name order.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
+    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
+    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl Registry {
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        lookup(&self.counters, name)
+        self.with_counter(name, Arc::clone)
     }
 
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        lookup(&self.gauges, name)
+        self.with_gauge(name, Arc::clone)
     }
 
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        lookup(&self.histograms, name)
+        self.with_histogram(name, Arc::clone)
+    }
+
+    /// Runs `f` on the named counter (registered if new).
+    pub(crate) fn with_counter<R>(&self, name: &str, f: impl FnOnce(&Arc<Counter>) -> R) -> R {
+        with_instrument(&self.counters, name, f)
+    }
+
+    /// Runs `f` on the named gauge (registered if new).
+    pub(crate) fn with_gauge<R>(&self, name: &str, f: impl FnOnce(&Arc<Gauge>) -> R) -> R {
+        with_instrument(&self.gauges, name, f)
+    }
+
+    /// Runs `f` on the named histogram (registered if new).
+    pub(crate) fn with_histogram<R>(&self, name: &str, f: impl FnOnce(&Arc<Histogram>) -> R) -> R {
+        with_instrument(&self.histograms, name, f)
     }
 
     pub fn counter_values(&self) -> Vec<(String, f64)> {
-        let map = self.counters.lock().expect("registry poisoned");
+        let map = self.counters.read().expect("registry poisoned");
         map.iter().map(|(k, v)| (k.clone(), v.value())).collect()
     }
 
     pub fn gauge_values(&self) -> Vec<(String, f64)> {
-        let map = self.gauges.lock().expect("registry poisoned");
+        let map = self.gauges.read().expect("registry poisoned");
         map.iter().map(|(k, v)| (k.clone(), v.value())).collect()
     }
 
     pub fn histogram_summaries(&self) -> Vec<HistogramSummary> {
-        let map = self.histograms.lock().expect("registry poisoned");
+        let map = self.histograms.read().expect("registry poisoned");
         map.iter().map(|(k, v)| v.summary(k)).collect()
     }
 }
 
-fn lookup<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    let mut map = map.lock().expect("registry poisoned");
-    if let Some(existing) = map.get(name) {
-        return Arc::clone(existing);
+/// Runs `f` on the instrument named `name`, under the read lock when the
+/// name is known and under the write lock when it must be registered.
+fn with_instrument<T: Default, R>(
+    map: &RwLock<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    f: impl FnOnce(&Arc<T>) -> R,
+) -> R {
+    if let Some(found) = map.read().expect("registry poisoned").get(name) {
+        return f(found);
     }
-    let created = Arc::new(T::default());
-    map.insert(name.to_string(), Arc::clone(&created));
-    created
+    let mut map = map.write().expect("registry poisoned");
+    f(map.entry(name.to_string()).or_default())
 }
 
 #[cfg(test)]

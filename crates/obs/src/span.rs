@@ -90,10 +90,11 @@ pub struct SpanRecord {
 
 /// Fixed-capacity ring of completed spans. When full, the oldest span is
 /// overwritten and `dropped` is incremented, so hot paths never grow the
-/// allocation.
+/// allocation. Each record is held behind an `Arc`, which a secondary sink
+/// (a session's flight recorder) can share instead of copying.
 #[derive(Debug)]
 pub struct SpanRing {
-    slots: Vec<SpanRecord>,
+    slots: Vec<Arc<SpanRecord>>,
     capacity: usize,
     head: usize,
     dropped: u64,
@@ -109,22 +110,27 @@ impl SpanRing {
         }
     }
 
-    pub fn push(&mut self, record: SpanRecord) {
+    /// Appends `record` and returns the oldest record it overwrote, if
+    /// the ring was full, so the caller can free it after unlocking.
+    pub fn push(&mut self, record: Arc<SpanRecord>) -> Option<Arc<SpanRecord>> {
         if self.slots.len() < self.capacity {
             self.slots.push(record);
-        } else {
-            self.slots[self.head] = record;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
+            return None;
         }
+        let evicted = std::mem::replace(&mut self.slots[self.head], record);
+        self.head = (self.head + 1) % self.capacity;
+        self.dropped += 1;
+        Some(evicted)
     }
 
-    /// Spans in completion order, oldest retained first.
+    /// Copies of the spans in completion order, oldest retained first.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        out.extend_from_slice(&self.slots[self.head..]);
-        out.extend_from_slice(&self.slots[..self.head]);
-        out
+        let (newer, older) = self.slots.split_at(self.head);
+        older
+            .iter()
+            .chain(newer)
+            .map(|r| SpanRecord::clone(r))
+            .collect()
     }
 
     /// Spans overwritten because the ring was full.
@@ -242,18 +248,20 @@ impl SpanGuard {
         }
     }
 
-    /// Commits the span (exactly as dropping it would) and returns a copy
-    /// of the recorded span, so callers can mirror it into a secondary
-    /// sink — the serve flight recorder does this per session. `None` when
-    /// the guard was not recording.
-    pub fn finish(mut self) -> Option<SpanRecord> {
+    /// Commits the span (exactly as dropping it would) and returns the
+    /// committed record, shared with the ring, so callers can mirror it
+    /// into a secondary sink without copying it — the serve flight
+    /// recorder does this per session. `None` when the guard was not
+    /// recording.
+    pub fn finish(mut self) -> Option<Arc<SpanRecord>> {
         self.commit(true)
     }
 
     /// Stamps the end time, pops the open-span stack, and pushes the
-    /// record into the ring. Returns a copy only when `keep` is set, so
-    /// the plain drop path never clones.
-    fn commit(&mut self, keep: bool) -> Option<SpanRecord> {
+    /// record into the ring. Returns a second handle to it only when
+    /// `keep` is set. A record the push overwrote is freed after the ring
+    /// lock is released.
+    fn commit(&mut self, keep: bool) -> Option<Arc<SpanRecord>> {
         let tracer = self.tracer.take()?;
         OPEN_SPANS.with(|s| {
             let mut s = s.borrow_mut();
@@ -266,9 +274,10 @@ impl SpanGuard {
             }
         });
         self.record.end_us = tracer.now_us();
-        let record = std::mem::replace(&mut self.record, empty_record());
-        let kept = keep.then(|| record.clone());
-        tracer.ring.lock().expect("span ring poisoned").push(record);
+        let record = Arc::new(std::mem::replace(&mut self.record, empty_record()));
+        let kept = keep.then(|| Arc::clone(&record));
+        let evicted = tracer.ring.lock().expect("span ring poisoned").push(record);
+        drop(evicted);
         kept
     }
 }
@@ -298,8 +307,9 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest() {
         let mut ring = SpanRing::new(3);
+        let mut evicted = Vec::new();
         for id in 0..5u64 {
-            ring.push(SpanRecord {
+            let record = Arc::new(SpanRecord {
                 id,
                 parent: None,
                 trace: None,
@@ -308,10 +318,28 @@ mod tests {
                 end_us: id + 1,
                 fields: Vec::new(),
             });
+            evicted.push(ring.push(record).map(|r| (r.id, Arc::strong_count(&r))));
         }
         assert_eq!(ring.dropped(), 2);
         let ids: Vec<u64> = ring.snapshot().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![2, 3, 4]);
+        // Once full, each push hands back the record it overwrote, and
+        // the ring no longer holds it.
+        assert_eq!(evicted, vec![None, None, None, Some((0, 1)), Some((1, 1))]);
+    }
+
+    #[test]
+    fn finish_shares_the_committed_record_with_the_ring() {
+        let tracer = Arc::new(Tracer::new(16));
+        let record = begin_span(Some(&tracer), "mirrored")
+            .with("session", "s-0001")
+            .finish()
+            .expect("a recording guard returns its record");
+        // One allocation: the ring holds the other handle.
+        assert_eq!(Arc::strong_count(&record), 2);
+        let spans = tracer.ring.lock().unwrap().snapshot();
+        assert_eq!(spans, vec![SpanRecord::clone(&record)]);
+        assert!(begin_span(None, "ignored").finish().is_none());
     }
 
     #[test]

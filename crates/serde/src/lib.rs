@@ -23,6 +23,7 @@ pub use text::{parse, write_escaped, MAX_DEPTH};
 pub use value::{Map, Number, Value};
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Serialization/deserialization error: a human-readable message describing
 /// the first mismatch encountered.
@@ -233,6 +234,22 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(Box::new)
+    }
+}
+
+/// A shared value serializes as the value itself.
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(Arc::new)
     }
 }
 

@@ -344,10 +344,11 @@ impl Parser<'_> {
                 text.parse::<f64>()
                     .map_err(|_| Error::msg(format!("invalid number `{text}`")))?,
             )
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            // Negative integer; fall back to f64 on i64 overflow.
-            match stripped.parse::<i64>() {
-                Ok(x) => Number::I64(-x),
+        } else if text.starts_with('-') {
+            // Negative integer, parsed with its sign so `i64::MIN` fits;
+            // fall back to f64 below it.
+            match text.parse::<i64>() {
+                Ok(x) => Number::I64(x),
                 Err(_) => Number::F64(
                     text.parse::<f64>()
                         .map_err(|_| Error::msg(format!("invalid number `{text}`")))?,
@@ -427,6 +428,28 @@ mod tests {
             .unwrap();
         let text = v.to_string();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn negative_integers_keep_their_full_range() {
+        use crate::{Deserialize, Serialize};
+        for x in [i64::MIN, i64::MIN + 1] {
+            let mut text = String::new();
+            x.write_json(&mut text);
+            let v = parse(&text).unwrap();
+            assert!(
+                matches!(v, Value::Number(Number::I64(n)) if n == x),
+                "{text}: {v:?}"
+            );
+            assert_eq!(i64::from_value(&v), Ok(x));
+        }
+        let zero = parse("-0").unwrap();
+        assert!(matches!(zero, Value::Number(Number::I64(0))), "{zero:?}");
+        let below = parse("-9223372036854775809").unwrap();
+        assert!(
+            matches!(below, Value::Number(Number::F64(f)) if f == -9223372036854775809.0),
+            "{below:?}"
+        );
     }
 
     #[test]

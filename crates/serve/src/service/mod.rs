@@ -633,9 +633,12 @@ impl Service {
 
     /// Live metrics scrape: one snapshot captured from the registry,
     /// shipped both structured and as Prometheus text rendered *from that
-    /// same capture* — the two halves cannot disagree. Never blocks the
-    /// workers: capturing reads the registry under its own short locks.
+    /// same capture* — the two halves cannot disagree. The SLO gauges are
+    /// published first, so the scrape reads the live window; that holds
+    /// the window's mutex for one summary. Capturing reads the registry
+    /// under its shared locks and never blocks the workers.
     fn metrics(&self) -> Response {
+        self.shared.slo.publish(&self.shared.obs);
         let snapshot = self.shared.obs.metrics_snapshot();
         let expo = relm_obs::render_prometheus(&snapshot);
         Response::Metrics { snapshot, expo }
@@ -1608,6 +1611,32 @@ mod tests {
             other => panic!("result failed: {other:?}"),
         }
         assert_eq!(service.obs().counter_value("serve.evaluations"), 3.0);
+    }
+
+    /// The SLO gauges are published when they are read: after five
+    /// evaluations, with no rotation and no rejection, a `Metrics` scrape
+    /// already reports the live window.
+    #[test]
+    fn metrics_scrape_reads_the_live_slo_window() {
+        let service = svc(1);
+        let session = create(&service, SessionSpec::named("WordCount", 11));
+        service.handle(&Request::StepAuto {
+            session: session.clone(),
+            evals: 5,
+        });
+        service.handle(&Request::Join { session });
+        let Response::Metrics { snapshot, .. } = service.handle(&Request::Metrics) else {
+            panic!("metrics scrape failed");
+        };
+        let gauge = |name: &str| {
+            snapshot
+                .gauges
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+        };
+        assert_eq!(gauge("serve.slo.window.evals"), Some(5.0));
+        assert!(gauge("serve.slo.latency_p50_ms").unwrap() > 0.0);
     }
 
     #[test]

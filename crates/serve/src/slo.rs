@@ -4,11 +4,16 @@
 //! ([`relm_obs::WindowedHistogram`] / [`relm_obs::WindowedCounter`]) from
 //! the evaluation path and publishes the readout as `serve.slo.*` gauges,
 //! so a `Metrics` scrape answers "how is the service doing *lately*"
-//! rather than "since boot". Window rotation is driven by evaluation
-//! count — every [`SLO_EPOCH_EVALS`] completed evaluations, never by a
-//! wall clock — so nothing here perturbs the deterministic path; only the
-//! recorded latencies themselves are timing-dependent, and those are
-//! telemetry by definition.
+//! rather than "since boot". The readout is computed when it is read, not
+//! on every evaluation: the gauges are published at each window rotation,
+//! at each admission rejection and at each `Metrics` scrape (which
+//! publishes before it captures, so a scrape always reads the live
+//! window). An in-process [`relm_obs::Obs::snapshot`] between those points
+//! may read gauges up to `SLO_EPOCH_EVALS - 1` evaluations old. Window
+//! rotation is driven by evaluation count — every [`SLO_EPOCH_EVALS`]
+//! completed evaluations, never by a wall clock — so nothing here perturbs
+//! the deterministic path; only the recorded latencies themselves are
+//! timing-dependent, and those are telemetry by definition.
 //!
 //! ## Published series
 //!
@@ -54,8 +59,8 @@ impl SloTracker {
     }
 
     /// Records one completed evaluation: latency into the window,
-    /// error-budget spend if it was censored, rotation bookkeeping, and a
-    /// refreshed gauge readout.
+    /// error-budget spend if it was censored, and rotation bookkeeping. A
+    /// rotation also publishes the gauge readout.
     pub(crate) fn record_eval(&self, obs: &Obs, latency_ms: f64, censored: bool) {
         self.latency.record(latency_ms);
         if censored {
@@ -68,8 +73,8 @@ impl SloTracker {
             self.latency.rotate();
             self.errors.rotate();
             obs.inc("serve.slo.rotations");
+            self.publish(obs);
         }
-        self.publish(obs);
     }
 
     /// Spends error budget on an admission rejection (the client was
@@ -81,7 +86,7 @@ impl SloTracker {
     }
 
     /// Publishes the current windowed readout as gauges.
-    fn publish(&self, obs: &Obs) {
+    pub(crate) fn publish(&self, obs: &Obs) {
         let s = self.latency.summary("serve.slo.latency_ms");
         obs.gauge("serve.slo.latency_p50_ms", s.p50);
         obs.gauge("serve.slo.latency_p95_ms", s.p95);
@@ -123,5 +128,42 @@ mod tests {
         assert_eq!(gauge("serve.slo.window.evals"), n as f64);
         assert!(gauge("serve.slo.latency_p50_ms") > 0.0);
         assert!(gauge("serve.slo.window.errors") >= 1.0);
+    }
+
+    #[test]
+    fn gauges_are_published_on_read_and_at_rotation() {
+        let obs = Obs::enabled();
+        let slo = SloTracker::new();
+        let gauge = |name: &str| {
+            obs.snapshot()
+                .gauges
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| *v)
+        };
+        for i in 0..5 {
+            slo.record_eval(&obs, 2.0 + i as f64, false);
+        }
+        // No rotation and no rejection yet: nothing was published until
+        // a reader asks.
+        assert_eq!(gauge("serve.slo.window.evals"), None);
+        slo.publish(&obs);
+        assert_eq!(gauge("serve.slo.window.evals"), Some(5.0));
+        assert!(gauge("serve.slo.latency_p50_ms").unwrap() > 0.0);
+
+        // The rotation at the 64th evaluation publishes by itself; the
+        // next evaluation leaves the readout as the rotation wrote it.
+        for _ in 5..SLO_EPOCH_EVALS {
+            slo.record_eval(&obs, 1.0, false);
+        }
+        assert_eq!(
+            gauge("serve.slo.window.evals"),
+            Some(SLO_EPOCH_EVALS as f64)
+        );
+        slo.record_eval(&obs, 1.0, false);
+        assert_eq!(
+            gauge("serve.slo.window.evals"),
+            Some(SLO_EPOCH_EVALS as f64)
+        );
     }
 }

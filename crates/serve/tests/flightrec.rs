@@ -11,6 +11,7 @@ use relm_obs::{read_dump, FieldValue, FlightEvent, Obs};
 use relm_serve::{Request, Response, ServeConfig, Service, SessionSpec};
 use relm_tune::RetryPolicy;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("relm_flightrec_{tag}_{}", std::process::id()));
@@ -234,6 +235,39 @@ fn trace_endpoint_exposes_the_ring_in_process() {
         }),
         Response::Error { .. }
     ));
+}
+
+/// The session's flight ring and the service's span ring share one record
+/// per mirrored span: each span in an in-process `Trace` reply is held by
+/// the reply, the flight ring and the span ring, and by nothing else.
+#[test]
+fn flight_ring_shares_each_span_with_the_span_ring() {
+    let service = Service::start(ServeConfig::default(), Obs::enabled());
+    let session = create(&service, SessionSpec::named("KMeans", 3));
+    service.handle(&Request::StepAuto {
+        session: session.clone(),
+        evals: 2,
+    });
+    service.handle(&Request::Join {
+        session: session.clone(),
+    });
+    let Response::Trace { events, .. } = service.handle(&Request::Trace { session }) else {
+        panic!("trace failed");
+    };
+    let spans: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            FlightEvent::Span(record) => Some(record),
+            FlightEvent::Protocol { .. } => None,
+        })
+        .collect();
+    assert_eq!(
+        spans.iter().filter(|s| s.name == "serve.evaluate").count(),
+        2
+    );
+    for record in spans {
+        assert_eq!(Arc::strong_count(record), 3, "{record:?}");
+    }
 }
 
 #[test]

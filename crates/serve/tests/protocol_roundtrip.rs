@@ -14,6 +14,7 @@ use relm_serve::{
 use relm_tune::{recommendation, session_export, EvalStore, RetryPolicy, TuningEnv};
 use serde::Serialize;
 use std::io::BufReader;
+use std::sync::Arc;
 
 fn config(n: u32, p: u32, cache: f64, shuffle: f64) -> MemoryConfig {
     let cfg = MemoryConfig {
@@ -212,7 +213,7 @@ proptest! {
                 at_us: completed as u64 * 17,
                 detail: format!("enqueued={pending}"),
             },
-            FlightEvent::Span(SpanRecord {
+            FlightEvent::Span(Arc::new(SpanRecord {
                 id: sid,
                 parent: (best_known == 1).then_some(sid + 1),
                 trace: Some(sid | 1),
@@ -224,7 +225,7 @@ proptest! {
                     ("aborted".into(), FieldValue::Bool(censored > 0)),
                     ("retries".into(), FieldValue::U64(censored as u64)),
                 ],
-            }),
+            })),
         ];
         let (task, _) = real_task_and_outcome(sid, sid.wrapping_mul(31), config(2, 4, 0.2, 0.2), None, score);
         let responses = [

@@ -248,6 +248,11 @@ echo "== history pin test =="
 # proposals from the service's proposal memo and runs no GP fit, and its
 # output checks require each timed history to equal the fill pass's
 # history of the same spec.
+# The pins run traced, which adds two output checks: every request and
+# response frame round-trips through encode/decode, and live evaluation,
+# cache replay and Engine::run each reproduce every prefix history. The
+# traced run also exercises the probes that read spans from
+# Obs::snapshot(), and prints the same prefix_hash as an untraced run.
 # Building the ledger makes cargo rewrite bench_ledger/Cargo.lock; the
 # committed lock is saved first and put back on exit, so the gate leaves
 # the tree as it found it.
@@ -259,7 +264,7 @@ for pin in tune_direct=d48b7c65df8b42a2 serve_cold=9a8aa65ce4c301e9 serve_replay
   workload="${pin%%=*}"
   want="${pin#*=}"
   cargo run --release -q --offline --manifest-path bench_ledger/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+    --workload "$workload" --seed 1 --seconds 1 --trace 1 --out "$pin_dir" \
     > "$pin_dir/$workload.json" 2> "$pin_dir/$workload.err"
   grep -q '"correct": true' "$pin_dir/$workload.json" \
     || { echo "history pin FAILED: $workload output checks failed" >&2; cat "$pin_dir/$workload.err" >&2; exit 1; }
